@@ -76,6 +76,16 @@ def find_rel_counterexample(
             f"assignment space {universe_size}^{len(variables)} exceeds cap {row_space_cap}"
         )
     columns = [(v, list(range(universe_size))) for v in variables]
+    return _first_counterexample(columns, lhs, rhs, max_rows, budget)
+
+
+def _first_counterexample(
+    columns: list[tuple[str, list]],
+    lhs: Formula,
+    rhs: Formula,
+    max_rows: int,
+    budget: EvalBudget | None = None,
+) -> Team | None:
     for team in enumerate_teams(columns, max_rows):
         if eval_rel(team, lhs, budget) and not eval_rel(team, rhs, budget):
             return team
@@ -237,7 +247,7 @@ def verify_property_entailments(
         report.non_implications["WeakDet does not entail StrongDet (siglambda witness)"] = eval_rel(
             siglam.team, _formula_of((PropertyName.WEAK_DET_H,), 2)
         ) and not eval_rel(siglam.team, _formula_of((PropertyName.STRONG_DET_H,), 2))
-        dropped = find_rel_counterexample_over(
+        dropped = _first_counterexample(
             columns,
             _formula_of((PropertyName.PAR_INDEP_H,), arity),
             _formula_of((PropertyName.NO_SIG_E,), arity),
@@ -246,16 +256,3 @@ def verify_property_entailments(
         report.non_implications["ParIndep alone does not entail NoSig"] = dropped is not None
     return report
 
-
-def find_rel_counterexample_over(
-    columns: list[tuple[str, list]],
-    lhs: Formula,
-    rhs: Formula,
-    max_rows: int,
-    budget: EvalBudget | None = None,
-) -> Team | None:
-    """Counterexample search over explicit per-variable value columns."""
-    for team in enumerate_teams(columns, max_rows):
-        if eval_rel(team, lhs, budget) and not eval_rel(team, rhs, budget):
-            return team
-    return None

@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedFragmentError,
     ZeroProbabilityError,
 )
-from .eval_rel import DEFAULT_BUDGET, EvalBudget, eval_rel
+from .eval_rel import DEFAULT_BUDGET, EvalBudget, eval_atom_rel, eval_rel
 from .formulas import (
     NC,
     NCC,
@@ -129,35 +129,23 @@ def _eval(prob_team: ProbTeam, formula: Formula, budget: EvalBudget) -> bool:
         case And(lhs, rhs):
             return _eval(prob_team, lhs, budget) and _eval(prob_team, rhs, budget)
         case Forall(var, body):
+            budget.check_universe(len(prob_team.universe))
+            budget.check_rows(len(prob_team.team.rows) * len(prob_team.universe))
             return _eval(prob_team.uniform_extend(var, prob_team.universe), body, budget)
         case Or() | Exists():
             raise UnsupportedFragmentError(
                 "probabilistic disjunction and existential quantification are "
                 "not decided; check an explicit witness instead"
             )
-        case Dep(xs, ys):
-            return _dep(prob_team, xs, ys)
+        case Dep():
+            # probability-1 dependence is dependence on the (full) support
+            return eval_atom_rel(prob_team.support(), formula)
         case Indep(xs, cond, ys):
             return _indep(prob_team, xs, cond, ys)
         case Eq() | Neq() | Incl() | GenDep() | NC() | NCC():
             # support-determined atoms: relational evaluation on the collapse
             return eval_rel(prob_team.support(), formula, budget)
     raise InvalidArgumentError(f"unknown formula node {formula!r}")
-
-
-def _dep(prob_team: ProbTeam, xs, ys) -> bool:
-    """Each antecedent value must force one consequent value with
-    conditional probability exactly 1.  With full support this is exactly
-    functional dependence on the underlying team."""
-    xpos = prob_team.team.positions(xs)
-    ypos = prob_team.team.positions(ys)
-    forced: dict = {}
-    for row in prob_team.team.rows:
-        key = tuple(row[i] for i in xpos)
-        val = tuple(row[i] for i in ypos)
-        if forced.setdefault(key, val) != val:
-            return False
-    return True
 
 
 def _indep(prob_team: ProbTeam, xs, cond, ys) -> bool:

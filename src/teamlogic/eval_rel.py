@@ -75,6 +75,16 @@ class EvalBudget:
         if self.max_rows <= 0 or self.max_universe <= 0 or self.memo_limit <= 0:
             raise InvalidArgumentError("budget limits must be positive")
 
+    def check_universe(self, size: int):
+        if size > self.max_universe:
+            raise BudgetExceededError(f"universe of size {size} exceeds budget {self.max_universe}")
+
+    def check_rows(self, count: int):
+        if count > self.max_rows:
+            raise BudgetExceededError(
+                f"quantification would build {count} rows, budget is {self.max_rows}"
+            )
+
 
 DEFAULT_BUDGET = EvalBudget()
 
@@ -85,10 +95,7 @@ def eval_rel(team: Team, formula: Formula, budget: EvalBudget | None = None) -> 
     missing = free_vars(formula) - set(team.domain)
     if missing:
         raise DomainError(f"free variables {sorted(missing)} not bound by team domain {team.domain}")
-    if len(team.universe) > budget.max_universe:
-        raise BudgetExceededError(
-            f"universe of size {len(team.universe)} exceeds budget {budget.max_universe}"
-        )
+    budget.check_universe(len(team.universe))
     return _Evaluator(budget).eval(team, formula)
 
 
@@ -110,6 +117,41 @@ def eval_atom_rel(team: Team, atom: Formula) -> bool:
     raise InvalidArgumentError(f"{atom!r} is not an atom")
 
 
+def exact_transversal(blocks: Sequence[Sequence], tick: Callable[[], None] = lambda: None) -> set | None:
+    """A value set meeting every block exactly once, or None.
+
+    Depth-first choice with propagation: blocks are taken fewest options
+    first (ties in input order) and their options in input order, with
+    duplicates dropped.  Choosing a value excludes its block siblings
+    everywhere, and a block already holding a chosen value is forced.
+    ``tick`` is called once per search node, so a caller can bound the
+    search.  The result is the first transversal found in that order.
+    """
+    options = [list(dict.fromkeys(block)) for block in blocks]
+    order = sorted(range(len(options)), key=lambda j: (len(options[j]), j))
+    state: dict = {}
+
+    def dfs(k: int) -> bool:
+        if k == len(order):
+            return True
+        tick()
+        block = options[order[k]]
+        chosen = [v for v in block if state.get(v) is True]
+        if len(chosen) > 1:
+            return False
+        free = [v for v in block if v not in state]
+        for pick in chosen or free:
+            for v in free:
+                state[v] = v == pick
+            if dfs(k + 1):
+                return True
+            for v in free:
+                del state[v]
+        return False
+
+    return {v for v, picked in state.items() if picked} if dfs(0) else None
+
+
 class _Evaluator:
     def __init__(self, budget: EvalBudget):
         self.budget = budget
@@ -124,12 +166,6 @@ class _Evaluator:
         if self.nodes + len(self.memo) > self.budget.memo_limit:
             raise BudgetExceededError(
                 f"search exceeded budget of {self.budget.memo_limit} states"
-            )
-
-    def check_rows(self, count: int):
-        if count > self.budget.max_rows:
-            raise BudgetExceededError(
-                f"quantification would build {count} rows, budget is {self.budget.max_rows}"
             )
 
     # -- top-level dispatch ----------------------------------------------
@@ -147,7 +183,7 @@ class _Evaluator:
             case Forall(var, body):
                 if not team.rows:
                     return True
-                self.check_rows(len(team.rows) * len(team.universe))
+                self.budget.check_rows(len(team.rows) * len(team.universe))
                 return self.eval(team.generalize(var, team.universe), body)
             case Exists():
                 return self.exists(team, formula)
@@ -282,45 +318,8 @@ class _Evaluator:
         downward closed.
         """
         p_x = team.positions(xs)
-        row_options = [
-            sorted({row[i] for i in p_x}, key=value_key) for row in team.rows
-        ]
-        order = sorted(range(len(row_options)), key=lambda i: (len(row_options[i]), i))
-        state: dict = {}
-
-        def assign(value, status, trail) -> bool:
-            prev = state.get(value, None)
-            if prev is not None and prev != status:
-                return False
-            if prev is None:
-                state[value] = status
-                trail.append(value)
-            return True
-
-        def dfs(k: int) -> bool:
-            if k == len(order):
-                return True
-            self.tick()
-            options = row_options[order[k]]
-            chosen = [v for v in options if state.get(v) is True]
-            if len(chosen) > 1:
-                return False
-            candidates = chosen if chosen else [v for v in options if state.get(v) is None]
-            for pick in candidates:
-                trail: list = []
-                ok = assign(pick, True, trail)
-                if ok:
-                    for other in options:
-                        if other != pick and not assign(other, False, trail):
-                            ok = False
-                            break
-                if ok and dfs(k + 1):
-                    return True
-                for value in trail:
-                    del state[value]
-            return False
-
-        return dfs(0)
+        blocks = [sorted({row[i] for i in p_x}, key=value_key) for row in team.rows]
+        return exact_transversal(blocks, self.tick) is not None
 
     # -- disjunction -----------------------------------------------------
 

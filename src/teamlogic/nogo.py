@@ -10,14 +10,17 @@ decides this by exhaustive section enumeration with per-context
 propagation; :func:`exists_local_lambdaindep` answers the Locality
 variant, which the localization normal form makes the same decision.
 
-The canonical Hardy empirical model has no such explanation, and the
-bundled 18-vector configuration in 4-space drives two team-semantical
-formulations of the Kochen-Specker theorem: the 9-row measurement team
-falsifies the non-contextual-choice atom, and no extension of it by
-one-hot outcome columns is non-contextual.  Both reduce to the
-orthogonal-basis coloring search, and the parity structure (every vector
-in exactly two of an odd number of bases) already forbids a coloring; all
-routes are checked against each other.
+The canonical Hardy empirical model has no such explanation.  The
+bundled 18-vector configuration in 4-space drives three formulations of
+the Kochen-Specker theorem: no vector set meets every orthogonal basis
+exactly once, the 9-row measurement team falsifies the
+non-contextual-choice atom, and no extension of that team by one-hot
+outcome columns is non-contextual.  All three run the one search
+:func:`~teamlogic.eval_rel.exact_transversal` and differ only in how its
+input is built, so agreement cross-checks those constructions.  The
+independent routes are the parity argument (every vector in exactly two
+of an odd number of bases already forbids a transversal) and, in the
+tests, brute force over one pick per basis.
 
 Probabilistic no-go verdicts follow from the relational ones: a
 probabilistic explanation collapses to a relational one, so nonexistence
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, InvalidArgumentError
-from .eval_rel import eval_atom_rel
+from .eval_rel import eval_atom_rel, exact_transversal
 from .formulas import NCC
 from .models import (
     LAMBDA_VAR,
@@ -134,7 +137,12 @@ def exists_strongdet_lambdaindep(
             "decision runs on relational models; collapse probabilistic ones first "
             "(nonexistence transfers to the probabilistic side)"
         )
-    sections = consistent_sections(model, max_sections)
+    return _section_cover(model, consistent_sections(model, max_sections))
+
+
+def _section_cover(model: EmpiricalModel, sections: list[GlobalSection]) -> HVModel | None:
+    """The hidden-variable model whose hidden values are ``sections``,
+    or None when their graphs do not cover the model."""
     team = model.team
     n = model.arity
     mpos = team.positions(empirical_domain(n)[:n])
@@ -246,12 +254,11 @@ class HardyReport:
 
 def verify_hardy() -> HardyReport:
     model = hardy_team()
-    failures = check_hardy_conditions(model)
-    witness = exists_strongdet_lambdaindep(model)
+    sections = consistent_sections(model)
     return HardyReport(
-        conditions_ok=not failures,
-        witness_exists=witness is not None,
-        sections_found=len(consistent_sections(model)),
+        conditions_ok=not check_hardy_conditions(model),
+        witness_exists=_section_cover(model, sections) is not None,
+        sections_found=len(sections),
     )
 
 
@@ -298,7 +305,8 @@ class KSConfiguration:
             counts = [0] * len(self.vectors)
             for basis in self.bases:
                 for i in basis:
-                    counts[i] += 1
+                    if 0 <= i < len(counts):
+                        counts[i] += 1
             for idx, c in enumerate(counts):
                 if c != 2:
                     problems.append(f"vector {idx} occurs in {c} bases, expected exactly 2")
@@ -361,99 +369,34 @@ def parity_obstruction(cfg: KSConfiguration) -> bool:
 def ks_colorable(cfg: KSConfiguration) -> tuple[int, ...] | None:
     """Search for a vector set meeting every basis exactly once.
 
-    Per-basis choice with propagation: choosing a vector for a basis
-    forbids its siblings everywhere, and a basis containing an already
-    chosen vector is forced.  Returns the canonically least transversal
-    as sorted vector indices, or None.
+    Runs :func:`~teamlogic.eval_rel.exact_transversal` on the bases and
+    returns the first transversal it finds, in basis order, as sorted
+    vector indices, or None.  The kernel it shares with the ``ncc`` atom
+    and :func:`noncontextual_extension` is cross-checked independently by
+    :func:`parity_obstruction` and, in the tests, by brute force.
     """
-    status: dict[int, bool] = {}
-
-    def dfs(j: int) -> bool:
-        if j == len(cfg.bases):
-            return True
-        basis = cfg.bases[j]
-        chosen = [i for i in basis if status.get(i) is True]
-        if len(chosen) > 1:
-            return False
-        candidates = chosen if chosen else [i for i in basis if status.get(i) is None]
-        for pick in candidates:
-            trail = []
-            ok = True
-            for i in basis:
-                want = i == pick
-                prev = status.get(i)
-                if prev is None:
-                    status[i] = want
-                    trail.append(i)
-                elif prev != want:
-                    ok = False
-                    break
-            if ok and dfs(j + 1):
-                return True
-            for i in trail:
-                del status[i]
-        return False
-
-    if dfs(0):
-        return tuple(sorted(i for i, v in status.items() if v))
-    return None
+    chosen = exact_transversal(cfg.bases)
+    return None if chosen is None else tuple(sorted(chosen))
 
 
 def ks_team(cfg: KSConfiguration) -> Team:
     """The measurement team: one row per basis, listing its four rays."""
+    for j, basis in enumerate(cfg.bases):
+        if any(i < 0 or i >= len(cfg.vectors) for i in basis):
+            raise InvalidArgumentError(f"basis {j} references a missing vector")
     rows = [tuple(cfg.vectors[i] for i in basis) for basis in cfg.bases]
     return Team(("m1", "m2", "m3", "m4"), rows)
 
 
-ONE_HOT = (
-    (1, 0, 0, 0),
-    (0, 1, 0, 0),
-    (0, 0, 1, 0),
-    (0, 0, 0, 1),
-)
-
-
 def noncontextual_extension(cfg: KSConfiguration) -> Team | None:
-    """Search directly for a global vector valuation selecting exactly one
-    ray per measurement row; on success, return the witnessing extension
-    of the measurement team by one-hot outcome columns."""
-    team = ks_team(cfg)
-    selection: dict = {}
-
-    rows = team.rows
-
-    def dfs(k: int) -> bool:
-        if k == len(rows):
-            return True
-        row = rows[k]
-        chosen = [v for v in row if selection.get(v) is True]
-        if len(chosen) > 1:
-            return False
-        candidates = chosen if chosen else [v for v in row if selection.get(v) is None]
-        for pick in candidates:
-            trail = []
-            ok = True
-            for v in row:
-                want = v == pick
-                prev = selection.get(v)
-                if prev is None:
-                    selection[v] = want
-                    trail.append(v)
-                elif prev != want:
-                    ok = False
-                    break
-            if ok and dfs(k + 1):
-                return True
-            for v in trail:
-                del selection[v]
-        return False
-
-    if not dfs(0):
+    """Search the measurement team's rows for a global vector valuation
+    selecting exactly one ray per row; on success, return the witnessing
+    extension of the team by one-hot outcome columns."""
+    rows = ks_team(cfg).rows
+    chosen = exact_transversal(rows)
+    if chosen is None:
         return None
-    extended = [
-        row + tuple(1 if selection.get(v) else 0 for v in row)
-        for row in rows
-    ]
+    extended = [row + tuple(1 if v in chosen else 0 for v in row) for row in rows]
     return Team(("m1", "m2", "m3", "m4", "o1", "o2", "o3", "o4"), extended)
 
 

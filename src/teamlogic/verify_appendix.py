@@ -11,8 +11,8 @@ doubles as a stress test of the evaluator's exponential paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
 
+from .entailment import enumerate_teams
 from .eval_rel import EvalBudget, eval_atom_rel, eval_rel
 from .formulas import (
     NC,
@@ -22,7 +22,6 @@ from .formulas import (
     nc_defining_formula,
     ncc_defining_formula,
 )
-from .teams import Team
 
 
 @dataclass
@@ -41,15 +40,13 @@ class AppendixReport:
 
 
 def _sweep(variables: tuple[str, ...], atom, formula, max_rows: int, budget: EvalBudget) -> tuple[int, int]:
-    space = list(product((0, 1), repeat=len(variables)))
+    columns = [(v, [0, 1]) for v in variables]
     teams = 0
     disagreements = 0
-    for count in range(0, max_rows + 1):
-        for rows in combinations(space, count):
-            team = Team(variables, rows, universe=(0, 1))
-            teams += 1
-            if eval_atom_rel(team, atom) != eval_rel(team, formula, budget):
-                disagreements += 1
+    for team in enumerate_teams(columns, max_rows, nonempty=False):
+        teams += 1
+        if eval_atom_rel(team, atom) != eval_rel(team, formula, budget):
+            disagreements += 1
     return teams, disagreements
 
 

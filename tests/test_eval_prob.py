@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from teamlogic.errors import UnsupportedFragmentError, ZeroProbabilityError
+from teamlogic.errors import BudgetExceededError, UnsupportedFragmentError, ZeroProbabilityError
 from teamlogic.eval_prob import CondProbQuery, check_skolem_witness, cond_prob, eval_prob
-from teamlogic.eval_rel import eval_rel
+from teamlogic.eval_rel import EvalBudget, eval_rel
 from teamlogic.formulas import Dep, Indep, classify, parse
 from teamlogic.sampling import random_prob_team
 from teamlogic.teams import ProbTeam, Team
@@ -61,6 +61,26 @@ class TestEvalProb:
 
     def test_forall_supported(self, pt1):
         assert eval_prob(pt1, parse("A v . dep(x v, x)"))
+
+    def test_forall_honours_budget(self):
+        pt = ProbTeam.uniform(Team(("x",), [(i,) for i in range(6)]))
+        formula = parse("A y . A z . A w . dep(x, x)")
+        tight = EvalBudget(max_rows=100, max_universe=3)
+        with pytest.raises(BudgetExceededError):
+            eval_rel(pt.team, formula, tight)
+        with pytest.raises(BudgetExceededError):
+            eval_prob(pt, formula, tight)
+        # the row cap alone: the second generalization would build 216 rows
+        with pytest.raises(BudgetExceededError):
+            eval_prob(pt, formula, EvalBudget(max_rows=100))
+        assert eval_prob(pt, formula)
+
+    def test_dep_decides_past_universe_budget(self):
+        # LCM hidden-variable constructions can carry more hidden values
+        # than EvalBudget.max_universe; dep is a row scan and still decides
+        pt = ProbTeam.uniform(Team(("x", "y"), [(i, i % 2) for i in range(200)]))
+        assert eval_prob(pt, parse("dep(x, y)"))
+        assert not eval_prob(pt, parse("dep(y, x)"))
 
     def test_support_determined_atoms(self, pt1):
         assert eval_prob(pt1, parse("z <= x")) == eval_rel(pt1.support(), parse("z <= x"))

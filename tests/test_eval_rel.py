@@ -261,6 +261,13 @@ class TestKSAtom:
         team = ks_team(cabello_config())
         assert not eval_atom_rel(team, NCC(("m1", "m2", "m3", "m4")))
 
+    def test_ncc_search_honours_budget(self):
+        from teamlogic.nogo import cabello_config, ks_team
+
+        team = ks_team(cabello_config())
+        with pytest.raises(BudgetExceededError):
+            eval_rel(team, NCC(("m1", "m2", "m3", "m4")), EvalBudget(memo_limit=5))
+
     def test_two_basis_toy_satisfies_ncc(self):
         rows = [("e1", "e2", "e3", "e4"), ("f1", "f2", "f3", "f4")]
         team = Team(("m1", "m2", "m3", "m4"), rows)

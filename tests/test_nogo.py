@@ -127,6 +127,31 @@ def _toy_two_bases() -> KSConfiguration:
     })
 
 
+def _transversals(cfg: KSConfiguration) -> set[tuple[int, ...]]:
+    """Brute force: every pick of one vector per basis that meets each
+    basis exactly once, as sorted vector indices."""
+    found = set()
+    for picks in product(*cfg.bases):
+        chosen = set(picks)
+        if all(len(chosen.intersection(basis)) == 1 for basis in cfg.bases):
+            found.add(tuple(sorted(chosen)))
+    return found
+
+
+def _assert_matches_brute_force(cfg: KSConfiguration):
+    transversals = _transversals(cfg)
+    coloring = ks_colorable(cfg)
+    assert (coloring is not None) == bool(transversals)
+    assert coloring is None or coloring in transversals
+    assert eval_atom_rel(ks_team(cfg), NCC(("m1", "m2", "m3", "m4"))) == bool(transversals)
+    ext = noncontextual_extension(cfg)
+    assert (ext is not None) == bool(transversals)
+    if ext is not None:
+        index = {vec: i for i, vec in enumerate(cfg.vectors)}
+        picked = {index[vec] for row in ext.rows for vec, bit in zip(row[:4], row[4:]) if bit}
+        assert tuple(sorted(picked)) in transversals
+
+
 class TestKSConfiguration:
     def test_cabello_validates(self):
         cfg = cabello_config()
@@ -218,6 +243,22 @@ class TestKSTeamAndTheorems:
         # the witnessing extension is itself non-contextual per the formula
         assert eval_rel(ext, property_formula(P.NON_CONTEXT_E, 4))
 
+    def test_kernel_matches_brute_force(self):
+        for cfg in (cabello_config(), _toy_two_bases()):
+            _assert_matches_brute_force(cfg)
+
+    def test_basis_index_outside_vectors_rejected(self):
+        axes = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        for cfg in (
+            KSConfiguration(axes[:1], ((0, 1, 2, 3),)),
+            KSConfiguration(axes, ((0, 1, 2, -1),)),
+        ):
+            assert any("missing vector" in p for p in cfg.validate())
+            with pytest.raises(InvalidArgumentError):
+                ks_team(cfg)
+            with pytest.raises(InvalidArgumentError):
+                verify_ks(cfg, require_double_cover=False)
+
     def test_report(self):
         rep = verify_ks()
         assert rep.ok
@@ -260,10 +301,7 @@ class TestKSTeamAndTheorems:
                 continue
             cfg = KSConfiguration(tuple(vectors), tuple(bases))
             assert cfg.validate(require_double_cover=False) == []
-            colorable = ks_colorable(cfg) is not None
-            ncc = eval_atom_rel(ks_team(cfg), NCC(("m1", "m2", "m3", "m4")))
-            ext = noncontextual_extension(cfg) is not None
-            assert colorable == ncc == ext
+            _assert_matches_brute_force(cfg)
 
 
 class TestAgreementSweep:
