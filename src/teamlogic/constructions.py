@@ -86,23 +86,14 @@ def construct_weakdet_lambdaindep(model: EmpiricalModel) -> HVModel:
         return from_team(hv.team, "hidden")
 
     pt = model.prob_team
-    team = pt.team
     n = model.arity
     mvars = empirical_domain(n)[:n]
     ovars = empirical_domain(n)[n:]
-    mpos = team.positions(mvars)
-    opos = team.positions(ovars)
-
-    group_mass: dict = {}
-    pair_mass: dict = {}
-    for row in team.rows:
-        a = tuple(row[i] for i in mpos)
-        b = tuple(row[i] for i in opos)
-        w = pt.weight(row)
-        group_mass[a] = group_mass.get(a, Fraction(0)) + w
-        pair_mass[(a, b)] = pair_mass.get((a, b), Fraction(0)) + w
-
-    conditional = {z: mass / group_mass[z[0]] for z, mass in pair_mass.items()}
+    group_mass = pt.masses(mvars)
+    conditional = {
+        (z[:n], z[n:]): mass / group_mass[z[:n]]
+        for z, mass in pt.masses(mvars + ovars).items()
+    }
     modulus = lcm(*(p.denominator for p in conditional.values()))
     lam = list(range(modulus))
 
@@ -223,36 +214,19 @@ def localize_prob(model: HVModel) -> HVModel:
         raise InvalidArgumentError("localize_prob needs a probabilistic model")
     _require(model)
     pt = model.prob_team
-    team = pt.team
     n = model.arity
     empirical = induced_empirical(model).prob_team
     mvars = empirical_domain(n)[:n]
     ovars = empirical_domain(n)[n:]
-    mpos = team.positions(mvars)
-    opos = team.positions(ovars)
-    (lpos,) = team.positions((LAMBDA_VAR,))
 
-    comp_mass: dict = {}
-    comp_joint: dict = {}
+    conditional: dict = {}
+    for i in range(n):
+        comp_mass = pt.masses((mvars[i], LAMBDA_VAR))
+        for (a, b, c), mass in pt.masses((mvars[i], ovars[i], LAMBDA_VAR)).items():
+            conditional[(i, a, b, c)] = mass / comp_mass[(a, c)]
     row_mass: dict = {}
-    for row in team.rows:
-        w = pt.weight(row)
-        c = row[lpos]
-        key = (tuple(row[i] for i in mpos), tuple(row[i] for i in opos))
-        row_mass.setdefault(key, {})
-        row_mass[key][c] = row_mass[key].get(c, Fraction(0)) + w
-        for i in range(n):
-            comp_mass[(i, row[mpos[i]], c)] = comp_mass.get(
-                (i, row[mpos[i]], c), Fraction(0)
-            ) + w
-            comp_joint[(i, row[mpos[i]], row[opos[i]], c)] = comp_joint.get(
-                (i, row[mpos[i]], row[opos[i]], c), Fraction(0)
-            ) + w
-
-    conditional = {
-        (i, a, b, c): mass / comp_mass[(i, a, c)]
-        for (i, a, b, c), mass in comp_joint.items()
-    }
+    for key, mass in pt.masses(mvars + ovars + (LAMBDA_VAR,)).items():
+        row_mass.setdefault((key[:n], key[n:-1]), {})[key[-1]] = mass
 
     moduli = [
         lcm(*(p.denominator for (i, _, _, _), p in conditional.items() if i == comp))
@@ -281,10 +255,9 @@ def localize_prob(model: HVModel) -> HVModel:
     def family(s):
         a = s.values_at(mvars)
         b = s.values_at(ovars)
-        mass_per_lam = row_mass[(a, b)]
-        total = sum(mass_per_lam.values(), Fraction(0))
+        total = empirical.weight(s.row)  # the empirical model is the marginal on m, o
         dist: dict = {}
-        for c, mass in mass_per_lam.items():
+        for c, mass in row_mass[(a, b)].items():
             lam_given_row = mass / total
             ranges = [blocks[(i, a[i], b[i], c)] for i in range(n)]
             share = lam_given_row / Fraction(

@@ -78,17 +78,11 @@ def cond_prob(prob_team: ProbTeam, query: CondProbQuery) -> Fraction:
     Raises :class:`ZeroProbabilityError` when the condition has
     probability zero.
     """
-    ev_pos = prob_team.team.positions(query.event_vars)
-    cond_pos = prob_team.team.positions(query.condition_vars)
-    cond_mass = Fraction(0)
-    joint_mass = Fraction(0)
-    for row in prob_team.team.rows:
-        if tuple(row[i] for i in cond_pos) != query.condition_values:
-            continue
-        w = prob_team.weight(row)
-        cond_mass += w
-        if tuple(row[i] for i in ev_pos) == query.event_values:
-            joint_mass += w
+    condition = tuple(query.condition_values)
+    cond_mass = prob_team.masses(query.condition_vars).get(condition, 0)
+    joint_mass = prob_team.masses((*query.condition_vars, *query.event_vars)).get(
+        condition + tuple(query.event_values), 0
+    )
     if cond_mass == 0:
         raise ZeroProbabilityError(
             f"condition {query.condition_vars} = {query.condition_values} has probability zero"
@@ -98,15 +92,7 @@ def cond_prob(prob_team: ProbTeam, query: CondProbQuery) -> Fraction:
 
 def marginal(prob_team: ProbTeam, variables: tuple[str, ...], values: Row) -> Fraction:
     """Exact probability of a value event."""
-    pos = prob_team.team.positions(variables)
-    return sum(
-        (
-            prob_team.weight(row)
-            for row in prob_team.team.rows
-            if tuple(row[i] for i in pos) == values
-        ),
-        Fraction(0),
-    )
+    return prob_team.masses(variables).get(tuple(values), Fraction(0))
 
 
 def eval_prob(prob_team: ProbTeam, formula: Formula, budget: EvalBudget | None = None) -> bool:
@@ -156,33 +142,18 @@ def _indep(prob_team: ProbTeam, xs, cond, ys) -> bool:
     marginals; the identity is verified in cleared form
     joint * total == x_marginal * y_marginal, avoiding division.
     """
-    team = prob_team.team
-    xpos, zpos, ypos = team.positions(xs), team.positions(cond), team.positions(ys)
-    totals: dict = {}
-    x_mass: dict = {}
-    y_mass: dict = {}
-    joint_mass: dict = {}
-    xvals: set = set()
-    yvals: set = set()
-    for row in team.rows:
-        w = prob_team.weight(row)
-        z = tuple(row[i] for i in zpos)
-        x = tuple(row[i] for i in xpos)
-        y = tuple(row[i] for i in ypos)
-        totals[z] = totals.get(z, Fraction(0)) + w
-        x_mass[(z, x)] = x_mass.get((z, x), Fraction(0)) + w
-        y_mass[(z, y)] = y_mass.get((z, y), Fraction(0)) + w
-        joint_mass[(z, x, y)] = joint_mass.get((z, x, y), Fraction(0)) + w
-        xvals.add(x)
-        yvals.add(y)
-    zero = Fraction(0)
+    totals = prob_team.masses(cond)
+    x_mass = prob_team.masses((*cond, *xs))
+    y_mass = prob_team.masses((*cond, *ys))
+    joint_mass = prob_team.masses((*cond, *xs, *ys))
+    k = len(cond)
+    xvals = {key[k:] for key in x_mass}
+    yvals = {key[k:] for key in y_mass}
     for z, total in totals.items():
         for x in xvals:
-            mx = x_mass.get((z, x), zero)
+            mx = x_mass.get(z + x, 0)
             for y in yvals:
-                my = y_mass.get((z, y), zero)
-                joint = joint_mass.get((z, x, y), zero)
-                if joint * total != mx * my:
+                if joint_mass.get(z + x + y, 0) * total != mx * y_mass.get(z + y, 0):
                     return False
     return True
 

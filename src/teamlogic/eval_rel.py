@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import BudgetExceededError, DomainError, InvalidArgumentError
 from .formulas import (
@@ -53,7 +53,7 @@ from .formulas import (
     is_classical,
     is_downward_closed,
 )
-from .teams import Row, Team, row_key, value_key
+from .teams import Row, Team, positions, row_key, value_key
 
 
 @dataclass(frozen=True)
@@ -131,25 +131,31 @@ def exact_transversal(blocks: Sequence[Sequence], tick: Callable[[], None] = lam
     order = sorted(range(len(options)), key=lambda j: (len(options[j]), j))
     state: dict = {}
 
-    def dfs(k: int) -> bool:
-        if k == len(order):
-            return True
+    def picks(block: list) -> Iterator[bool]:
+        """Set ``state`` for each admissible pick of ``block`` in turn,
+        yielding while it holds; undone on resumption."""
         tick()
-        block = options[order[k]]
         chosen = [v for v in block if state.get(v) is True]
         if len(chosen) > 1:
-            return False
+            return
         free = [v for v in block if v not in state]
         for pick in chosen or free:
             for v in free:
                 state[v] = v == pick
-            if dfs(k + 1):
-                return True
+            yield True
             for v in free:
                 del state[v]
-        return False
 
-    return {v for v, picked in state.items() if picked} if dfs(0) else None
+    # one suspended frame per decided block, on an explicit stack so that
+    # a search as deep as the team is long stays off the recursion limit
+    frames: list[Iterator[bool]] = []
+    while len(frames) < len(order):
+        frames.append(picks(options[order[len(frames)]]))
+        while not next(frames[-1], False):
+            frames.pop()
+            if not frames:
+                return None
+    return {v for v, picked in state.items() if picked}
 
 
 class _Evaluator:
@@ -206,13 +212,10 @@ class _Evaluator:
         fn = self._compiled.get(key)
         if fn is not None:
             return fn
-        index = {v: i for i, v in enumerate(domain)}
 
         def fetch(term: Term):
             if isinstance(term, Var):
-                if term.name not in index:
-                    raise DomainError(f"variable {term.name!r} not in domain {domain}")
-                pos = index[term.name]
+                (pos,) = positions(domain, (term.name,))
                 return lambda row: row[pos]
             value = term.value
             return lambda row: value
@@ -601,7 +604,6 @@ class _Evaluator:
         incl_filters = []
         constraints = []
         residual = []
-        index = {v: i for i, v in enumerate(ext_domain)}
         for conj in conjuncts(matrix):
             if is_classical(conj):
                 filters.append(self.compile_classical(conj, ext_domain))
@@ -609,8 +611,7 @@ class _Evaluator:
                 # The right side never mentions quantified variables, and
                 # every original row keeps at least one extension, so its
                 # value set is fixed; the atom becomes a per-row filter.
-                pos = tuple(index[v] for v in conj.xs)
-                incl_filters.append((pos, team.values_of(conj.ys)))
+                incl_filters.append((positions(ext_domain, conj.xs), team.values_of(conj.ys)))
             elif isinstance(conj, Dep):
                 constraints.append(_DepConstraint(ext_domain, conj))
             elif isinstance(conj, GenDep):
@@ -629,9 +630,8 @@ class _DepConstraint:
     __slots__ = ("xpos", "ypos", "table", "trail")
 
     def __init__(self, domain: tuple[str, ...], atom: Dep):
-        index = {v: i for i, v in enumerate(domain)}
-        self.xpos = tuple(index[v] for v in atom.xs)
-        self.ypos = tuple(index[v] for v in atom.ys)
+        self.xpos = positions(domain, atom.xs)
+        self.ypos = positions(domain, atom.ys)
         self.table: dict = {}
         self.trail: list = []
 
@@ -670,11 +670,10 @@ class _GenDepConstraint:
     __slots__ = ("p_x1", "p_x2", "p_y1", "p_y2", "side1", "side2", "trail")
 
     def __init__(self, domain: tuple[str, ...], atom: GenDep):
-        index = {v: i for i, v in enumerate(domain)}
-        self.p_x1 = tuple(index[v] for v in atom.x1)
-        self.p_x2 = tuple(index[v] for v in atom.x2)
-        self.p_y1 = tuple(index[v] for v in atom.y1)
-        self.p_y2 = tuple(index[v] for v in atom.y2)
+        self.p_x1 = positions(domain, atom.x1)
+        self.p_x2 = positions(domain, atom.x2)
+        self.p_y1 = positions(domain, atom.y1)
+        self.p_y2 = positions(domain, atom.y2)
         self.side1: dict = {}
         self.side2: dict = {}
         self.trail: list = []
@@ -737,9 +736,8 @@ class _NCConstraint:
     __slots__ = ("p_x", "p_y", "yvals", "containing", "trail")
 
     def __init__(self, domain: tuple[str, ...], atom: NC):
-        index = {v: i for i, v in enumerate(domain)}
-        self.p_x = tuple(index[v] for v in atom.xs)
-        self.p_y = index[atom.y]
+        self.p_x = positions(domain, atom.xs)
+        (self.p_y,) = positions(domain, (atom.y,))
         self.yvals: dict = {}
         self.containing: dict = {}
         self.trail: list = []

@@ -16,8 +16,6 @@ equivalence, and the commutativity check tying all of these together.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import DomainError, InvalidArgumentError
 from .teams import ProbTeam, Team, value_key
 
@@ -193,15 +191,9 @@ def empirically_equivalent(
 
 
 def _conditionals(prob_team: ProbTeam, arity: int) -> dict:
-    mpos = prob_team.team.positions(empirical_domain(arity)[:arity])
-    totals: dict = {}
-    for row in prob_team.team.rows:
-        key = tuple(row[i] for i in mpos)
-        totals[key] = totals.get(key, Fraction(0)) + prob_team.weight(row)
-    return {
-        row: prob_team.weight(row) / totals[tuple(row[i] for i in mpos)]
-        for row in prob_team.team.rows
-    }
+    # measurements lead the empirical domain, so a row's context is its prefix
+    totals = prob_team.masses(empirical_domain(arity)[:arity])
+    return {row: w / totals[row[:arity]] for row, w in prob_team.weights().items()}
 
 
 def verify_fig1_commutes(prob_hv_team: ProbTeam) -> bool:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import BudgetExceededError, InvalidArgumentError
 from .eval_rel import eval_atom_rel, exact_transversal
@@ -85,37 +86,48 @@ def consistent_sections(model: EmpiricalModel, max_sections: int = 5_000_000) ->
         a = tuple(row[i] for i in mpos)
         outcomes_by_context.setdefault(a, []).append(tuple(row[i] for i in opos))
     contexts = sorted(outcomes_by_context, key=lambda a: tuple(value_key(v) for v in a))
+    choices = [
+        sorted(outcomes_by_context[a], key=lambda b: tuple(value_key(v) for v in b))
+        for a in contexts
+    ]
 
     sections: list[GlobalSection] = []
     partial: list[dict] = [{} for _ in range(n)]
 
-    def dfs(k: int):
-        if k == len(contexts):
-            tables = tuple(
-                tuple(sorted(partial[i].items(), key=lambda kv: value_key(kv[0])))
-                for i in range(n)
-            )
-            sections.append(GlobalSection(tables))
-            return
-        a = contexts[k]
-        for b in sorted(outcomes_by_context[a], key=lambda b: tuple(value_key(v) for v in b)):
+    def extensions(a: tuple, rows: list) -> Iterator[bool]:
+        """Extend ``partial`` by each compatible outcome row of context
+        ``a`` in turn, yielding while it holds; undone on resumption."""
+        for b in rows:
             added = []
-            ok = True
             for i in range(n):
                 known = partial[i].get(a[i])
                 if known is None:
                     partial[i][a[i]] = b[i]
                     added.append((i, a[i]))
                 elif known != b[i]:
-                    ok = False
                     break
-            if ok:
-                dfs(k + 1)
+            else:
+                yield True
             for i, key in added:
                 del partial[i][key]
 
-    dfs(0)
-    return sections
+    # one suspended frame per decided context, on an explicit stack so
+    # that a model with many contexts stays off the recursion limit
+    frames: list[Iterator[bool]] = []
+    while True:
+        if len(frames) == len(contexts):
+            tables = tuple(
+                tuple(sorted(partial[i].items(), key=lambda kv: value_key(kv[0])))
+                for i in range(n)
+            )
+            sections.append(GlobalSection(tables))
+        else:
+            k = len(frames)
+            frames.append(extensions(contexts[k], choices[k]))
+        while frames and not next(frames[-1], False):
+            frames.pop()
+        if not frames:
+            return sections
 
 
 def exists_strongdet_lambdaindep(

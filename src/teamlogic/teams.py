@@ -62,20 +62,28 @@ def _check_value(value: Value) -> Value:
     return value
 
 
+def positions(domain: tuple[str, ...], variables: Sequence[str]) -> tuple[int, ...]:
+    """Column indices of ``variables`` in ``domain``, raising on unknown names."""
+    try:
+        return tuple(map(domain.index, variables))
+    except ValueError:
+        missing = next(v for v in variables if v not in domain)
+        raise DomainError(f"variable {missing!r} not in domain {domain}") from None
+
+
 class Assignment(Mapping):
     """A single row of a team, viewed as a variable-to-value mapping.
 
     Hashable and immutable, so it can key Skolem-function tables.
     """
 
-    __slots__ = ("_domain", "_row", "_index")
+    __slots__ = ("_domain", "_row")
 
     def __init__(self, domain: tuple[str, ...], row: Row):
         if len(domain) != len(row):
             raise InvalidArgumentError("assignment row length does not match domain")
         self._domain = domain
         self._row = row
-        self._index = {v: i for i, v in enumerate(domain)}
 
     @property
     def domain(self) -> tuple[str, ...]:
@@ -87,14 +95,12 @@ class Assignment(Mapping):
         return self._row
 
     def __getitem__(self, var: str) -> Value:
-        try:
-            return self._row[self._index[var]]
-        except KeyError:
-            raise DomainError(f"variable {var!r} not in assignment domain") from None
+        (pos,) = positions(self._domain, (var,))
+        return self._row[pos]
 
     def values_at(self, variables: Sequence[str]) -> Row:
         """Project the assignment onto a tuple of variables."""
-        return tuple(self[v] for v in variables)
+        return tuple(self._row[i] for i in positions(self._domain, variables))
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._domain)
@@ -192,11 +198,7 @@ class Team:
 
     def positions(self, variables: Sequence[str]) -> tuple[int, ...]:
         """Column indices of ``variables``, raising on unknown names."""
-        index = {v: i for i, v in enumerate(self.domain)}
-        try:
-            return tuple(index[v] for v in variables)
-        except KeyError as exc:
-            raise DomainError(f"variable {exc.args[0]!r} not in domain {self.domain}") from None
+        return positions(self.domain, variables)
 
     def same_rows(self, other: "Team") -> bool:
         """Row-set equality, ignoring the universes."""
@@ -372,13 +374,26 @@ class ProbTeam:
         """Possibilistic collapse.  Full support makes this the underlying team."""
         return self.team
 
+    def masses(self, variables: Sequence[str]) -> dict[Row, Fraction]:
+        """Exact marginal on a variable tuple (names may repeat): the total
+        weight of each occurring value tuple, keyed in order of first
+        occurrence along the canonical rows.
+
+        Conditional probabilities, the independence atom and the
+        constructions all read their marginals here; the Locality oracle
+        in :mod:`teamlogic.properties` keeps its own arithmetic so that it
+        stays an independent check.
+        """
+        pos = positions(self.domain, variables)
+        out: dict[Row, Fraction] = {}
+        for row in self.team.rows:
+            key = tuple(row[i] for i in pos)
+            out[key] = out.get(key, 0) + self._weights[row]
+        return out
+
     def restrict(self, variables: Sequence[str]) -> "ProbTeam":
         """Marginalize onto a variable list; weights of merged rows add exactly."""
-        pos = self.team.positions(variables)
-        merged: dict[Row, Fraction] = {}
-        for row in self.team.rows:
-            proj = tuple(row[i] for i in pos)
-            merged[proj] = merged.get(proj, Fraction(0)) + self._weights[row]
+        merged = self.masses(variables)
         return ProbTeam(Team(tuple(variables), merged.keys(), self.universe), merged)
 
     def skolem_extend(self, var: str, function) -> "ProbTeam":

@@ -7,11 +7,21 @@ no flatness shortcuts, no downward-closure reductions and no component
 decomposition.  Agreement over random teams and random formulas spanning
 all atom kinds and connectives exercises exactly the machinery the
 optimized evaluator is allowed to be clever about.
+
+The probabilistic part checks the exact-marginal readers (the
+independence atom, ``cond_prob`` and ``marginal``) against probabilities
+summed by plain comprehension over the weight table, with conditional
+independence tested by division rather than in cleared form.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
+import pytest
+
+from teamlogic.errors import ZeroProbabilityError
+from teamlogic.eval_prob import CondProbQuery, cond_prob, eval_prob, marginal
 from teamlogic.eval_rel import eval_rel
 from teamlogic.formulas import (
     NC,
@@ -30,7 +40,8 @@ from teamlogic.formulas import (
     Var,
     print_formula,
 )
-from teamlogic.teams import Team
+from teamlogic.sampling import random_prob_team
+from teamlogic.teams import ProbTeam, Team
 
 
 def _tarski(row, domain, literal):
@@ -226,3 +237,84 @@ def test_differential_rebinding():
             inner = random_formula(rng, depth=0, names=("x", "y"))
         f = Exists("x", inner)  # re-quantifies a bound column
         assert eval_rel(team, f) == naive_eval(team, f), (rows, print_formula(f))
+
+
+def naive_prob(pt: ProbTeam, variables, values) -> Fraction:
+    """P(variables = values), summed over the rows that match it."""
+    domain = pt.domain
+    return sum(
+        (w for row, w in pt.weights().items()
+         if tuple(row[domain.index(v)] for v in variables) == tuple(values)),
+        Fraction(0),
+    )
+
+
+def naive_indep(pt: ProbTeam, xs, cond, ys) -> bool:
+    """P(x, y | z) == P(x | z) * P(y | z) for every occurring z and every
+    occurring x and y value tuple."""
+    domain = pt.domain
+
+    def occurring(variables):
+        return {tuple(row[domain.index(v)] for v in variables) for row in pt.team.rows}
+
+    for z in occurring(cond):
+        pz = naive_prob(pt, cond, z)
+        for x in occurring(xs):
+            px = naive_prob(pt, cond + xs, z + x) / pz
+            for y in occurring(ys):
+                py = naive_prob(pt, cond + ys, z + y) / pz
+                if naive_prob(pt, cond + xs + ys, z + x + y) / pz != px * py:
+                    return False
+    return True
+
+
+def _random_names(rng, low, high):
+    # drawn with replacement, so names repeat within and across tuples
+    return tuple(rng.choice(VARS) for _ in range(rng.randint(low, high)))
+
+
+def _random_prob_team(rng) -> ProbTeam:
+    """A seeded random team, or a product of one over x and one over
+    (y, z), where x _||_ (y, z) holds, so both verdicts occur."""
+    if rng.random() < 0.6:
+        return random_prob_team(rng, VARS, universe_size=rng.choice((2, 3)), max_rows=6)
+    left = random_prob_team(rng, ("x",), universe_size=2, max_rows=2)
+    right = random_prob_team(rng, ("y", "z"), universe_size=2, max_rows=3)
+    weights = {
+        a + b: wa * wb
+        for a, wa in left.weights().items()
+        for b, wb in right.weights().items()
+    }
+    return ProbTeam(Team(VARS, weights.keys()), weights)
+
+
+def test_differential_prob_indep():
+    rng = random.Random(5150)
+    verdicts = []
+    for _ in range(400):
+        pt = _random_prob_team(rng)
+        xs, cond, ys = _random_names(rng, 1, 2), _random_names(rng, 0, 2), _random_names(rng, 1, 2)
+        expected = naive_indep(pt, xs, cond, ys)
+        assert eval_prob(pt, Indep(xs, cond, ys)) == expected, (pt.weights(), xs, cond, ys)
+        verdicts.append(expected)
+    assert 40 <= sum(verdicts) <= 360
+
+
+def test_differential_cond_prob_and_marginal():
+    rng = random.Random(6160)
+    zero_conditions = 0
+    for _ in range(400):
+        pt = _random_prob_team(rng)
+        event, cond = _random_names(rng, 1, 2), _random_names(rng, 0, 2)
+        ev_vals = tuple(rng.randrange(3) for _ in event)
+        cond_vals = tuple(rng.randrange(3) for _ in cond)
+        assert marginal(pt, event, ev_vals) == naive_prob(pt, event, ev_vals)
+        query = CondProbQuery(event, ev_vals, cond, cond_vals)
+        pz = naive_prob(pt, cond, cond_vals)
+        if pz == 0:
+            zero_conditions += 1
+            with pytest.raises(ZeroProbabilityError):
+                cond_prob(pt, query)
+        else:
+            assert cond_prob(pt, query) == naive_prob(pt, cond + event, cond_vals + ev_vals) / pz
+    assert 0 < zero_conditions < 400

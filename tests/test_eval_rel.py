@@ -4,7 +4,7 @@ from itertools import combinations, product
 import pytest
 
 from teamlogic.errors import BudgetExceededError, DomainError
-from teamlogic.eval_rel import EvalBudget, eval_atom_rel, eval_rel
+from teamlogic.eval_rel import EvalBudget, eval_atom_rel, eval_rel, exact_transversal
 from teamlogic.formulas import (
     NC,
     NCC,
@@ -272,3 +272,24 @@ class TestKSAtom:
         rows = [("e1", "e2", "e3", "e4"), ("f1", "f2", "f3", "f4")]
         team = Team(("m1", "m2", "m3", "m4"), rows)
         assert eval_atom_rel(team, NCC(("m1", "m2", "m3", "m4")))
+
+    def test_exact_transversal_matches_brute_force(self):
+        # random overlapping blocks force backtracking, so a search that
+        # fails to undo a pick shows up as a wrong verdict or set
+        rng = random.Random(2024)
+        for _ in range(1500):
+            blocks = [rng.sample(range(8), rng.randint(1, 3)) for _ in range(rng.randint(1, 8))]
+            found = {
+                frozenset(picks)
+                for picks in product(*blocks)
+                if all(len(set(picks).intersection(b)) == 1 for b in blocks)
+            }
+            chosen = exact_transversal(blocks)
+            assert (chosen is not None) == bool(found), blocks
+            assert chosen is None or frozenset(chosen) in found, blocks
+
+    def test_ncc_search_deeper_than_recursion_limit(self):
+        # 1,500 two-value rows make a search 1,500 blocks deep; choosing
+        # every x value (0..57) meets each row exactly once
+        rows = [(s, t) for s in range(58) for t in range(58, 115)][:1500]
+        assert eval_rel(Team(("x", "y"), rows), NCC(("x", "y")))

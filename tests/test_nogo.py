@@ -45,6 +45,11 @@ class TestSections:
         # f1 has 2 choices per measurement (2 measurements), f2 has 2: 2*2*2
         assert len(consistent_sections(model)) == 8
 
+    def test_more_contexts_than_recursion_limit(self):
+        rows = [(f"a{i}", "x") for i in range(1100)]
+        model = from_team(Team(empirical_domain(1), rows), "empirical")
+        assert len(consistent_sections(model)) == 1
+
 
 class TestExistsStrongDetLambdaIndep:
     def test_hardy_none(self, hardy):
