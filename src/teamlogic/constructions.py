@@ -36,7 +36,7 @@ from .models import (
     induced_empirical,
 )
 from .properties import PropertyName, check_property
-from .teams import ProbTeam, Team, value_key
+from .teams import ProbTeam, Team, row_key, value_key
 
 SINGLE_LAMBDA = "l0"
 
@@ -99,8 +99,8 @@ def construct_weakdet_lambdaindep(model: EmpiricalModel) -> HVModel:
 
     # contiguous block per (measurement, outcome) pair, in canonical outcome order
     blocks: dict = {}
-    outcomes = sorted({z[1] for z in conditional}, key=lambda b: tuple(value_key(v) for v in b))
-    for a in sorted(group_mass, key=lambda a: tuple(value_key(v) for v in a)):
+    outcomes = sorted({z[1] for z in conditional}, key=row_key)
+    for a in sorted(group_mass, key=row_key):
         cursor = 0
         for b in outcomes:
             p = conditional.get((a, b))
@@ -235,10 +235,7 @@ def localize_prob(model: HVModel) -> HVModel:
 
     blocks: dict = {}
     for comp in range(n):
-        pairs = sorted(
-            {(a, c) for (i, a, _, c) in conditional if i == comp},
-            key=lambda ac: (value_key(ac[0]), value_key(ac[1])),
-        )
+        pairs = sorted({(a, c) for (i, a, _, c) in conditional if i == comp}, key=row_key)
         for a, c in pairs:
             outs = sorted(
                 {b for (i, aa, b, cc) in conditional if i == comp and aa == a and cc == c},

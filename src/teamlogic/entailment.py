@@ -30,7 +30,7 @@ from .formulas import Formula, classify, parse
 from .models import hidden_domain
 from .properties import PropertyName, property_formula
 from .sampling import random_prob_team
-from .teams import ProbTeam, Team
+from .teams import ProbTeam, Team, row_key
 
 #: Conditional-independence implication that holds relationally but not
 #: probabilistically, with its probabilistic counterexample team `pt1`.
@@ -52,7 +52,7 @@ def enumerate_teams(
     """All teams over per-variable value columns with at most ``max_rows``
     rows, smallest first, in canonical order."""
     variables = tuple(name for name, _ in columns)
-    space = sorted(product(*[values for _, values in columns]))
+    space = sorted(product(*[values for _, values in columns]), key=row_key)
     universe = {v for _, values in columns for v in values}
     start = 1 if nonempty else 0
     for count in range(start, max_rows + 1):

@@ -466,12 +466,11 @@ class _Evaluator:
                 for size in range(1, len(cands) + 1):
                     yield from combinations(cands, size)
 
-        def dfs(order: list[int], k: int) -> bool:
-            if k == len(order):
-                if residual and not residual_dc:
-                    return check_residual_partial()
-                return True
-            for group in choices_for(order[k]):
+        def groups(i: int) -> Iterator[bool]:
+            """Add each admissible choice group of row ``i`` to the
+            constraints and ``chosen`` in turn, yielding while it holds;
+            undone on resumption."""
+            for group in choices_for(i):
                 self.tick()
                 progress = []
                 ok = True
@@ -486,21 +485,33 @@ class _Evaluator:
                         break
                 if ok:
                     chosen.append(group)
-                    if residual and residual_dc and not check_residual_partial():
-                        chosen.pop()
-                    elif dfs(order, k + 1):
-                        return True
-                    else:
-                        chosen.pop()
+                    if not residual or not residual_dc or check_residual_partial():
+                        yield True
+                    chosen.pop()
                 for c in reversed(progress):
                     c.undo()
-            return False
+
+        def solve(order: list[int]) -> bool:
+            # one suspended frame per decided row, on an explicit stack so
+            # that a search as deep as the team is long stays off the
+            # recursion limit; a solved component leaves its frames
+            # suspended, so its choices stay in the constraints and ``chosen``
+            frames: list[Iterator[bool]] = []
+            while True:
+                if len(frames) < len(order):
+                    frames.append(groups(order[len(frames)]))
+                elif not residual or residual_dc or check_residual_partial():
+                    return True
+                while frames and not next(frames[-1], False):
+                    frames.pop()
+                if not frames:
+                    return False
 
         # Solving components separately keeps a failure in one from
         # triggering backtracking through the alternatives of the others.
         # Constraint state carries over: by construction no key or value is
         # shared across components, so solved components never interfere.
-        return all(dfs(component, 0) for component in components)
+        return all(solve(component) for component in components)
 
     def _components(self, team: Team, candidates, constraints, residual, dynamic) -> list[list[int]]:
         """Partition row indices into independent search components.

@@ -46,11 +46,27 @@ def value_from_json(obj) -> Value:
         return obj
     if isinstance(obj, str):
         if obj.startswith("frac:"):
-            return Fraction(obj[5:])
+            return _fraction(obj[5:])
         return obj
     if isinstance(obj, list):
         return tuple(value_from_json(v) for v in obj)
     raise InvalidArgumentError(f"cannot decode value {obj!r}")
+
+
+def _fraction(text) -> Fraction:
+    try:
+        return Fraction(text)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InvalidArgumentError(f"not an exact rational: {text!r}") from None
+
+
+def _list_field(payload: dict, name: str, item_type: type | None = None) -> list:
+    """The list in field ``name``, each item an ``item_type`` when given."""
+    obj = payload[name]
+    if not isinstance(obj, list) or item_type and not all(isinstance(x, item_type) for x in obj):
+        shape = f"a list of {item_type.__name__}" if item_type else "a list"
+        raise InvalidArgumentError(f"team JSON field {name!r} must be {shape}")
+    return obj
 
 
 def team_to_dict(data: Team | ProbTeam) -> dict:
@@ -67,21 +83,21 @@ def team_to_dict(data: Team | ProbTeam) -> dict:
 
 def team_from_dict(payload: dict) -> Team | ProbTeam:
     try:
-        domain = tuple(payload["domain"])
-        raw_rows = payload["rows"]
+        domain = _list_field(payload, "domain", str)
+        raw_rows = _list_field(payload, "rows", list)
     except KeyError as exc:
         raise InvalidArgumentError(f"team JSON is missing field {exc.args[0]!r}") from None
     rows = [tuple(value_from_json(v) for v in row) for row in raw_rows]
     universe = None
     if "universe" in payload:
-        universe = [value_from_json(v) for v in payload["universe"]]
+        universe = [value_from_json(v) for v in _list_field(payload, "universe")]
     team = Team(domain, rows, universe)
     if "weights" not in payload:
         return team
-    weights = payload["weights"]
+    weights = _list_field(payload, "weights")
     if len(weights) != len(rows):
         raise InvalidArgumentError("weights must be parallel to rows")
-    return ProbTeam(team, {row: Fraction(w) for row, w in zip(rows, weights)})
+    return ProbTeam(team, {row: _fraction(w) for row, w in zip(rows, weights)})
 
 
 def model_to_dict(model: EmpiricalModel | HVModel) -> dict:

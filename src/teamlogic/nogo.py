@@ -43,7 +43,7 @@ from .models import (
     empirical_domain,
     from_team,
 )
-from .teams import Team, Value, value_key
+from .teams import Team, Value, row_key, value_key
 
 
 @dataclass(frozen=True)
@@ -85,11 +85,8 @@ def consistent_sections(model: EmpiricalModel, max_sections: int = 5_000_000) ->
     for row in team.rows:
         a = tuple(row[i] for i in mpos)
         outcomes_by_context.setdefault(a, []).append(tuple(row[i] for i in opos))
-    contexts = sorted(outcomes_by_context, key=lambda a: tuple(value_key(v) for v in a))
-    choices = [
-        sorted(outcomes_by_context[a], key=lambda b: tuple(value_key(v) for v in b))
-        for a in contexts
-    ]
+    contexts = sorted(outcomes_by_context, key=row_key)
+    choices = [sorted(outcomes_by_context[a], key=row_key) for a in contexts]
 
     sections: list[GlobalSection] = []
     partial: list[dict] = [{} for _ in range(n)]
@@ -158,10 +155,7 @@ def _section_cover(model: EmpiricalModel, sections: list[GlobalSection]) -> HVMo
     team = model.team
     n = model.arity
     mpos = team.positions(empirical_domain(n)[:n])
-    contexts = sorted(
-        {tuple(row[i] for i in mpos) for row in team.rows},
-        key=lambda a: tuple(value_key(v) for v in a),
-    )
+    contexts = sorted({tuple(row[i] for i in mpos) for row in team.rows}, key=row_key)
     covered = {
         a + section.outcomes(a)
         for section in sections
@@ -211,8 +205,8 @@ def check_hardy_conditions(model: EmpiricalModel) -> list[str]:
         return ["arity must be 2"]
     mset = team.values_of(("m1", "m2"))
     oset = team.values_of(("o1", "o2"))
-    m1 = sorted(team.values_of(("m1",)), key=lambda t: value_key(t[0]))
-    m2 = sorted(team.values_of(("m2",)), key=lambda t: value_key(t[0]))
+    m1 = sorted(team.values_of(("m1",)), key=row_key)
+    m2 = sorted(team.values_of(("m2",)), key=row_key)
     failures = []
     if len(m1) != 2 or len(m2) != 2 or len(mset) != 4:
         failures.append("(1) measurement grid must be full 2x2")

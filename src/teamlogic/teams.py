@@ -40,8 +40,18 @@ def value_key(value: Value):
     """Sort key inducing a stable total order on all admissible values.
 
     Numbers sort before strings before tuples; tuples compare
-    lexicographically by their members' keys.
+    lexicographically by their members' keys.  Keying a value validates
+    it: booleans and unsupported types raise ``InvalidArgumentError``.
     """
+    # the exact types come first: they are almost every value, and an int
+    # orders and hashes like its Fraction without being converted to one
+    kind = type(value)
+    if kind is str:
+        return ("s", value)
+    if kind is int or kind is Fraction:
+        return ("n", value)
+    if kind is tuple:
+        return ("t", tuple(map(value_key, value)))
     if isinstance(value, bool):
         raise InvalidArgumentError("booleans are not valid team values")
     if isinstance(value, (int, Fraction)):
@@ -54,12 +64,14 @@ def value_key(value: Value):
 
 
 def row_key(row: Row):
-    return tuple(value_key(v) for v in row)
+    """Sort key of a row: the tuple of its values' keys."""
+    return tuple(map(value_key, row))
 
 
-def _check_value(value: Value) -> Value:
-    value_key(value)
-    return value
+def _sorted_values(values: Iterable[Value]) -> list[Value]:
+    """The distinct ``values`` in canonical order, each keyed once."""
+    keyed = {v: value_key(v) for v in values}
+    return sorted(keyed, key=keyed.__getitem__)
 
 
 def positions(domain: tuple[str, ...], variables: Sequence[str]) -> tuple[int, ...]:
@@ -144,30 +156,27 @@ class Team:
         if len(set(dom)) != len(dom):
             raise InvalidArgumentError(f"duplicate variables in domain {dom}")
         width = len(dom)
-        canonical = set()
+        # every row is keyed, duplicates included: True == 1 and 1.0 == 1,
+        # so keying only the distinct rows would let those values through
+        keyed: dict[Row, tuple] = {}
         for r in rows:
             row = tuple(r)
             if len(row) != width:
                 raise InvalidArgumentError(
                     f"row {row!r} does not match domain width {width}"
                 )
-            for v in row:
-                _check_value(v)
-            canonical.add(row)
-        sorted_rows = tuple(sorted(canonical, key=row_key))
+            keyed[row] = row_key(row)
+        sorted_rows = tuple(sorted(keyed, key=keyed.__getitem__))
         active = {v for row in sorted_rows for v in row}
-        if universe is None:
-            uni = active
-        else:
-            uni = {_check_value(v) for v in universe}
-            if not active <= uni:
-                raise InvalidArgumentError(
-                    "universe must contain every value occurring in rows"
-                )
+        uni = _sorted_values(active if universe is None else universe)
+        if universe is not None and not active.issubset(uni):
+            raise InvalidArgumentError(
+                "universe must contain every value occurring in rows"
+            )
         self.domain = dom
         self.rows = sorted_rows
-        self.universe = tuple(sorted(uni, key=value_key))
-        self._rowset = frozenset(sorted_rows)
+        self.universe = tuple(uni)
+        self._rowset = frozenset(keyed)
         self._hash = hash((dom, sorted_rows, self.universe))
 
     # -- basic protocol ------------------------------------------------
@@ -223,7 +232,7 @@ class Team:
     def generalize(self, var: str, values: Iterable[Value]) -> "Team":
         """Unrestricted generalisation: extend (or rebind) ``var`` to every
         value of ``values`` in every row."""
-        vals = sorted({_check_value(v) for v in values}, key=value_key)
+        vals = _sorted_values(values)
         if not vals:
             raise InvalidArgumentError("cannot generalize over an empty value set")
         return self._extend(var, lambda row: vals)
@@ -263,7 +272,7 @@ class Team:
 
     @staticmethod
     def _checked_image(image, row: Row) -> list:
-        vals = sorted({_check_value(v) for v in image}, key=value_key)
+        vals = _sorted_values(image)
         if not vals:
             raise InvalidArgumentError(f"Skolem image for row {row!r} is empty")
         return vals
@@ -291,8 +300,7 @@ class Team:
         Enlarging the universe changes no atomic formula; it only widens
         the range of quantifiers.
         """
-        extra = {_check_value(v) for v in values}
-        return Team(self.domain, self.rows, set(self.universe) | extra)
+        return Team(self.domain, self.rows, (*self.universe, *values))
 
 
 class ProbTeam:
@@ -424,7 +432,7 @@ class ProbTeam:
             dist = dict(dist_of(Assignment(self.domain, row)))
             total = Fraction(0)
             for v, p in dist.items():
-                _check_value(v)
+                value_key(v)
                 p = Fraction(p)
                 if p < 0:
                     raise InvalidArgumentError(f"negative probability {p} for value {v!r}")
@@ -450,7 +458,7 @@ class ProbTeam:
 
     def uniform_extend(self, var: str, values: Iterable[Value]) -> "ProbTeam":
         """Skolem extension splitting every row's mass uniformly over ``values``."""
-        vals = sorted({_check_value(v) for v in values}, key=value_key)
+        vals = _sorted_values(values)
         if not vals:
             raise InvalidArgumentError("cannot extend uniformly over an empty value set")
         share = Fraction(1, len(vals))

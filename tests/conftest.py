@@ -1,6 +1,16 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from teamlogic.datasets import load_bundled
+
+
+def pytest_configure(config):
+    # the CLI tests start fresh interpreters; they import the package from
+    # this checkout, as the tests themselves do through ``pythonpath``
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture(scope="session")

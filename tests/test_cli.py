@@ -43,6 +43,21 @@ class TestEval:
         code, _, err = run_cli("eval", "--team", "builtin:rt2", "--formula", "dep(")
         assert code == 2
 
+    @pytest.mark.parametrize("payload", [
+        {"domain": ["x"], "rows": [[1]], "weights": ["1/0"]},
+        {"domain": ["x"], "rows": [[1]], "weights": ["abc"]},
+        {"domain": ["x"], "rows": [["frac:1/0"]]},
+        {"domain": ["x"], "rows": 5},
+        {"domain": ["x"], "rows": [[1]], "universe": 5},
+        {"domain": "xy", "rows": []},
+        {"domain": ["x", "y"], "rows": ["ab"]},
+    ])
+    def test_malformed_team_fields_are_input_errors(self, tmp_path, capsys, payload):
+        team = tmp_path / "t.json"
+        team.write_text(json.dumps(payload))
+        code = main(["eval", "--team", str(team), "--formula", "dep(,x)"])
+        assert code == 2 and "error[invalid-input]" in capsys.readouterr().err
+
     def test_budget_error_exit_code(self, tmp_path):
         team = tmp_path / "t.json"
         team.write_text(json.dumps({

@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import pytest
 
 from teamlogic.entailment import (
@@ -15,6 +17,7 @@ from teamlogic.eval_rel import eval_rel
 from teamlogic.formulas import parse
 from teamlogic.models import hidden_domain
 from teamlogic.properties import PropertyName as P, property_formula
+from teamlogic.teams import row_key
 
 
 class TestEnumerateTeams:
@@ -29,6 +32,16 @@ class TestEnumerateTeams:
         assert a == b
         sizes = [len(r) for r in a]
         assert sizes == sorted(sizes)
+
+    def test_mixed_column_in_canonical_row_order(self):
+        # numbers sort before strings, so the assignment space of a column
+        # mixing them is ordered by row_key, not by tuple comparison
+        teams = list(enumerate_teams([("x", [0, "a", 1]), ("y", [1, "b"])], 2))
+        space = sorted(product([0, "a", 1], [1, "b"]), key=row_key)
+        assert [t.rows for t in teams] == [
+            rows for k in (1, 2) for rows in combinations(space, k)
+        ]
+        assert space[:3] == [(0, 1), (0, "b"), (1, 1)]
 
 
 class TestFindCounterexample:

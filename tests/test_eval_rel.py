@@ -141,6 +141,12 @@ class TestConnectives:
         assert eval_rel(t, parse("E x . dep(x, y)"))
         assert not eval_rel(t, parse("dep(x, y)"))
 
+    def test_exists_search_deeper_than_recursion_limit(self):
+        # one component of 1,100 rows makes the search 1,100 rows deep;
+        # l = o1 is a witness
+        rows = [(m, o) for m in range(40) for o in range(40)][:1100]
+        assert eval_rel(Team(("m1", "o1"), rows), parse("E l . dep(m1 l, o1)"))
+
 
 class TestFlatnessAndLocality:
     def test_flatness_for_literals(self):

@@ -251,3 +251,68 @@ def test_rows_canonically_sorted_regardless_of_input_order():
     a = Team(("x", "y"), [(1, 0), (0, 1), (0, 0)])
     b = Team(("x", "y"), [(0, 0), (0, 1), (1, 0)])
     assert a.rows == b.rows and a == b
+
+
+def reference_value_key(value):
+    """The canonical key as first written, an isinstance chain that boxes
+    every number as a Fraction: the oracle for the fast key."""
+    if isinstance(value, bool):
+        raise InvalidArgumentError("booleans are not valid team values")
+    if isinstance(value, (int, Fraction)):
+        return ("n", Fraction(value))
+    if isinstance(value, str):
+        return ("s", value)
+    if isinstance(value, tuple):
+        return ("t", tuple(reference_value_key(v) for v in value))
+    raise InvalidArgumentError(f"unsupported value type: {type(value).__name__}")
+
+
+team_values = st.recursive(
+    st.integers(-3, 3)
+    | st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    | st.sampled_from(["", "a", "b", "ab"]),
+    lambda inner: st.tuples(inner) | st.tuples(inner, inner) | st.tuples(inner, inner, inner),
+    max_leaves=6,
+)
+
+
+@given(st.lists(team_values, max_size=8))
+@settings(max_examples=300)
+def test_value_key_agrees_with_reference(values):
+    assert sorted(values, key=value_key) == sorted(values, key=reference_value_key)
+    for a in values:
+        for b in values:
+            assert (value_key(a) == value_key(b)) == (reference_value_key(a) == reference_value_key(b))
+            assert (value_key(a) < value_key(b)) == (reference_value_key(a) < reference_value_key(b))
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, None])
+def test_value_key_rejects_bool_float_none_at_any_depth(bad):
+    for value in (bad, (1, bad), ("a", (bad,))):
+        with pytest.raises(InvalidArgumentError):
+            value_key(value)
+        with pytest.raises(InvalidArgumentError):
+            Team(("x",), [(value,)])
+
+
+@pytest.mark.parametrize("twin", [True, 1.0])
+def test_team_rejects_value_equal_to_an_admitted_one(twin):
+    # True == 1 and 1.0 == 1, so a duplicate row must still be validated
+    with pytest.raises(InvalidArgumentError):
+        Team(("x",), [(1,), (twin,)])
+    with pytest.raises(InvalidArgumentError):
+        Team(("x",), [(1,)], universe=[1, twin])
+
+
+def test_int_and_str_subclass_values_order_like_their_bases():
+    class Tag(str):
+        pass
+
+    class Count(int):
+        pass
+
+    values = [Tag("b"), Count(2), "a", 1, Count(0), Tag("a0"), (Count(1), Tag("z"))]
+    plain = ["b", 2, "a", 1, 0, "a0", (1, "z")]
+    assert [value_key(v) for v in values] == [value_key(v) for v in plain]
+    t = Team(("x",), [(v,) for v in values])
+    assert t.rows == Team(("x",), [(v,) for v in plain]).rows
