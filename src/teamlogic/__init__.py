@@ -32,14 +32,12 @@ from .formulas import (
     Exists,
     Forall,
     Formula,
-    Fragment,
     GenDep,
     Incl,
     Indep,
     Neq,
     Or,
     Var,
-    classify,
     free_vars,
     gendep_defining_formula,
     nc_defining_formula,

@@ -100,7 +100,9 @@ def construct_weakdet_lambdaindep(model: EmpiricalModel) -> HVModel:
     # contiguous block per (measurement, outcome) pair, in canonical outcome order
     blocks: dict = {}
     outcomes = sorted({z[1] for z in conditional}, key=row_key)
-    for a in sorted(group_mass, key=row_key):
+    # masses are keyed in first-occurrence order along the canonical rows,
+    # which lead with the measurement columns, so this order is canonical
+    for a in group_mass:
         cursor = 0
         for b in outcomes:
             p = conditional.get((a, b))

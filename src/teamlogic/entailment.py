@@ -26,7 +26,7 @@ from .datasets import load_bundled
 from .errors import BudgetExceededError
 from .eval_prob import eval_prob
 from .eval_rel import EvalBudget, eval_rel
-from .formulas import Formula, classify, parse
+from .formulas import Formula, is_downward_closed, parse
 from .models import hidden_domain
 from .properties import PropertyName, property_formula
 from .sampling import random_prob_team
@@ -96,7 +96,7 @@ def entailment_transfers(lhs: Formula, rhs: Formula) -> bool:
     """True when a relational entailment verdict carries over to the
     probabilistic semantics (both formulas free of independence and
     inclusion atoms)."""
-    return classify(lhs).is_fo_dep and classify(rhs).is_fo_dep
+    return is_downward_closed(lhs) and is_downward_closed(rhs)
 
 
 # ---------------------------------------------------------------------------

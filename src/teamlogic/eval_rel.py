@@ -196,7 +196,7 @@ class _Evaluator:
         raise InvalidArgumentError(f"unknown formula node {formula!r}")
 
     def memo_eval(self, team: Team, formula: Formula) -> bool:
-        key = (formula, team.domain, team.rows, team.universe)
+        key = (formula, team)
         hit = self.memo.get(key)
         if hit is None:
             hit = self.eval(team, formula)

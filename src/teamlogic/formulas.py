@@ -242,72 +242,25 @@ def all_vars(formula: Formula) -> frozenset[str]:
             return free_vars(formula)
 
 
-@dataclass(frozen=True)
-class Fragment:
-    """Syntactic profile of a formula.
-
-    ``FO(dep)`` is the fragment without independence and inclusion atoms;
-    the generalized dependence, ``nc`` and ``ncc`` atoms count as FO(dep)
-    because they are definable there (see :func:`gendep_defining_formula`).
-    """
-
-    uses_independence: bool = False
-    uses_inclusion: bool = False
-    uses_or: bool = False
-    uses_exists: bool = False
-    uses_forall: bool = False
-    uses_extended_atoms: bool = False
-
-    @property
-    def is_fo_dep(self) -> bool:
-        return not (self.uses_independence or self.uses_inclusion)
-
-
 @lru_cache(maxsize=None)
-def classify(formula: Formula) -> Fragment:
-    flags = dict.fromkeys(
-        ("uses_independence", "uses_inclusion", "uses_or",
-         "uses_exists", "uses_forall", "uses_extended_atoms"),
-        False,
-    )
-
-    def walk(f: Formula):
-        match f:
-            case Indep():
-                flags["uses_independence"] = True
-            case Incl():
-                flags["uses_inclusion"] = True
-            case GenDep() | NC() | NCC():
-                flags["uses_extended_atoms"] = True
-            case And(lhs, rhs):
-                walk(lhs)
-                walk(rhs)
-            case Or(lhs, rhs):
-                flags["uses_or"] = True
-                walk(lhs)
-                walk(rhs)
-            case Exists(_, body):
-                flags["uses_exists"] = True
-                walk(body)
-            case Forall(_, body):
-                flags["uses_forall"] = True
-                walk(body)
-            case _:
-                pass
-
-    walk(formula)
-    return Fragment(**flags)
-
-
 def is_downward_closed(formula: Formula) -> bool:
-    """Syntactic sufficient condition for downward closure.
+    """Syntactic sufficient condition for downward closure: the formula
+    lies in ``FO(dep)``.
 
     Independence and inclusion atoms are the only sources of non-monotone
     behaviour in this language; everything built without them is satisfied
-    by every subteam of a satisfying team.
+    by every subteam of a satisfying team.  The generalized dependence,
+    ``nc`` and ``ncc`` atoms count as ``FO(dep)`` because they are
+    definable there (see :func:`gendep_defining_formula`).
     """
-    frag = classify(formula)
-    return frag.is_fo_dep
+    match formula:
+        case Indep() | Incl():
+            return False
+        case And(lhs, rhs) | Or(lhs, rhs):
+            return is_downward_closed(lhs) and is_downward_closed(rhs)
+        case Exists(_, body) | Forall(_, body):
+            return is_downward_closed(body)
+    return True
 
 
 @lru_cache(maxsize=None)

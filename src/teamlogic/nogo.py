@@ -40,10 +40,9 @@ from .models import (
     LAMBDA_VAR,
     EmpiricalModel,
     HVModel,
-    empirical_domain,
     from_team,
 )
-from .teams import Team, Value, row_key, value_key
+from .teams import Team, Value, value_key
 
 
 @dataclass(frozen=True)
@@ -62,6 +61,20 @@ class GlobalSection:
         return tuple(self.outcome(i, m) for i, m in enumerate(measurements))
 
 
+def _contexts(model: EmpiricalModel) -> dict[tuple, list[tuple]]:
+    """Each context (measurement tuple) mapped to its outcome rows.
+
+    A model's measurement columns come first and its team keeps its rows
+    sorted by ``row_key``, so this one grouping pass meets the contexts,
+    and each context's outcome rows, already in canonical order.
+    """
+    n = model.arity
+    groups: dict[tuple, list[tuple]] = {}
+    for row in model.team.rows:
+        groups.setdefault(row[:n], []).append(row[n:])
+    return groups
+
+
 def consistent_sections(model: EmpiricalModel, max_sections: int = 5_000_000) -> list[GlobalSection]:
     """All global sections whose graph is contained in the model.
 
@@ -69,24 +82,16 @@ def consistent_sections(model: EmpiricalModel, max_sections: int = 5_000_000) ->
     canonical order, each choosing a compatible outcome row and extending
     the partial per-component functions, with contradictions pruned early.
     """
-    team = model.team
     n = model.arity
-    mpos = team.positions(empirical_domain(n)[:n])
-    opos = team.positions(empirical_domain(n)[n:])
+    contexts = list(_contexts(model).items())
+    measured = [sorted({a[i] for a, _ in contexts}, key=value_key) for i in range(n)]
     space = 1
-    for i in range(1, n + 1):
-        space *= len(model.outcome_values(i)) ** len(model.measurement_values(i))
+    for i in range(n):
+        space *= len({b[i] for _, rows in contexts for b in rows}) ** len(measured[i])
         if space > max_sections:
             raise BudgetExceededError(
                 f"section space exceeds {max_sections}; refusing blind enumeration"
             )
-
-    outcomes_by_context: dict = {}
-    for row in team.rows:
-        a = tuple(row[i] for i in mpos)
-        outcomes_by_context.setdefault(a, []).append(tuple(row[i] for i in opos))
-    contexts = sorted(outcomes_by_context, key=row_key)
-    choices = [sorted(outcomes_by_context[a], key=row_key) for a in contexts]
 
     sections: list[GlobalSection] = []
     partial: list[dict] = [{} for _ in range(n)]
@@ -114,13 +119,11 @@ def consistent_sections(model: EmpiricalModel, max_sections: int = 5_000_000) ->
     while True:
         if len(frames) == len(contexts):
             tables = tuple(
-                tuple(sorted(partial[i].items(), key=lambda kv: value_key(kv[0])))
-                for i in range(n)
+                tuple((m, partial[i][m]) for m in measured[i]) for i in range(n)
             )
             sections.append(GlobalSection(tables))
         else:
-            k = len(frames)
-            frames.append(extensions(contexts[k], choices[k]))
+            frames.append(extensions(*contexts[len(frames)]))
         while frames and not next(frames[-1], False):
             frames.pop()
         if not frames:
@@ -153,9 +156,7 @@ def _section_cover(model: EmpiricalModel, sections: list[GlobalSection]) -> HVMo
     """The hidden-variable model whose hidden values are ``sections``,
     or None when their graphs do not cover the model."""
     team = model.team
-    n = model.arity
-    mpos = team.positions(empirical_domain(n)[:n])
-    contexts = sorted({tuple(row[i] for i in mpos) for row in team.rows}, key=row_key)
+    contexts = _contexts(model)
     covered = {
         a + section.outcomes(a)
         for section in sections
@@ -205,8 +206,8 @@ def check_hardy_conditions(model: EmpiricalModel) -> list[str]:
         return ["arity must be 2"]
     mset = team.values_of(("m1", "m2"))
     oset = team.values_of(("o1", "o2"))
-    m1 = sorted(team.values_of(("m1",)), key=row_key)
-    m2 = sorted(team.values_of(("m2",)), key=row_key)
+    m1 = model.measurement_values(1)
+    m2 = model.measurement_values(2)
     failures = []
     if len(m1) != 2 or len(m2) != 2 or len(mset) != 4:
         failures.append("(1) measurement grid must be full 2x2")
@@ -215,8 +216,8 @@ def check_hardy_conditions(model: EmpiricalModel) -> list[str]:
     if len(outcome_values) != 2:
         failures.append("(2) outcomes must use exactly two values")
         return failures
-    (a1,), (a2,) = m1
-    (b1,), (b2,) = m2
+    a1, a2 = m1
+    b1, b2 = m2
     r_candidates = [
         (r, g)
         for r in sorted(outcome_values, key=value_key)
@@ -326,10 +327,16 @@ def _dot(u: tuple, v: tuple) -> Fraction:
 def ks_config_from_dict(payload: dict) -> KSConfiguration:
     try:
         vectors = tuple(tuple(_coord(x) for x in vec) for vec in payload["vectors"])
-        bases = tuple(tuple(int(i) for i in basis) for basis in payload["bases"])
+        bases = tuple(tuple(_index(i) for i in basis) for basis in payload["bases"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"malformed KS configuration: {exc}") from None
     return KSConfiguration(vectors, bases)
+
+
+def _index(i) -> int:
+    if isinstance(i, bool) or not isinstance(i, int):
+        raise InvalidArgumentError(f"KS basis indices must be integers, got {i!r}")
+    return i
 
 
 def _coord(x) -> Value:

@@ -429,21 +429,19 @@ class ProbTeam:
         rebound = var in self.domain
         pos = self.domain.index(var) if rebound else None
         for row in self.team.rows:
-            dist = dict(dist_of(Assignment(self.domain, row)))
-            total = Fraction(0)
-            for v, p in dist.items():
+            dist: dict[Value, Fraction] = {}
+            for v, p in dict(dist_of(Assignment(self.domain, row))).items():
                 value_key(v)
-                p = Fraction(p)
+                dist[v] = p = Fraction(p)
                 if p < 0:
                     raise InvalidArgumentError(f"negative probability {p} for value {v!r}")
-                total += p
+            total = sum(dist.values(), Fraction(0))
             if total != 1:
                 raise InvalidArgumentError(
                     f"distribution for row {row!r} sums to {total}, expected 1"
                 )
             base = self._weights[row]
             for v, p in dist.items():
-                p = Fraction(p)
                 if p == 0:
                     continue
                 if rebound:

@@ -20,7 +20,7 @@ from teamlogic.datasets import load_bundled
 from teamlogic.entailment import verify_property_entailments, verify_separations
 from teamlogic.eval_prob import eval_prob
 from teamlogic.eval_rel import eval_atom_rel, eval_rel
-from teamlogic.formulas import NCC, classify, parse
+from teamlogic.formulas import NCC, is_downward_closed, parse
 from teamlogic.models import (
     empirical_domain,
     empirically_equivalent,
@@ -112,7 +112,7 @@ def test_criterion_03_compare_semantics_suite():
         rel = eval_rel(pt.support(), f)
         if prob and not rel:
             forward_violations += 1
-        if classify(f).is_fo_dep:
+        if is_downward_closed(f):
             dep_only_seen += 1
             if prob != rel:
                 equivalence_violations += 1

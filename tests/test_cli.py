@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import teamlogic
 from teamlogic.cli import main
 from teamlogic.jsonio import load_model
 
@@ -87,6 +89,21 @@ class TestNogo:
         assert code == 0
         payload = json.loads(out)
         assert payload["ok"] and not payload["colorable"]
+
+
+    @pytest.mark.parametrize("slot, index", [(0, 0.4), (0, "0"), (1, True)])
+    def test_ks_non_integer_basis_index_is_input_error(self, tmp_path, capsys, slot, index):
+        # cabello18's first basis is [0, 1, 2, 3]: each replacement would
+        # truncate to the index it replaces and pass validation
+        payload = json.loads(
+            (Path(teamlogic.__file__).parent / "data" / "cabello18.json").read_text())
+        payload["bases"][0][slot] = index
+        config = tmp_path / "ks.json"
+        config.write_text(json.dumps(payload))
+        code = main(["nogo", "ks", "--config", str(config)])
+        captured = capsys.readouterr()
+        assert code == 2 and "error[invalid-input]" in captured.err
+        assert "configuration valid" not in captured.out
 
 
 class TestConstruct:

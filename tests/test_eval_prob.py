@@ -6,7 +6,7 @@ import pytest
 from teamlogic.errors import BudgetExceededError, UnsupportedFragmentError, ZeroProbabilityError
 from teamlogic.eval_prob import CondProbQuery, check_skolem_witness, cond_prob, eval_prob
 from teamlogic.eval_rel import EvalBudget, eval_rel
-from teamlogic.formulas import Dep, Indep, classify, parse
+from teamlogic.formulas import Dep, Indep, is_downward_closed, parse
 from teamlogic.sampling import random_prob_team
 from teamlogic.teams import ProbTeam, Team
 
@@ -144,7 +144,7 @@ class TestCompareSemantics:
         for _ in range(400):
             pt = random_prob_team(rng, tuple(variables), universe_size=2, max_rows=5)
             f = random_atom_conjunction(rng, variables, dep_only=True)
-            assert classify(f).is_fo_dep
+            assert is_downward_closed(f)
             assert eval_prob(pt, f) == eval_rel(pt.support(), f), str(f)
 
     def test_indep_symmetry(self):

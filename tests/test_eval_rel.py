@@ -12,8 +12,8 @@ from teamlogic.formulas import (
     GenDep,
     Incl,
     Indep,
-    classify,
     free_vars,
+    is_downward_closed,
     parse,
 )
 from teamlogic.teams import Team
@@ -181,7 +181,7 @@ class TestFlatnessAndLocality:
             rows = [(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(rng.randint(1, 5))]
             t = T(("x", "y"), rows, universe=range(3))
             for f in formulas:
-                assert classify(f).is_fo_dep
+                assert is_downward_closed(f)
                 if eval_rel(t, f):
                     for keep in range(len(t.rows)):
                         sub = Team(t.domain, t.rows[:keep] + t.rows[keep + 1:], t.universe)

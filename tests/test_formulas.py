@@ -18,9 +18,9 @@ from teamlogic.formulas import (
     Neq,
     Or,
     Var,
-    classify,
     free_vars,
     gendep_defining_formula,
+    is_downward_closed,
     nc_defining_formula,
     parse,
     print_formula,
@@ -106,27 +106,31 @@ class TestClassify:
     def test_strongdet_is_fo_dep(self):
         from teamlogic.properties import PropertyName, property_formula
 
-        frag = classify(property_formula(PropertyName.STRONG_DET_H, 3))
-        assert frag.is_fo_dep and not frag.uses_or
+        assert is_downward_closed(property_formula(PropertyName.STRONG_DET_H, 3))
 
-    def test_noncontext_uses_inclusion_and_exists(self):
+    def test_noncontext_is_not_downward_closed(self):
         from teamlogic.properties import PropertyName, property_formula
 
-        frag = classify(property_formula(PropertyName.NON_CONTEXT_E, 2))
-        assert frag.uses_inclusion and frag.uses_exists and frag.uses_extended_atoms
-        assert not frag.is_fo_dep
+        assert not is_downward_closed(property_formula(PropertyName.NON_CONTEXT_E, 2))
 
     def test_bare_literal(self):
-        frag = classify(parse("x = y"))
-        assert frag.is_fo_dep and not any(
-            (frag.uses_independence, frag.uses_inclusion, frag.uses_or,
-             frag.uses_exists, frag.uses_forall, frag.uses_extended_atoms)
-        )
+        assert is_downward_closed(parse("x = y"))
 
     def test_defining_formulas_are_fo_dep(self):
         g = gendep_defining_formula(GenDep(("x1",), ("x2",), ("y1",), ("y2",)))
         n = nc_defining_formula(NC(("x1", "x2"), "y"))
-        assert classify(g).is_fo_dep and classify(n).is_fo_dep
+        assert is_downward_closed(g) and is_downward_closed(n)
+
+    @pytest.mark.parametrize("text, closed", [
+        ("dep(x, y) | E z . A w . ncc(x z w) & dep((x; y), (z; w))", True),
+        ("nc(x y; z) & x != 1", True),
+        ("x _||_ y", False),
+        ("x <= y", False),
+        ("dep(x, y) | x _||_{z} y", False),
+        ("E z . A w . dep(x, y) & z <= w", False),
+    ])
+    def test_independence_or_inclusion_anywhere_breaks_closure(self, text, closed):
+        assert is_downward_closed(parse(text)) is closed
 
 
 class TestDefiningFormulas:

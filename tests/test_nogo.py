@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -24,7 +25,7 @@ from teamlogic.nogo import (
 )
 from teamlogic.properties import PropertyName as P, check_property, property_formula
 from teamlogic.sampling import random_local_witness
-from teamlogic.teams import Team
+from teamlogic.teams import Team, row_key, value_key
 
 
 class TestSections:
@@ -49,6 +50,49 @@ class TestSections:
         rows = [(f"a{i}", "x") for i in range(1100)]
         model = from_team(Team(empirical_domain(1), rows), "empirical")
         assert len(consistent_sections(model)) == 1
+
+
+    def test_matches_brute_force_product_over_contexts(self):
+        rng = random.Random(5)
+        pool = [10, 9, "a", "b", (1, "x"), (0,), Fraction(1, 2)]
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            mvals = [rng.sample(pool, rng.randint(1, 2)) for _ in range(n)]
+            ovals = [rng.sample(pool, rng.randint(1, 2)) for _ in range(n)]
+            contexts = list(product(*mvals))
+            outcomes = list(product(*ovals))
+            rows = [
+                a + b
+                for a in rng.sample(contexts, min(len(contexts), rng.randint(1, 4)))
+                for b in rng.sample(outcomes, min(len(outcomes), rng.randint(1, 3)))
+            ]
+            rng.shuffle(rows)
+            model = from_team(Team(empirical_domain(n), rows), "empirical")
+            found = [section.tables for section in consistent_sections(model)]
+            assert found == _brute_force_sections(rows, n)
+
+
+def _brute_force_sections(rows, n):
+    """Every global section inside the model, by definition: one outcome
+    row per context, kept when the picks agree on each component's
+    measurements; contexts, outcome rows and tables sorted here."""
+    by_context = {}
+    for row in rows:
+        by_context.setdefault(row[:n], set()).add(row[n:])
+    contexts = sorted(by_context, key=row_key)
+    sections = []
+    for picks in product(*(sorted(by_context[a], key=row_key) for a in contexts)):
+        functions = [{} for _ in range(n)]
+        if all(
+            functions[i].setdefault(a[i], b[i]) == b[i]
+            for a, b in zip(contexts, picks)
+            for i in range(n)
+        ):
+            sections.append(tuple(
+                tuple(sorted(f.items(), key=lambda kv: value_key(kv[0])))
+                for f in functions
+            ))
+    return sections
 
 
 class TestExistsStrongDetLambdaIndep:
