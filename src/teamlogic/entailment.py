@@ -25,7 +25,7 @@ from typing import Iterator
 from .datasets import load_bundled
 from .errors import BudgetExceededError
 from .eval_prob import eval_prob
-from .eval_rel import EvalBudget, eval_rel
+from .eval_rel import EvalBudget, compile, eval_rel
 from .formulas import Formula, is_downward_closed, parse
 from .models import hidden_domain
 from .properties import PropertyName, property_formula
@@ -86,8 +86,10 @@ def _first_counterexample(
     max_rows: int,
     budget: EvalBudget | None = None,
 ) -> Team | None:
+    plan = compile([lhs, rhs], tuple(name for name, _ in columns))
     for team in enumerate_teams(columns, max_rows):
-        if eval_rel(team, lhs, budget) and not eval_rel(team, rhs, budget):
+        verdict = plan.run(team, budget)
+        if verdict(0) and not verdict(1):
             return team
     return None
 
@@ -226,11 +228,15 @@ def verify_property_entailments(
         (name, _formula_of(lhs, arity), _formula_of(rhs, arity))
         for name, lhs, rhs in IMPLICATIONS
     ]
+    # formula 2k is the k-th pair's lhs and 2k + 1 its rhs; the pairs share
+    # properties, and the plan decides each at most once per team
+    plan = compile([f for _, lhs, rhs in pairs for f in (lhs, rhs)], tuple(name for name, _ in columns))
     report = EntailmentReport(arity=arity, teams_checked=0, prob_samples=prob_samples)
     for team in enumerate_teams(columns, max_rows):
         report.teams_checked += 1
-        for name, lhs, rhs in pairs:
-            if eval_rel(team, lhs) and not eval_rel(team, rhs):
+        verdict = plan.run(team)
+        for k, (name, _, _) in enumerate(pairs):
+            if verdict(2 * k) and not verdict(2 * k + 1):
                 report.counterexamples.setdefault(name, team)
 
     rng = random.Random(seed)

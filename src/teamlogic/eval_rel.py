@@ -6,6 +6,14 @@ subteams, the existential quantifier ranges over set-valued Skolem
 functions, and the universal quantifier generalises over the team's value
 universe.
 
+Evaluation compiles, then runs.  :func:`compile` turns formulas into a
+:class:`Plan` over one variable domain, in which each distinct subformula
+is one node, built once: its downward-closure flag, its row predicate or
+atom kernel (over column projections computed at build time) and, for an
+existential, the static half of its search (on first use).
+:meth:`Plan.run` decides the formulas on one team, each node at most once
+for that team.  :func:`eval_rel` compiles its formula and runs it.
+
 The clauses for disjunction and existential quantification are genuinely
 exponential, so the evaluator leans on three exact reductions:
 
@@ -20,22 +28,25 @@ exponential, so the evaluator leans on three exact reductions:
 
 Searches that outgrow the :class:`EvalBudget` raise
 :class:`~teamlogic.errors.BudgetExceededError`, a third outcome that is
-never conflated with ``False``.  The evaluator is pure; independent calls
-may run concurrently.
+never conflated with ``False``.  The evaluator is pure, and a plan changes
+only to keep the search blocks it derives from its own nodes, so
+independent runs may share a plan and run concurrently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, product
-from typing import Callable, Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, DomainError, InvalidArgumentError
 from .formulas import (
+    ATOM_TYPES,
     NC,
     NCC,
     And,
-    Const,
     Dep,
     Eq,
     Exists,
@@ -48,9 +59,7 @@ from .formulas import (
     Or,
     Term,
     Var,
-    conjuncts,
     free_vars,
-    is_classical,
     is_downward_closed,
 )
 from .teams import Row, Team, positions, row_key, value_key
@@ -89,32 +98,241 @@ class EvalBudget:
 DEFAULT_BUDGET = EvalBudget()
 
 
+def compile(formulas: Iterable[Formula], domain: Sequence[str]) -> Plan:
+    """Compile ``formulas`` into one plan for teams over ``domain``.
+
+    Each distinct subformula, over each domain a quantifier extends
+    ``domain`` to, is built into one node, so formulas that share
+    subformulas share their nodes.  Raises
+    :class:`~teamlogic.errors.DomainError` when a formula has a free
+    variable outside ``domain``.
+    """
+    domain = tuple(domain)
+    nodes: dict = {}
+    roots = []
+    for formula in formulas:
+        missing = free_vars(formula) - set(domain)
+        if missing:
+            raise DomainError(f"free variables {sorted(missing)} not bound by team domain {domain}")
+        roots.append(_intern(formula, domain, nodes))
+    return Plan(domain, tuple(roots))
+
+
 def eval_rel(team: Team, formula: Formula, budget: EvalBudget | None = None) -> bool:
     """Decide whether ``team`` satisfies ``formula`` relationally."""
-    budget = budget or DEFAULT_BUDGET
-    missing = free_vars(formula) - set(team.domain)
-    if missing:
-        raise DomainError(f"free variables {sorted(missing)} not bound by team domain {team.domain}")
-    budget.check_universe(len(team.universe))
-    return _Evaluator(budget).eval(team, formula)
+    return compile([formula], team.domain).run(team, budget)(0)
 
 
 def eval_atom_rel(team: Team, atom: Formula) -> bool:
     """Evaluate a single atom (or literal) by its direct definition.
 
-    Only the ``ncc`` atom involves any search (over per-row selections);
-    everything else is a scan of the rows.
+    Only the ``ncc`` atom involves any search (over per-row selections),
+    bounded by the default budget; everything else is a scan of the rows.
+    An atom does not quantify, so unlike :func:`eval_rel` this decides on
+    any value universe.
     """
-    missing = free_vars(atom) - set(team.domain)
-    if missing:
-        raise DomainError(f"free variables {sorted(missing)} not bound by team domain {team.domain}")
-    ev = _Evaluator(DEFAULT_BUDGET)
-    match atom:
-        case Eq() | Neq():
-            return ev.pointwise(team, atom)
+    if not isinstance(atom, ATOM_TYPES):
+        raise InvalidArgumentError(f"{atom!r} is not an atom")
+    (node,) = compile([atom], team.domain).roots
+    return _Evaluator(DEFAULT_BUDGET, team).eval(team, node)
+
+
+@dataclass(frozen=True)
+class Plan:
+    """Formulas compiled by :func:`compile` for teams over one variable
+    domain: ``roots`` holds the node of each formula, in order.  Runs on
+    different teams may share a plan."""
+
+    domain: tuple[str, ...]
+    roots: tuple[_Node, ...]
+
+    def run(self, team: Team, budget: EvalBudget | None = None) -> Callable[[int], bool]:
+        """The verdict of the ``i``-th formula on ``team``, as a function of ``i``.
+
+        A verdict is decided when it is asked for, and each node at most
+        once for the team.  ``budget`` bounds the work of each verdict
+        afresh, as it bounds one :func:`eval_rel` call; a verdict does
+        only the work that no earlier verdict on the team has done.
+        """
+        if team.domain != self.domain:
+            raise DomainError(f"team domain {team.domain} differs from plan domain {self.domain}")
+        budget = budget or DEFAULT_BUDGET
+        budget.check_universe(len(team.universe))
+        evaluator = _Evaluator(budget, team)
+        roots = self.roots
+        return lambda i: evaluator.root(roots[i])
+
+
+@dataclass(eq=False, slots=True)
+class _Node:
+    """One distinct subformula of a plan, over one domain.
+
+    ``decide(evaluator, team, node)`` applies the node's clause and
+    ``closed`` records downward closure (the formula lies in ``FO(dep)``).
+    A classical (literal-only) node carries its row predicate ``check``
+    and an atom node its ``kernel``; a connective links its operand nodes,
+    a quantifier its variable and body, and an existential its search
+    ``block`` once a search has reached it.  Nodes compare by identity.
+    """
+
+    formula: Formula
+    decide: Callable
+    closed: bool
+    check: Callable | None = None
+    kernel: Callable | None = None
+    lhs: _Node | None = None
+    rhs: _Node | None = None
+    var: str | None = None
+    body: _Node | None = None
+    block: _Block | None = None
+
+
+def _intern(formula: Formula, domain: tuple[str, ...], nodes: dict) -> _Node:
+    """The node of ``formula`` over ``domain``, built once per plan."""
+    key = (formula, domain)
+    node = nodes.get(key)
+    if node is None:
+        node = nodes[key] = _build(formula, domain, nodes)
+    return node
+
+
+def _bind(domain: tuple[str, ...], var: str) -> tuple[str, ...]:
+    """The domain after quantifying ``var``: a bound column is rebound in place."""
+    return domain if var in domain else domain + (var,)
+
+
+def _build(formula: Formula, domain: tuple[str, ...], nodes: dict) -> _Node:
+    closed = is_downward_closed(formula)
+    match formula:
+        case Eq(lhs, rhs):
+            a, b = _term(lhs, domain), _term(rhs, domain)
+            return _Node(formula, _Evaluator.pointwise, closed, check=lambda row: a(row) == b(row))
+        case Neq(lhs, rhs):
+            a, b = _term(lhs, domain), _term(rhs, domain)
+            return _Node(formula, _Evaluator.pointwise, closed, check=lambda row: a(row) != b(row))
         case Dep() | GenDep() | Indep() | Incl() | NC() | NCC():
-            return ev.atom(team, atom)
-    raise InvalidArgumentError(f"{atom!r} is not an atom")
+            return _Node(formula, _decide_atom, closed, kernel=_kernel(formula, domain))
+        case And(lhs, rhs) | Or(lhs, rhs):
+            a, b = _intern(lhs, domain, nodes), _intern(rhs, domain, nodes)
+            both = isinstance(formula, And)
+            if a.check and b.check:
+                ca, cb = a.check, b.check
+                check = (lambda row: ca(row) and cb(row)) if both else (lambda row: ca(row) or cb(row))
+                return _Node(formula, _Evaluator.pointwise, closed, check=check)
+            decide = _Evaluator.conj if both else _Evaluator.or_split
+            return _Node(formula, decide, closed, lhs=a, rhs=b)
+        case Forall(var, body):
+            inner = _intern(body, _bind(domain, var), nodes)
+            return _Node(formula, _Evaluator.forall, closed, var=var, body=inner)
+        case Exists(var, body):
+            inner = _intern(body, _bind(domain, var), nodes)
+            return _Node(formula, _Evaluator.exists, closed, var=var, body=inner)
+    raise InvalidArgumentError(f"unknown formula node {formula!r}")
+
+
+def _term(term: Term, domain: tuple[str, ...]) -> Callable[[Row], object]:
+    if isinstance(term, Var):
+        return _project(positions(domain, (term.name,)))
+    value = term.value
+    return lambda row: value
+
+
+def _project(pos: tuple[int, ...]) -> Callable[[Row], object]:
+    """Row -> its values at ``pos``: a tuple, except that one position
+    gives the bare value, as ``itemgetter`` does.  So a projection is
+    only ever compared with projections of the same width."""
+    return itemgetter(*pos) if pos else _empty
+
+
+def _empty(row: Row) -> tuple:
+    return ()
+
+
+def _decide_atom(evaluator: _Evaluator, team: Team, node: _Node) -> bool:
+    # through the method, so that wrapping ``_Evaluator.atom`` sees every
+    # atom decision
+    return evaluator.atom(team, node)
+
+
+def _kernel(atom: Formula, domain: tuple[str, ...]) -> Callable[[_Evaluator, tuple], bool]:
+    """The atom's test on a team's rows, over projections computed once."""
+    match atom:
+        case Dep(xs, ys):
+            key = _project(positions(domain, xs))
+            pair = _project(positions(domain, xs + ys))
+
+            def dep(evaluator, rows) -> bool:
+                # ys is a function of xs exactly when no xs value comes
+                # with two ys values: both projections count alike
+                return len(set(map(pair, rows))) == len(set(map(key, rows)))
+
+            return dep
+        case GenDep(x1, x2, y1, y2):
+            k1, k2 = _project(positions(domain, x1)), _project(positions(domain, x2))
+            v1, v2 = _project(positions(domain, y1)), _project(positions(domain, y2))
+
+            def gendep(evaluator, rows) -> bool:
+                side1: dict = {}
+                side2: dict = {}
+                for row in rows:
+                    side1.setdefault(k1(row), set()).add(v1(row))
+                    side2.setdefault(k2(row), set()).add(v2(row))
+                for key, vals1 in side1.items():
+                    vals2 = side2.get(key)
+                    if vals2 and len(vals1 | vals2) != 1:
+                        return False
+                return True
+
+            return gendep
+        case Indep(xs, cond, ys):
+            x, z, y = (_project(positions(domain, v)) for v in (xs, cond, ys))
+
+            def indep(evaluator, rows) -> bool:
+                groups: dict = {}
+                for row in rows:
+                    key = z(row)
+                    g = groups.get(key)
+                    if g is None:
+                        g = groups[key] = (set(), set(), set())
+                    xv, yv = x(row), y(row)
+                    g[0].add(xv)
+                    g[1].add(yv)
+                    g[2].add((xv, yv))
+                return all(len(pairs) == len(xv) * len(yv) for xv, yv, pairs in groups.values())
+
+            return indep
+        case Incl(xs, ys):
+            x, y = _project(positions(domain, xs)), _project(positions(domain, ys))
+            return lambda evaluator, rows: set(map(x, rows)) <= set(map(y, rows))
+        case NC(xs, y):
+            p_x = positions(domain, xs)
+            (p_y,) = positions(domain, (y,))
+
+            def nc(evaluator, rows) -> bool:
+                yvals = {row[p_y] for row in rows}
+                for row in rows:
+                    hits = yvals.intersection(row[i] for i in p_x)
+                    if hits - {row[p_y]}:
+                        return False
+                return True
+
+            return nc
+        case NCC(xs):
+            p_x = positions(domain, xs)
+
+            def ncc(evaluator, rows) -> bool:
+                """Search for a per-row selection that is globally
+                non-contextual.
+
+                Equivalent to choosing a value set that meets every row's
+                selector values exactly once; singleton choices suffice
+                because the atom is downward closed.
+                """
+                blocks = [sorted({row[i] for i in p_x}, key=value_key) for row in rows]
+                return exact_transversal(blocks, evaluator.tick) is not None
+
+            return ncc
+    raise InvalidArgumentError(f"{atom!r} is not a team atom")
 
 
 def exact_transversal(blocks: Sequence[Sequence], tick: Callable[[], None] = lambda: None) -> set | None:
@@ -159,11 +377,17 @@ def exact_transversal(blocks: Sequence[Sequence], tick: Callable[[], None] = lam
 
 
 class _Evaluator:
-    def __init__(self, budget: EvalBudget):
+    """The search state of one run on one team: the verdicts of the nodes
+    decided on that team itself, and, for the verdict being decided, the
+    memo of verdicts on the subteams and extensions that searches build
+    and the node count that the budget bounds together with the memo."""
+
+    def __init__(self, budget: EvalBudget, team: Team):
         self.budget = budget
+        self.team = team
+        self.verdicts: dict = {}
         self.nodes = 0
         self.memo: dict = {}
-        self._compiled: dict = {}
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -174,175 +398,65 @@ class _Evaluator:
                 f"search exceeded budget of {self.budget.memo_limit} states"
             )
 
-    # -- top-level dispatch ----------------------------------------------
+    # -- dispatch ----------------------------------------------------------
 
-    def eval(self, team: Team, formula: Formula) -> bool:
-        if is_classical(formula):
-            return self.pointwise(team, formula)
-        match formula:
-            case Dep() | GenDep() | Indep() | Incl() | NC() | NCC():
-                return self.atom(team, formula)
-            case And(lhs, rhs):
-                return self.eval(team, lhs) and self.eval(team, rhs)
-            case Or():
-                return self.or_split(team, formula)
-            case Forall(var, body):
-                if not team.rows:
-                    return True
-                self.budget.check_rows(len(team.rows) * len(team.universe))
-                return self.eval(team.generalize(var, team.universe), body)
-            case Exists():
-                return self.exists(team, formula)
-        raise InvalidArgumentError(f"unknown formula node {formula!r}")
+    def root(self, node: _Node) -> bool:
+        # each root verdict gets the whole budget, as one eval_rel call
+        # does; verdicts already decided on the team are kept
+        self.nodes = 0
+        self.memo = {}
+        return self.eval(self.team, node)
 
-    def memo_eval(self, team: Team, formula: Formula) -> bool:
-        key = (formula, team)
+    def eval(self, team: Team, node: _Node) -> bool:
+        if team is self.team:
+            verdict = self.verdicts.get(node)
+            if verdict is None:
+                verdict = self.verdicts[node] = node.decide(self, team, node)
+            return verdict
+        return node.decide(self, team, node)
+
+    def memo_eval(self, team: Team, node: _Node) -> bool:
+        key = (node, team)
         hit = self.memo.get(key)
         if hit is None:
-            hit = self.eval(team, formula)
+            hit = self.eval(team, node)
             self.memo[key] = hit
             self.tick(0)
         return hit
 
-    # -- classical formulas ----------------------------------------------
+    def pointwise(self, team: Team, node: _Node) -> bool:
+        return all(map(node.check, team.rows))
 
-    def compile_classical(self, formula: Formula, domain: tuple[str, ...]) -> Callable[[Row], bool]:
-        """Compile a literal-only formula to a per-row predicate."""
-        key = (formula, domain)
-        fn = self._compiled.get(key)
-        if fn is not None:
-            return fn
+    def atom(self, team: Team, node: _Node) -> bool:
+        return node.kernel(self, team.rows)
 
-        def fetch(term: Term):
-            if isinstance(term, Var):
-                (pos,) = positions(domain, (term.name,))
-                return lambda row: row[pos]
-            value = term.value
-            return lambda row: value
+    def conj(self, team: Team, node: _Node) -> bool:
+        return self.eval(team, node.lhs) and self.eval(team, node.rhs)
 
-        def build(f: Formula) -> Callable[[Row], bool]:
-            match f:
-                case Eq(lhs, rhs):
-                    a, b = fetch(lhs), fetch(rhs)
-                    return lambda row: a(row) == b(row)
-                case Neq(lhs, rhs):
-                    a, b = fetch(lhs), fetch(rhs)
-                    return lambda row: a(row) != b(row)
-                case And(lhs, rhs):
-                    a, b = build(lhs), build(rhs)
-                    return lambda row: a(row) and b(row)
-                case Or(lhs, rhs):
-                    a, b = build(lhs), build(rhs)
-                    return lambda row: a(row) or b(row)
-            raise InvalidArgumentError(f"{f!r} is not a classical formula")
-
-        fn = build(formula)
-        self._compiled[key] = fn
-        return fn
-
-    def pointwise(self, team: Team, formula: Formula) -> bool:
-        check = self.compile_classical(formula, team.domain)
-        return all(check(row) for row in team.rows)
-
-    # -- atoms -----------------------------------------------------------
-
-    def atom(self, team: Team, atom: Formula) -> bool:
-        match atom:
-            case Dep(xs, ys):
-                return self._dep(team, xs, ys)
-            case GenDep(x1, x2, y1, y2):
-                return self._gendep(team, x1, x2, y1, y2)
-            case Indep(xs, cond, ys):
-                return self._indep(team, xs, cond, ys)
-            case Incl(xs, ys):
-                return team.values_of(xs) <= team.values_of(ys)
-            case NC(xs, y):
-                return self._nc(team, xs, y)
-            case NCC(xs):
-                return self._ncc(team, xs)
-        raise InvalidArgumentError(f"{atom!r} is not a team atom")
-
-    def _dep(self, team: Team, xs, ys) -> bool:
-        xpos = team.positions(xs)
-        ypos = team.positions(ys)
-        seen: dict = {}
-        for row in team.rows:
-            key = tuple(row[i] for i in xpos)
-            val = tuple(row[i] for i in ypos)
-            prev = seen.setdefault(key, val)
-            if prev != val:
-                return False
-        return True
-
-    def _gendep(self, team: Team, x1, x2, y1, y2) -> bool:
-        p_x1, p_x2 = team.positions(x1), team.positions(x2)
-        p_y1, p_y2 = team.positions(y1), team.positions(y2)
-        side1: dict = {}
-        side2: dict = {}
-        for row in team.rows:
-            side1.setdefault(tuple(row[i] for i in p_x1), set()).add(tuple(row[i] for i in p_y1))
-            side2.setdefault(tuple(row[i] for i in p_x2), set()).add(tuple(row[i] for i in p_y2))
-        for key, vals1 in side1.items():
-            vals2 = side2.get(key)
-            if vals2 and len(vals1 | vals2) != 1:
-                return False
-        return True
-
-    def _indep(self, team: Team, xs, cond, ys) -> bool:
-        p_x, p_z, p_y = team.positions(xs), team.positions(cond), team.positions(ys)
-        groups: dict = {}
-        for row in team.rows:
-            z = tuple(row[i] for i in p_z)
-            x = tuple(row[i] for i in p_x)
-            y = tuple(row[i] for i in p_y)
-            g = groups.get(z)
-            if g is None:
-                g = groups[z] = (set(), set(), set())
-            g[0].add(x)
-            g[1].add(y)
-            g[2].add((x, y))
-        return all(len(pairs) == len(xv) * len(yv) for xv, yv, pairs in groups.values())
-
-    def _nc(self, team: Team, xs, y) -> bool:
-        p_x = team.positions(xs)
-        (p_y,) = team.positions((y,))
-        yvals = {row[p_y] for row in team.rows}
-        for row in team.rows:
-            hits = yvals.intersection(row[i] for i in p_x)
-            if hits - {row[p_y]}:
-                return False
-        return True
-
-    def _ncc(self, team: Team, xs) -> bool:
-        """Search for a per-row selection that is globally non-contextual.
-
-        Equivalent to choosing a value set that meets every row's selector
-        values exactly once; singleton choices suffice because the atom is
-        downward closed.
-        """
-        p_x = team.positions(xs)
-        blocks = [sorted({row[i] for i in p_x}, key=value_key) for row in team.rows]
-        return exact_transversal(blocks, self.tick) is not None
+    def forall(self, team: Team, node: _Node) -> bool:
+        if not team.rows:
+            return True
+        self.budget.check_rows(len(team.rows) * len(team.universe))
+        return self.eval(team.generalize(node.var, team.universe), node.body)
 
     # -- disjunction -----------------------------------------------------
 
-    def or_split(self, team: Team, formula: Or) -> bool:
-        lhs, rhs = formula.lhs, formula.rhs
+    def or_split(self, team: Team, node: _Node) -> bool:
+        lhs, rhs = node.lhs, node.rhs
         if not team.rows:
             return True
-        if is_classical(lhs):
+        if lhs.check:
             return self._or_with_flat_side(team, lhs, rhs)
-        if is_classical(rhs):
+        if rhs.check:
             return self._or_with_flat_side(team, rhs, lhs)
         if self.memo_eval(team, lhs) or self.memo_eval(team, rhs):
             return True
         n = len(team.rows)
         rows = team.rows
-        dc_l, dc_r = is_downward_closed(lhs), is_downward_closed(rhs)
-        if dc_l or dc_r:
+        if lhs.closed or rhs.closed:
             # For a downward-closed side the cover may be thinned to a
             # partition, so enumerating one side's subset suffices.
-            first, second = (lhs, rhs) if dc_r else (rhs, lhs)
+            first, second = (lhs, rhs) if rhs.closed else (rhs, lhs)
             for mask in range(1, (1 << n) - 1):
                 self.tick()
                 left = self._subteam(team, rows, mask, n)
@@ -367,13 +481,13 @@ class _Evaluator:
                         return True
         return False
 
-    def _or_with_flat_side(self, team: Team, flat: Formula, other: Formula) -> bool:
-        check = self.compile_classical(flat, team.domain)
+    def _or_with_flat_side(self, team: Team, flat: _Node, other: _Node) -> bool:
+        check = flat.check
         rest = tuple(row for row in team.rows if not check(row))
         if not rest:
             return True
         rest_team = Team(team.domain, rest, team.universe)
-        if is_downward_closed(other):
+        if other.closed:
             return self.eval(rest_team, other)
         satisfied = tuple(row for row in team.rows if check(row))
         for k in range(len(satisfied) + 1):
@@ -391,56 +505,32 @@ class _Evaluator:
 
     # -- existential quantification ----------------------------------------
 
-    def exists(self, team: Team, formula: Exists) -> bool:
-        block: list[str] = []
-        body: Formula = formula
-        while isinstance(body, Exists) and body.var not in team.domain and body.var not in block:
-            block.append(body.var)
-            body = body.body
-        if not block:
-            # re-quantification of a bound column
-            return self._exists_search(team, [formula.var], formula.body, rebound=True)
-        return self._exists_search(team, block, body, rebound=False)
-
-    def _exists_search(self, team: Team, variables: Sequence[str], matrix: Formula, rebound: bool) -> bool:
+    def exists(self, team: Team, node: _Node) -> bool:
         if not team.rows:
             return True
+        block = node.block
+        if block is None:
+            # built on first use: the block of an existential that an
+            # enclosing block absorbs is never needed
+            block = node.block = _Block(node, team.domain)
         values = team.universe
         if not values:
             raise InvalidArgumentError("cannot quantify over an empty universe")
-        width = len(variables)
-        if rebound:
-            ext_domain = team.domain
-            slot = team.domain.index(variables[0])
-            block_positions = (slot,)
+        width = len(block.variables)
+        extend, filters, residual = block.extend, block.filters, block.residual
+        incl_filters = [(pos, x, set(map(y, team.rows))) for pos, x, y in block.incl_filters]
+        constraints = [make() for make in block.constraints]
+        residual_dc = block.residual_dc
+        singleton = block.singleton
 
-            def extend(row: Row, choice: tuple) -> Row:
-                return row[:slot] + (choice[0],) + row[slot + 1 :]
-
-        else:
-            ext_domain = team.domain + tuple(variables)
-            block_positions = tuple(range(len(team.domain), len(ext_domain)))
-
-            def extend(row: Row, choice: tuple) -> Row:
-                return row + choice
-
-        dynamic = set(block_positions)
-        filters, incl_filters, constraints, residual = self._split_matrix(
-            team, matrix, ext_domain, set(variables)
-        )
-        residual_dc = all(is_downward_closed(c) for c in residual)
-        singleton = is_downward_closed(matrix)
-
-        choice_source = self._choice_source(values, width, block_positions, incl_filters)
+        choice_source = self._choice_source(values, width, block.block_positions, incl_filters)
         candidates: list[list[Row]] = []
         for row in team.rows:
             cands = []
             for choice in choice_source(row):
                 self.tick()
                 ext = extend(row, choice)
-                if all(f(ext) for f in filters) and all(
-                    tuple(ext[i] for i in pos) in allowed for pos, allowed in incl_filters
-                ):
+                if all(f(ext) for f in filters) and all(x(ext) in allowed for _, x, allowed in incl_filters):
                     cands.append(ext)
             if not cands:
                 return False
@@ -449,12 +539,12 @@ class _Evaluator:
         if not constraints and not residual:
             return True
 
-        components = self._components(team, candidates, constraints, residual, dynamic)
+        components = self._components(team, candidates, constraints, residual, set(block.block_positions))
 
         chosen: list[tuple[Row, ...]] = []
 
         def check_residual_partial() -> bool:
-            partial = Team(ext_domain, (r for group in chosen for r in group), team.universe)
+            partial = Team(block.ext_domain, (r for group in chosen for r in group), team.universe)
             return all(self.memo_eval(partial, c) for c in residual)
 
         def choices_for(i: int):
@@ -576,7 +666,7 @@ class _Evaluator:
         """
         block_index = {p: k for k, p in enumerate(block_positions)}
         generator = None
-        for pos, allowed in incl_filters:
+        for pos, _, allowed in incl_filters:
             if set(block_positions) <= set(pos):
                 if generator is None or len(allowed) < len(generator[1]):
                     generator = (pos, allowed)
@@ -584,7 +674,8 @@ class _Evaluator:
             base = list(product(values, repeat=width))
             return lambda row: base
         pos, allowed = generator
-        allowed = sorted(allowed, key=row_key)
+        # a one-column projection is the bare value
+        allowed = sorted(allowed if len(pos) != 1 else [(v,) for v in allowed], key=row_key)
 
         def source(row: Row):
             seen = set()
@@ -610,39 +701,77 @@ class _Evaluator:
 
         return source
 
-    def _split_matrix(self, team: Team, matrix: Formula, ext_domain: tuple[str, ...], new_vars: set):
-        filters = []
-        incl_filters = []
-        constraints = []
-        residual = []
-        for conj in conjuncts(matrix):
-            if is_classical(conj):
-                filters.append(self.compile_classical(conj, ext_domain))
-            elif isinstance(conj, Incl) and not set(conj.ys) & new_vars:
+
+class _Block:
+    """The static half of an existential search: the block of variables
+    it quantifies together, how a row is extended by a choice of their
+    values, and the matrix's conjuncts sorted into row filters, inclusion
+    filters, incremental constraints and residual nodes."""
+
+    __slots__ = (
+        "variables", "ext_domain", "block_positions", "extend", "filters",
+        "incl_filters", "constraints", "residual", "residual_dc", "singleton",
+    )
+
+    def __init__(self, node: _Node, domain: tuple[str, ...]):
+        variables: list[str] = []
+        matrix = node
+        while isinstance(matrix.formula, Exists) and matrix.var not in domain and matrix.var not in variables:
+            variables.append(matrix.var)
+            matrix = matrix.body
+        if variables:
+            self.ext_domain = domain + tuple(variables)
+            self.block_positions = tuple(range(len(domain), len(self.ext_domain)))
+            self.extend = lambda row, choice: row + choice
+        else:
+            # re-quantification of a bound column
+            variables, matrix = [node.var], node.body
+            self.ext_domain = domain
+            slot = domain.index(node.var)
+            self.block_positions = (slot,)
+            self.extend = lambda row, choice: row[:slot] + (choice[0],) + row[slot + 1 :]
+        self.variables = tuple(variables)
+        self.singleton = matrix.closed
+        self.filters: list = []
+        self.incl_filters: list = []
+        self.constraints: list = []
+        self.residual: list[_Node] = []
+        for conj in _conjuncts(matrix):
+            atom = conj.formula
+            if conj.check:
+                self.filters.append(conj.check)
+            elif isinstance(atom, Incl) and not set(atom.ys) & set(variables):
                 # The right side never mentions quantified variables, and
                 # every original row keeps at least one extension, so its
                 # value set is fixed; the atom becomes a per-row filter.
-                incl_filters.append((positions(ext_domain, conj.xs), team.values_of(conj.ys)))
-            elif isinstance(conj, Dep):
-                constraints.append(_DepConstraint(ext_domain, conj))
-            elif isinstance(conj, GenDep):
-                constraints.append(_GenDepConstraint(ext_domain, conj))
-            elif isinstance(conj, NC):
-                constraints.append(_NCConstraint(ext_domain, conj))
+                xpos = positions(self.ext_domain, atom.xs)
+                self.incl_filters.append((xpos, _project(xpos), _project(positions(domain, atom.ys))))
+            elif type(atom) in _CONSTRAINTS:
+                self.constraints.append(partial(_CONSTRAINTS[type(atom)], self.ext_domain, atom))
             else:
-                residual.append(conj)
-        return filters, incl_filters, constraints, residual
+                self.residual.append(conj)
+        self.residual_dc = all(c.closed for c in self.residual)
+
+
+def _conjuncts(node: _Node) -> Iterator[_Node]:
+    """The conjuncts of a node, left to right; a classical conjunction
+    stays one conjunct, decided by its row predicate."""
+    if isinstance(node.formula, And) and node.check is None:
+        yield from _conjuncts(node.lhs)
+        yield from _conjuncts(node.rhs)
+    else:
+        yield node
 
 
 class _DepConstraint:
     """Incremental functional-dependence check with undo, refcounted so
     duplicate rows (from rebinding merges) stay consistent."""
 
-    __slots__ = ("xpos", "ypos", "table", "trail")
+    __slots__ = ("xpos", "key", "val", "table", "trail")
 
     def __init__(self, domain: tuple[str, ...], atom: Dep):
         self.xpos = positions(domain, atom.xs)
-        self.ypos = positions(domain, atom.ys)
+        self.key, self.val = _project(self.xpos), _project(positions(domain, atom.ys))
         self.table: dict = {}
         self.trail: list = []
 
@@ -651,11 +780,11 @@ class _DepConstraint:
         return self.xpos
 
     def interaction_nodes(self, row: Row):
-        yield tuple(row[i] for i in self.xpos)
+        yield self.key(row)
 
     def add(self, row: Row) -> bool:
-        key = tuple(row[i] for i in self.xpos)
-        val = tuple(row[i] for i in self.ypos)
+        key = self.key(row)
+        val = self.val(row)
         entry = self.table.get(key)
         if entry is None:
             self.table[key] = [val, 1]
@@ -678,13 +807,12 @@ class _GenDepConstraint:
     """Incremental generalized-dependence check: once a key occurs on both
     sides, all its consequent values on either side must coincide."""
 
-    __slots__ = ("p_x1", "p_x2", "p_y1", "p_y2", "side1", "side2", "trail")
+    __slots__ = ("p_x1", "p_x2", "k1", "k2", "v1", "v2", "side1", "side2", "trail")
 
     def __init__(self, domain: tuple[str, ...], atom: GenDep):
-        self.p_x1 = positions(domain, atom.x1)
-        self.p_x2 = positions(domain, atom.x2)
-        self.p_y1 = positions(domain, atom.y1)
-        self.p_y2 = positions(domain, atom.y2)
+        self.p_x1, self.p_x2 = positions(domain, atom.x1), positions(domain, atom.x2)
+        self.k1, self.k2 = _project(self.p_x1), _project(self.p_x2)
+        self.v1, self.v2 = _project(positions(domain, atom.y1)), _project(positions(domain, atom.y2))
         self.side1: dict = {}
         self.side2: dict = {}
         self.trail: list = []
@@ -694,8 +822,8 @@ class _GenDepConstraint:
         return self.p_x1 + self.p_x2
 
     def interaction_nodes(self, row: Row):
-        yield tuple(row[i] for i in self.p_x1)
-        yield tuple(row[i] for i in self.p_x2)
+        yield self.k1(row)
+        yield self.k2(row)
 
     @staticmethod
     def _put(mine: dict, theirs: dict, key, val) -> bool:
@@ -722,10 +850,7 @@ class _GenDepConstraint:
             del mine[key]
 
     def add(self, row: Row) -> bool:
-        k1 = tuple(row[i] for i in self.p_x1)
-        v1 = tuple(row[i] for i in self.p_y1)
-        k2 = tuple(row[i] for i in self.p_x2)
-        v2 = tuple(row[i] for i in self.p_y2)
+        k1, v1, k2, v2 = self.k1(row), self.v1(row), self.k2(row), self.v2(row)
         if not self._put(self.side1, self.side2, k1, v1):
             return False
         if not self._put(self.side2, self.side1, k2, v2):
@@ -787,3 +912,8 @@ class _NCConstraint:
             bucket.pop()
             if not bucket:
                 del self.containing[v]
+
+
+#: The incremental constraint each dependence-family conjunct of an
+#: existential matrix becomes.
+_CONSTRAINTS = {Dep: _DepConstraint, GenDep: _GenDepConstraint, NC: _NCConstraint}

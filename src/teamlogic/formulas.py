@@ -33,8 +33,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator
 
 from .errors import InvalidArgumentError, ParseError
 from .teams import Value
@@ -174,15 +172,6 @@ class Forall(Formula):
 ATOM_TYPES = (Eq, Neq, Dep, GenDep, Indep, Incl, NC, NCC)
 
 
-def conjuncts(formula: Formula) -> Iterator[Formula]:
-    """Flatten a conjunction tree into its conjuncts, left to right."""
-    if isinstance(formula, And):
-        yield from conjuncts(formula.lhs)
-        yield from conjuncts(formula.rhs)
-    else:
-        yield formula
-
-
 def conjoin(parts) -> Formula:
     """Right-fold a nonempty sequence into a conjunction."""
     parts = list(parts)
@@ -208,7 +197,6 @@ def disjoin(parts) -> Formula:
 # analysis
 
 
-@lru_cache(maxsize=None)
 def free_vars(formula: Formula) -> frozenset[str]:
     """The free variables of a formula; quantifiers bind."""
     match formula:
@@ -242,7 +230,6 @@ def all_vars(formula: Formula) -> frozenset[str]:
             return free_vars(formula)
 
 
-@lru_cache(maxsize=None)
 def is_downward_closed(formula: Formula) -> bool:
     """Syntactic sufficient condition for downward closure: the formula
     lies in ``FO(dep)``.
@@ -261,22 +248,6 @@ def is_downward_closed(formula: Formula) -> bool:
         case Exists(_, body) | Forall(_, body):
             return is_downward_closed(body)
     return True
-
-
-@lru_cache(maxsize=None)
-def is_classical(formula: Formula) -> bool:
-    """True for formulas built from literals with ``&`` and ``|`` only.
-
-    Classical formulas are flat: a team satisfies them exactly when every
-    row does, so they are decided pointwise without any split search.
-    """
-    match formula:
-        case Eq() | Neq():
-            return True
-        case And(lhs, rhs) | Or(lhs, rhs):
-            return is_classical(lhs) and is_classical(rhs)
-        case _:
-            return False
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .entailment import enumerate_teams
-from .eval_rel import EvalBudget, eval_atom_rel, eval_rel
+from .eval_rel import EvalBudget, compile, eval_atom_rel
 from .formulas import (
     NC,
     NCC,
@@ -41,11 +41,12 @@ class AppendixReport:
 
 def _sweep(variables: tuple[str, ...], atom, formula, max_rows: int, budget: EvalBudget) -> tuple[int, int]:
     columns = [(v, [0, 1]) for v in variables]
+    plan = compile([formula], variables)
     teams = 0
     disagreements = 0
     for team in enumerate_teams(columns, max_rows, nonempty=False):
         teams += 1
-        if eval_atom_rel(team, atom) != eval_rel(team, formula, budget):
+        if eval_atom_rel(team, atom) != plan.run(team, budget)(0):
             disagreements += 1
     return teams, disagreements
 

@@ -6,6 +6,7 @@ from teamlogic.entailment import (
     PHI1,
     PSI1,
     EntailmentReport,
+    _first_counterexample,
     enumerate_teams,
     entailment_transfers,
     find_rel_counterexample,
@@ -13,7 +14,7 @@ from teamlogic.entailment import (
     verify_separations,
 )
 from teamlogic.errors import BudgetExceededError
-from teamlogic.eval_rel import eval_rel
+from teamlogic.eval_rel import EvalBudget, eval_rel
 from teamlogic.formulas import parse
 from teamlogic.models import hidden_domain
 from teamlogic.properties import PropertyName as P, property_formula
@@ -76,6 +77,18 @@ class TestFindCounterexample:
                 f, f, tuple("abcdefghij"), universe_size=10, max_rows=2,
                 row_space_cap=1000,
             )
+
+    def test_rhs_is_decided_only_where_lhs_holds(self):
+        # the ncc search trips this budget on some teams of the sweep, but
+        # no team satisfies the lhs, so the plan never decides the rhs
+        columns = [(v, [0, 1]) for v in ("x", "y", "z")]
+        rhs = parse("ncc(x y z)")
+        budget = EvalBudget(memo_limit=5)
+        with pytest.raises(BudgetExceededError):
+            for team in enumerate_teams(columns, 7):
+                eval_rel(team, rhs, budget)
+        lhs = parse("x = 0 & x != 0")
+        assert _first_counterexample(columns, lhs, rhs, 7, budget) is None
 
     def test_transfers_flag(self):
         assert entailment_transfers(parse("dep(x, y)"), parse("dep(y, x)"))

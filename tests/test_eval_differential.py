@@ -22,7 +22,7 @@ import pytest
 
 from teamlogic.errors import ZeroProbabilityError
 from teamlogic.eval_prob import CondProbQuery, cond_prob, eval_prob, marginal
-from teamlogic.eval_rel import eval_rel
+from teamlogic.eval_rel import compile, eval_rel
 from teamlogic.formulas import (
     NC,
     NCC,
@@ -237,6 +237,111 @@ def test_differential_rebinding():
             inner = random_formula(rng, depth=0, names=("x", "y"))
         f = Exists("x", inner)  # re-quantifies a bound column
         assert eval_rel(team, f) == naive_eval(team, f), (rows, print_formula(f))
+
+
+def test_differential_shared_plans():
+    # the formulas of one plan are built from a small pool, so they share
+    # subformulas; verdicts are asked for in a random order, so a node
+    # decided for one formula is reused by the next
+    rng = random.Random(8086)
+    space = list(product((0, 1), repeat=3))
+    for round_ in range(60):
+        pool = [random_formula(rng, depth=1) for _ in range(4)]
+        formulas = [
+            rng.choice((And, Or))(rng.choice(pool), rng.choice(pool)) for _ in range(5)
+        ] + pool
+        plan = compile(formulas, VARS)
+        for _ in range(4):
+            team = Team(VARS, rng.sample(space, rng.randint(0, 3)), universe=(0, 1))
+            verdict = plan.run(team)
+            order = list(range(len(formulas)))
+            rng.shuffle(order)
+            for i in order:
+                expected = naive_eval(team, formulas[i])
+                assert verdict(i) == eval_rel(team, formulas[i]) == expected, (
+                    team.rows, print_formula(formulas[i]))
+
+
+#: Atoms with empty variable tuples: the constancy atom, unconditional
+#: and one-sided independence, and the vacuous cases of each atom kind.
+EMPTY_TUPLE_ATOMS = (
+    Dep((), ("x",)),
+    Dep((), ("x", "y")),
+    Dep((), ()),
+    Indep(("x",), (), ("y",)),
+    Indep((), ("z",), ("y",)),
+    Indep(("x",), ("z",), ()),
+    Indep((), (), ()),
+    Incl((), ()),
+    GenDep((), (), ("x",), ("y",)),
+    GenDep(("x",), ("y",), (), ()),
+    NC((), "x"),
+    NCC(()),
+    Exists("q1", And(Dep((), ("q1",)), Incl(("q1",), ("x",)))),
+)
+
+#: Atoms that repeat a variable, within one tuple or across tuples.
+REPEATED_VARIABLE_ATOMS = (
+    Dep(("x", "x"), ("y",)),
+    Dep(("x",), ("x", "y", "x")),
+    Indep(("x",), ("x",), ("y",)),
+    Indep(("x",), (), ("x",)),
+    Indep(("x", "y"), ("z", "z"), ("y", "x")),
+    Incl(("x", "y"), ("y", "x")),
+    Incl(("x", "x"), ("y", "z")),
+    GenDep(("x", "x"), ("y", "y"), ("z",), ("z",)),
+    NC(("x", "x"), "x"),
+    NC(("x", "y", "x"), "y"),
+    NCC(("x", "x")),
+    NCC(("x", "y", "x")),
+    Exists("q1", And(Incl(("q1", "q1"), ("x", "y")), Dep(("q1", "q1"), ("z",)))),
+)
+
+
+@pytest.mark.parametrize(
+    "atom", EMPTY_TUPLE_ATOMS + REPEATED_VARIABLE_ATOMS, ids=print_formula
+)
+def test_differential_degenerate_atoms(atom):
+    space = list(product((0, 1), repeat=3))
+    for count in range(4):
+        for rows in combinations(space, count):
+            team = Team(VARS, rows, universe=(0, 1))
+            assert eval_rel(team, atom) == naive_eval(team, atom), rows
+
+
+#: Values whose one-column projection is itself a tuple, beside bare
+#: values, so a one-column key and a one-tuple key would collide.
+MIXED_VALUES = ((0,), (0, 1), "a", 0)
+
+#: Atoms over single columns, plus existentials whose inclusion filter
+#: has a single column and drives the choice of the quantified value.
+SINGLE_COLUMN_FORMULAS = (
+    Dep(("x",), ("y",)),
+    Dep(("y",), ("x",)),
+    Indep(("x",), (), ("y",)),
+    Indep(("x",), ("z",), ("y",)),
+    Incl(("x",), ("y",)),
+    Incl(("y",), ("z",)),
+    Incl(("x", "y"), ("y", "x")),
+    GenDep(("x",), ("y",), ("z",), ("z",)),
+    NC(("x",), "y"),
+    NC(("x", "y"), "z"),
+    NCC(("x", "y")),
+    Eq(Var("x"), Const((0,))),
+    Neq(Var("x"), Var("y")),
+    Exists("q1", And(Incl(("q1",), ("x",)), Dep(("y",), ("q1",)))),
+    Exists("q1", And(Incl(("q1",), ("y",)), Indep(("q1",), (), ("x",)))),
+    Exists("q1", And(Incl(("q1", "x"), ("y", "x")), Dep(("q1",), ("z",)))),
+)
+
+
+@pytest.mark.parametrize("formula", SINGLE_COLUMN_FORMULAS, ids=repr)
+def test_differential_tuple_valued_single_columns(formula):
+    rng = random.Random(repr(formula))
+    space = list(product(MIXED_VALUES, repeat=3))
+    for _ in range(40):
+        team = Team(VARS, rng.sample(space, rng.randint(1, 3)), universe=MIXED_VALUES)
+        assert eval_rel(team, formula) == naive_eval(team, formula), team.rows
 
 
 def naive_prob(pt: ProbTeam, variables, values) -> Fraction:

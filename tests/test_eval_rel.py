@@ -1,10 +1,12 @@
+import gc
 import random
+import weakref
 from itertools import combinations, product
 
 import pytest
 
 from teamlogic.errors import BudgetExceededError, DomainError
-from teamlogic.eval_rel import EvalBudget, eval_atom_rel, eval_rel, exact_transversal
+from teamlogic.eval_rel import EvalBudget, compile, eval_atom_rel, eval_rel, exact_transversal
 from teamlogic.formulas import (
     NC,
     NCC,
@@ -42,6 +44,55 @@ class TestPaperVerdicts:
     def test_free_variable_unbound(self, sig):
         with pytest.raises(DomainError):
             eval_rel(sig.team, parse("dep(q, o1)"))
+
+
+class TestPlan:
+    def test_compile_names_every_unbound_variable(self):
+        with pytest.raises(DomainError, match=r"\['q', 'r'\]"):
+            compile([parse("dep(x, y)"), parse("dep(q, x) & dep(r, y)")], ("x", "y"))
+
+    def test_run_refuses_a_team_over_another_domain(self):
+        plan = compile([parse("dep(x, y)")], ("x", "y"))
+        with pytest.raises(DomainError):
+            plan.run(T(("y", "x"), [(0, 1)]))
+
+    def test_run_checks_the_universe(self):
+        plan = compile([parse("dep(x, y)")], ("x", "y"))
+        with pytest.raises(BudgetExceededError):
+            plan.run(T(("x", "y"), [(0, 1)], universe=range(9)), EvalBudget(max_universe=8))
+
+    def test_shared_subformulas_are_one_node(self):
+        plan = compile([parse("dep(x, y) & x _||_ y"), parse("x _||_ y | dep(x, y)")], ("x", "y"))
+        conj, disj = plan.roots
+        assert conj.lhs is disj.rhs and conj.rhs is disj.lhs
+
+    def test_budget_bounds_each_formula_afresh(self):
+        # each formula fits the budget on its own, their sum does not
+        team = T(("x", "y", "z"), [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1)])
+        formulas = [parse("dep(x, y) | dep(y, z)"), parse("ncc(x y)")]
+
+        def fits(formula, limit):
+            try:
+                eval_rel(team, formula, EvalBudget(memo_limit=limit))
+                return True
+            except BudgetExceededError:
+                return False
+
+        need = [next(n for n in range(1, 100) if fits(f, n)) for f in formulas]
+        assert sum(need) > max(need)
+        verdict = compile(formulas, team.domain).run(team, EvalBudget(memo_limit=max(need)))
+        assert [verdict(i) for i in range(2)] == [eval_rel(team, f) for f in formulas]
+
+    def test_evaluation_keeps_no_formula_alive(self):
+        # nothing outlives a call: neither the plan nor a cache of
+        # formula analyses may hold on to the formula
+        team = T(("x", "y"), [(0, 0), (0, 1), (1, 1)])
+        formula = parse("E q . dep(x, q) & (x = 0 | y _||_ q) | A r . x <= y")
+        ref = weakref.ref(formula)
+        assert eval_rel(team, formula) in (True, False)
+        del formula
+        gc.collect()
+        assert ref() is None
 
 
 class TestAtoms:
