@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm, prod
 
 from .errors import BudgetExceededError, InvalidArgumentError, PreconditionError
 from .models import (
@@ -88,36 +88,34 @@ def construct_weakdet_lambdaindep(model: EmpiricalModel) -> HVModel:
     pt = model.prob_team
     n = model.arity
     mvars = empirical_domain(n)[:n]
-    ovars = empirical_domain(n)[n:]
     group_mass = pt.masses(mvars)
-    conditional = {
-        (z[:n], z[n:]): mass / group_mass[z[:n]]
-        for z, mass in pt.masses(mvars + ovars).items()
-    }
-    modulus = lcm(*(p.denominator for p in conditional.values()))
+    # p(b | a) is joint[(a, b)] / group_mass[a]: a ratio of int numerators
+    joint = {(z[:n], z[n:]): mass for z, mass in pt.masses(empirical_domain(n)).items()}
+    modulus = lcm(*(group_mass[a] // gcd(mass, group_mass[a]) for (a, _), mass in joint.items()))
     lam = list(range(modulus))
 
     # contiguous block per (measurement, outcome) pair, in canonical outcome order
     blocks: dict = {}
-    outcomes = sorted({z[1] for z in conditional}, key=row_key)
+    outcomes = sorted({b for _, b in joint}, key=row_key)
     # masses are keyed in first-occurrence order along the canonical rows,
     # which lead with the measurement columns, so this order is canonical
-    for a in group_mass:
+    for a, total in group_mass.items():
         cursor = 0
         for b in outcomes:
-            p = conditional.get((a, b))
-            if p is None:
+            mass = joint.get((a, b))
+            if mass is None:
                 continue
-            size = p * modulus
-            assert size.denominator == 1
-            blocks[(a, b)] = lam[cursor : cursor + int(size)]
-            cursor += int(size)
+            size, rest = divmod(mass * modulus, total)
+            assert rest == 0
+            blocks[(a, b)] = lam[cursor : cursor + size]
+            cursor += size
         assert cursor == modulus, "blocks must partition the hidden set"
 
+    dists = {key: dict.fromkeys(block, Fraction(1, len(block))) for key, block in blocks.items()}
+
     def family(s):
-        block = blocks[(s.values_at(mvars), s.values_at(ovars))]
-        share = Fraction(1, len(block))
-        return {c: share for c in block}
+        # a row's measurements and outcomes are its halves: measurements lead
+        return dists[(s.row[:n], s.row[n:])]
 
     return from_team(pt.skolem_extend(LAMBDA_VAR, family), "hidden")
 
@@ -221,17 +219,22 @@ def localize_prob(model: HVModel) -> HVModel:
     mvars = empirical_domain(n)[:n]
     ovars = empirical_domain(n)[n:]
 
+    # P(o_i = b | m_i = a, l = c) as a pair of int numerators
     conditional: dict = {}
     for i in range(n):
         comp_mass = pt.masses((mvars[i], LAMBDA_VAR))
         for (a, b, c), mass in pt.masses((mvars[i], ovars[i], LAMBDA_VAR)).items():
-            conditional[(i, a, b, c)] = mass / comp_mass[(a, c)]
+            conditional[(i, a, b, c)] = (mass, comp_mass[(a, c)])
     row_mass: dict = {}
     for key, mass in pt.masses(mvars + ovars + (LAMBDA_VAR,)).items():
         row_mass.setdefault((key[:n], key[n:-1]), {})[key[-1]] = mass
 
     moduli = [
-        lcm(*(p.denominator for (i, _, _, _), p in conditional.items() if i == comp))
+        lcm(*(
+            total // gcd(mass, total)
+            for (i, _, _, _), (mass, total) in conditional.items()
+            if i == comp
+        ))
         for comp in range(n)
     ]
 
@@ -245,23 +248,23 @@ def localize_prob(model: HVModel) -> HVModel:
             )
             cursor = 0
             for b in outs:
-                size = conditional[(comp, a, b, c)] * moduli[comp]
-                assert size.denominator == 1
-                blocks[(comp, a, b, c)] = range(cursor, cursor + int(size))
-                cursor += int(size)
+                mass, total = conditional[(comp, a, b, c)]
+                size, rest = divmod(mass * moduli[comp], total)
+                assert rest == 0
+                blocks[(comp, a, b, c)] = range(cursor, cursor + size)
+                cursor += size
             assert cursor == moduli[comp], "component blocks must partition"
 
     def family(s):
-        a = s.values_at(mvars)
-        b = s.values_at(ovars)
-        total = empirical.weight(s.row)  # the empirical model is the marginal on m, o
+        # measurements lead the empirical domain, outcomes follow
+        a = s.row[:n]
+        b = s.row[n:]
+        by_lambda = row_mass[(a, b)]
+        total = sum(by_lambda.values())  # the row's mass in the empirical model
         dist: dict = {}
-        for c, mass in row_mass[(a, b)].items():
-            lam_given_row = mass / total
+        for c, mass in by_lambda.items():
             ranges = [blocks[(i, a[i], b[i], c)] for i in range(n)]
-            share = lam_given_row / Fraction(
-                _prod(len(r) for r in ranges)
-            )
+            share = Fraction(mass, total * prod(len(r) for r in ranges))
             for combo in product(*ranges):
                 dist[(c, combo)] = share
         return dist
@@ -269,9 +272,3 @@ def localize_prob(model: HVModel) -> HVModel:
     extended = empirical.skolem_extend(LAMBDA_VAR, family)
     return from_team(extended, "hidden")
 
-
-def _prod(items) -> int:
-    out = 1
-    for x in items:
-        out *= x
-    return out

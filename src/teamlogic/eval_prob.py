@@ -87,12 +87,12 @@ def cond_prob(prob_team: ProbTeam, query: CondProbQuery) -> Fraction:
         raise ZeroProbabilityError(
             f"condition {query.condition_vars} = {query.condition_values} has probability zero"
         )
-    return joint_mass / cond_mass
+    return Fraction(joint_mass, cond_mass)
 
 
 def marginal(prob_team: ProbTeam, variables: tuple[str, ...], values: Row) -> Fraction:
     """Exact probability of a value event."""
-    return prob_team.masses(variables).get(tuple(values), Fraction(0))
+    return Fraction(prob_team.masses(variables).get(tuple(values), 0), prob_team.denominator)
 
 
 def eval_prob(prob_team: ProbTeam, formula: Formula, budget: EvalBudget | None = None) -> bool:
@@ -140,7 +140,8 @@ def _indep(prob_team: ProbTeam, xs, cond, ys) -> bool:
     For every combination of an occurring xs value, ys value and condition
     value, the conditional joint must equal the product of the conditional
     marginals; the identity is verified in cleared form
-    joint * total == x_marginal * y_marginal, avoiding division.
+    joint * total == x_marginal * y_marginal on the masses' numerators,
+    so it is decided on ints, without division.
     """
     totals = prob_team.masses(cond)
     x_mass = prob_team.masses((*cond, *xs))

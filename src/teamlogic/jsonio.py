@@ -54,6 +54,9 @@ def value_from_json(obj) -> Value:
 
 
 def _fraction(text) -> Fraction:
+    # a JSON float or boolean is no exact rational, though Fraction takes it
+    if isinstance(text, (bool, float)):
+        raise InvalidArgumentError(f"not an exact rational: {text!r}")
     try:
         return Fraction(text)
     except (TypeError, ValueError, ZeroDivisionError):
@@ -77,7 +80,7 @@ def team_to_dict(data: Team | ProbTeam) -> dict:
         "rows": [[value_to_json(v) for v in row] for row in team.rows],
     }
     if isinstance(data, ProbTeam):
-        payload["weights"] = [str(data.weight(row)) for row in team.rows]
+        payload["weights"] = [str(w) for w in data.weights().values()]
     return payload
 
 

@@ -175,7 +175,7 @@ def empirically_equivalent(
     induced = induced_empirical(hidden)
     if mode == "joint":
         if empirical.probabilistic:
-            return induced.prob_team.weights() == empirical.prob_team.weights()
+            return induced.prob_team.same_weights(empirical.prob_team)
         return induced.team.same_rows(empirical.team)
     if mode != "conditional":
         raise InvalidArgumentError(f"unknown equivalence mode {mode!r}")
@@ -187,13 +187,21 @@ def empirically_equivalent(
     left, right = induced.prob_team, empirical.prob_team
     if left.team.values_of(mvars) != right.team.values_of(mvars):
         return False
-    return _conditionals(left, n) == _conditionals(right, n)
+    return _same_conditionals(left, right, n)
 
 
-def _conditionals(prob_team: ProbTeam, arity: int) -> dict:
+def _same_conditionals(left: ProbTeam, right: ProbTeam, arity: int) -> bool:
+    """Equal rows, each with equal probability given its context, compared
+    in cleared form on the int numerators."""
+    if not left.team.same_rows(right.team):
+        return False
     # measurements lead the empirical domain, so a row's context is its prefix
-    totals = prob_team.masses(empirical_domain(arity)[:arity])
-    return {row: w / totals[row[:arity]] for row, w in prob_team.weights().items()}
+    left_totals = left.masses(empirical_domain(arity)[:arity])
+    right_totals = right.masses(empirical_domain(arity)[:arity])
+    return all(
+        wl * right_totals[row[:arity]] == wr * left_totals[row[:arity]]
+        for (row, wl), wr in zip(left.numerators().items(), right.numerators().values())
+    )
 
 
 def verify_fig1_commutes(prob_hv_team: ProbTeam) -> bool:
@@ -221,7 +229,7 @@ def verify_fig1_commutes(prob_hv_team: ProbTeam) -> bool:
         return False
 
     # the probabilistic empirical model is the exact marginal
-    if e_prob.prob_team.weights() != prob_hv_team.restrict(varE).weights():
+    if not e_prob.prob_team.same_weights(prob_hv_team.restrict(varE)):
         return False
     # and the relational projections agree with the team-level projection
     return path1.team.same_rows(Team(varE, a.rows))

@@ -236,8 +236,8 @@ def locality_oracle_prob(model: HVModel) -> bool:
     comp_mass: dict = {}
     comp_joint: dict = {}
     outcome_values = [set() for _ in range(n)]
-    for row in team.rows:
-        w = pt.weight(row)
+    # the weights as Fractions, summed here rather than through ``masses``
+    for row, w in pt.weights().items():
         a = tuple(row[x] for x in mpos)
         b = tuple(row[x] for x in opos)
         c = row[lpos]

@@ -3,7 +3,10 @@
 A team is a finite set of assignments over a shared, ordered variable
 domain, with values drawn from a finite symbol universe.  A probabilistic
 team additionally carries an exact-rational, full-support probability
-distribution over its rows.  Everything downstream (formula evaluation,
+distribution over its rows, held as ``int`` numerators over one shared
+denominator in lowest terms: sums of masses are sums of ints, and
+``Fraction`` values are made only where weights and probabilities leave
+the package.  Everything downstream (formula evaluation,
 hidden-variable models, constructions, the no-go searches) is built from
 the operators defined here: restriction, generalisation, Skolem extension,
 value-universe extension and possibilistic collapse.
@@ -22,6 +25,9 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import repeat
+from math import gcd, lcm
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError, InvalidArgumentError
@@ -30,9 +36,9 @@ from .errors import DomainError, InvalidArgumentError
 Value = object
 Row = tuple
 
-#: Exact rational number used for all probability arithmetic.  No floating
-#: point appears anywhere in this package: independence atoms compare
-#: products of conditional probabilities for *equality*.
+#: Exact rational number in which weights and probabilities are handed in
+#: and out.  No floating point appears anywhere in this package:
+#: independence atoms compare products of masses for *equality*.
 Rational = Fraction
 
 
@@ -306,34 +312,60 @@ class Team:
 class ProbTeam:
     """A team plus an exact-rational full-support distribution over it.
 
-    Full support is structural: zero weights are rejected at construction,
-    so the underlying team *is* the possibilistic collapse.  Weights must
-    sum to exactly 1.
+    The distribution is stored as one positive ``int`` numerator per row
+    over a single shared ``denominator``, in lowest terms: the gcd of the
+    denominator and all numerators is 1.  Two equal distributions therefore
+    have equal numerators and denominators, whatever route built them.
+
+    The public constructor takes ``int`` or ``Fraction`` weights and checks
+    them: they cover exactly the team's rows, are positive (full support is
+    structural, so the underlying team *is* the possibilistic collapse) and
+    sum to exactly 1.  :meth:`weight` and :meth:`weights` hand out
+    ``Fraction`` values in lowest terms.
     """
 
-    __slots__ = ("team", "_weights", "_hash")
+    __slots__ = ("team", "denominator", "_numerators", "_hash")
 
     def __init__(self, team: Team, weights: Mapping):
-        table: dict[Row, Fraction] = {}
+        table: dict[Row, int | Fraction] = {}
         for key, w in weights.items():
             row = key.row if isinstance(key, Assignment) else tuple(key)
-            weight = Fraction(w)
             if row in table:
                 raise InvalidArgumentError(f"duplicate weight entry for row {row!r}")
-            table[row] = weight
-        if set(table) != set(team.rows):
+            table[row] = _exact(w, f"weight of row {row!r}")
+        if table.keys() != team._rowset:
             raise InvalidArgumentError("weights must cover exactly the team's rows")
         for row, weight in table.items():
             if weight <= 0:
                 raise InvalidArgumentError(
                     f"weight of row {row!r} is {weight}; full support requires > 0"
                 )
-        total = sum(table.values(), Fraction(0))
-        if total != 1:
-            raise InvalidArgumentError(f"weights sum to {total}, expected exactly 1")
+        scale = lcm(*(w.denominator for w in table.values()))
+        numerators = {
+            row: table[row].numerator * (scale // table[row].denominator) for row in team.rows
+        }
+        total = sum(numerators.values())
+        if total != scale:
+            raise InvalidArgumentError(
+                f"weights sum to {Fraction(total, scale)}, expected exactly 1"
+            )
+        self._store(team, numerators, scale)
+
+    @classmethod
+    def _reduced(cls, team: Team, numerators: Mapping[Row, int], denominator: int) -> "ProbTeam":
+        """The team with already checked weights: positive ``numerators``,
+        covering exactly ``team.rows`` and summing to ``denominator``."""
+        pt = object.__new__(cls)
+        pt._store(team, numerators, denominator)
+        return pt
+
+    def _store(self, team: Team, numerators: Mapping[Row, int], denominator: int):
+        # one gcd puts the distribution in lowest terms, in canonical row order
+        g = gcd(denominator, *numerators.values())
         self.team = team
-        self._weights = table
-        self._hash = hash((team, tuple(table[row] for row in team.rows)))
+        self.denominator = denominator // g
+        self._numerators = {row: numerators[row] // g for row in team.rows}
+        self._hash = hash((team, self.denominator, tuple(self._numerators.values())))
 
     @property
     def domain(self) -> tuple[str, ...]:
@@ -346,20 +378,29 @@ class ProbTeam:
     def weight(self, row) -> Fraction:
         key = row.row if isinstance(row, Assignment) else tuple(row)
         try:
-            return self._weights[key]
+            return Fraction(self._numerators[key], self.denominator)
         except KeyError:
             raise InvalidArgumentError(f"row {key!r} is not in the team") from None
 
     def weights(self) -> dict[Row, Fraction]:
         """Weights keyed by row tuple, in canonical row order."""
-        return {row: self._weights[row] for row in self.team.rows}
+        d = self.denominator
+        return {row: Fraction(n, d) for row, n in self._numerators.items()}
+
+    def numerators(self) -> dict[Row, int]:
+        """Weight numerators over :attr:`denominator`, in canonical row order."""
+        return dict(self._numerators)
+
+    def same_weights(self, other: "ProbTeam") -> bool:
+        """Equality of the distributions, ignoring the universes."""
+        return (
+            self.domain == other.domain
+            and self.denominator == other.denominator
+            and self._numerators == other._numerators
+        )
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ProbTeam)
-            and self.team == other.team
-            and self._weights == other._weights
-        )
+        return isinstance(other, ProbTeam) and self.team == other.team and self.same_weights(other)
 
     def __hash__(self) -> int:
         return self._hash
@@ -373,8 +414,7 @@ class ProbTeam:
         n = len(team)
         if n == 0:
             raise InvalidArgumentError("cannot build a distribution over an empty team")
-        w = Fraction(1, n)
-        return cls(team, {row: w for row in team.rows})
+        return cls._reduced(team, dict.fromkeys(team.rows, 1), n)
 
     # -- probabilistic team operators ------------------------------------
 
@@ -382,35 +422,43 @@ class ProbTeam:
         """Possibilistic collapse.  Full support makes this the underlying team."""
         return self.team
 
-    def masses(self, variables: Sequence[str]) -> dict[Row, Fraction]:
+    def masses(self, variables: Sequence[str]) -> dict[Row, int]:
         """Exact marginal on a variable tuple (names may repeat): the total
-        weight of each occurring value tuple, keyed in order of first
-        occurrence along the canonical rows.
+        weight numerator of each occurring value tuple, over
+        :attr:`denominator`, keyed in order of first occurrence along the
+        canonical rows.
 
-        Conditional probabilities, the independence atom and the
-        constructions all read their marginals here; the Locality oracle
-        in :mod:`teamlogic.properties` keeps its own arithmetic so that it
-        stays an independent check.
+        Ratios of masses need no denominator: ``Fraction(a, b)``, or a
+        cleared form compared on ints.  Conditional probabilities, the
+        independence atom and the constructions all read their marginals
+        here; the Locality oracle in :mod:`teamlogic.properties` keeps its
+        own ``Fraction`` arithmetic so that it stays an independent check.
         """
         pos = positions(self.domain, variables)
-        out: dict[Row, Fraction] = {}
-        for row in self.team.rows:
-            key = tuple(row[i] for i in pos)
-            out[key] = out.get(key, 0) + self._weights[row]
-        return out
+        if not pos:
+            return {(): self.denominator}
+        # one position projects to the bare value; its keys are boxed at the end
+        out: dict = {}
+        get = out.get
+        nums = self._numerators
+        for key, w in zip(map(itemgetter(*pos), nums), nums.values()):
+            out[key] = get(key, 0) + w
+        return {(k,): w for k, w in out.items()} if len(pos) == 1 else out
 
     def restrict(self, variables: Sequence[str]) -> "ProbTeam":
         """Marginalize onto a variable list; weights of merged rows add exactly."""
         merged = self.masses(variables)
-        return ProbTeam(Team(tuple(variables), merged.keys(), self.universe), merged)
+        team = Team(tuple(variables), merged.keys(), self.universe)
+        return ProbTeam._reduced(team, merged, self.denominator)
 
     def skolem_extend(self, var: str, function) -> "ProbTeam":
         """Probabilistic Skolem extension.
 
         ``function`` maps each assignment to an exact-rational distribution
-        (a mapping value -> weight summing to 1).  The probability mass of a
-        row is split over its extensions in those proportions; zero-weight
-        extensions are dropped so full support is preserved.
+        (a mapping value -> ``int`` or ``Fraction`` weight summing to 1).
+        The probability mass of a row is split over its extensions in those
+        proportions; zero-weight extensions are dropped so full support is
+        preserved.
         """
         if isinstance(function, Mapping):
             table = dict(function)
@@ -425,40 +473,62 @@ class ProbTeam:
         else:
             dist_of = function
 
-        new_weights: dict[Row, Fraction] = {}
-        rebound = var in self.domain
-        pos = self.domain.index(var) if rebound else None
-        for row in self.team.rows:
-            dist: dict[Value, Fraction] = {}
+        # every distribution is checked before any row is split: each over
+        # the lcm of its own denominators, and all over the lcm of those
+        dists = []
+        scale = 1
+        for row in self._numerators:
+            dist = []
             for v, p in dict(dist_of(Assignment(self.domain, row))).items():
                 value_key(v)
-                dist[v] = p = Fraction(p)
-                if p < 0:
+                p = _exact(p, f"probability of value {v!r}")
+                n = p.numerator
+                if n < 0:
                     raise InvalidArgumentError(f"negative probability {p} for value {v!r}")
-            total = sum(dist.values(), Fraction(0))
-            if total != 1:
+                if n:
+                    dist.append((v, n, p.denominator))
+            row_scale = lcm(*(d for _, _, d in dist))
+            total = sum(n * (row_scale // d) for _, n, d in dist)
+            if total != row_scale:
+                total = Fraction(total, row_scale)
                 raise InvalidArgumentError(
                     f"distribution for row {row!r} sums to {total}, expected 1"
                 )
-            base = self._weights[row]
-            for v, p in dist.items():
-                if p == 0:
-                    continue
-                if rebound:
-                    new_row = row[:pos] + (v,) + row[pos + 1 :]
-                else:
-                    new_row = row + (v,)
-                new_weights[new_row] = new_weights.get(new_row, Fraction(0)) + base * p
-        domain = self.domain if rebound else self.domain + (var,)
-        column = pos if rebound else -1
-        universe = set(self.universe) | {row[column] for row in new_weights}
-        return ProbTeam(Team(domain, new_weights.keys(), universe), new_weights)
+            scale = lcm(scale, row_scale)
+            dists.append(dist)
+        shares = ([(v, n * (scale // d)) for v, n, d in dist] for dist in dists)
+        return self._split(var, shares, scale)
 
     def uniform_extend(self, var: str, values: Iterable[Value]) -> "ProbTeam":
         """Skolem extension splitting every row's mass uniformly over ``values``."""
         vals = _sorted_values(values)
         if not vals:
             raise InvalidArgumentError("cannot extend uniformly over an empty value set")
-        share = Fraction(1, len(vals))
-        dist = {v: share for v in vals}
-        return self.skolem_extend(var, lambda s: dist)
+        return self._split(var, repeat([(v, 1) for v in vals]), len(vals))
+
+    def _split(self, var: str, shares: Iterable[list], scale: int) -> "ProbTeam":
+        """Extend (or rebind) ``var``: row i's numerator times each share of
+        the i-th list of (value, share) pairs, over ``denominator * scale``."""
+        rebound = var in self.domain
+        pos = self.domain.index(var) if rebound else None
+        out: dict[Row, int] = {}
+        for (row, w), split in zip(self._numerators.items(), shares):
+            for v, share in split:
+                if rebound:
+                    new_row = row[:pos] + (v,) + row[pos + 1 :]
+                else:
+                    new_row = row + (v,)
+                out[new_row] = out.get(new_row, 0) + w * share
+        domain = self.domain if rebound else self.domain + (var,)
+        column = pos if rebound else -1
+        universe = set(self.universe) | {row[column] for row in out}
+        team = Team(domain, out.keys(), universe)
+        return ProbTeam._reduced(team, out, self.denominator * scale)
+
+
+def _exact(x, what: str):
+    """``x`` itself when it is an exact number: an ``int`` or a
+    ``Fraction``, but not a ``bool``."""
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return x
+    raise InvalidArgumentError(f"{what} is {x!r}; expected an int or a Fraction")

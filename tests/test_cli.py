@@ -53,6 +53,8 @@ class TestEval:
         {"domain": ["x"], "rows": [[1]], "universe": 5},
         {"domain": "xy", "rows": []},
         {"domain": ["x", "y"], "rows": ["ab"]},
+        {"domain": ["x"], "rows": [[1]], "weights": [1.0]},
+        {"domain": ["x"], "rows": [[1]], "weights": [True]},
     ])
     def test_malformed_team_fields_are_input_errors(self, tmp_path, capsys, payload):
         team = tmp_path / "t.json"

@@ -1,11 +1,14 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teamlogic.errors import DomainError, InvalidArgumentError
+from teamlogic.sampling import random_prob_team
 from teamlogic.teams import Assignment, ProbTeam, Team, value_key
 
 
@@ -195,6 +198,90 @@ class TestUniformExtend:
     def test_support_matches_generalize(self, pt1):
         e = pt1.uniform_extend("v", [0, 1, 2])
         assert e.support().rows == pt1.support().generalize("v", [0, 1, 2]).rows
+
+
+class TestExactWeights:
+    @pytest.mark.parametrize("weights", [
+        {(0,): True},
+        {(0,): 1.0},
+        {(0,): Decimal(1)},
+        {(0,): "1"},
+        {(0,): Fraction(1, 2), (1,): 0.5},
+        {(0,): 0.5, (1,): 0.5},
+    ], ids=repr)
+    def test_non_exact_weights_rejected(self, weights):
+        t = Team(("x",), list(weights))
+        with pytest.raises(InvalidArgumentError, match="int or a Fraction"):
+            ProbTeam(t, weights)
+
+    @pytest.mark.parametrize("dist", [
+        {"a": True},
+        {"a": 1.0},
+        {"a": 0.25, "b": 0.75},
+        {"a": Fraction(1, 4), "b": 0.75},
+        {"a": Decimal("0.5"), "b": Fraction(1, 2)},
+    ], ids=repr)
+    def test_non_exact_probabilities_rejected(self, dist):
+        pt = ProbTeam(Team(("x",), [(0,)]), {(0,): 1})
+        with pytest.raises(InvalidArgumentError, match="int or a Fraction"):
+            pt.skolem_extend("y", lambda s: dist)
+
+    def test_int_weights_and_probabilities_accepted(self):
+        pt = ProbTeam(Team(("x",), [(0,)]), {(0,): 1})
+        e = pt.skolem_extend("y", lambda s: {"a": 1, "b": 0})
+        assert e.weights() == {(0, "a"): Fraction(1)}
+
+
+class TestCanonicalForm:
+    """Equal distributions are equal ProbTeams with equal hashes, in lowest
+    terms, whatever route built them."""
+
+    def test_routes_agree(self):
+        t = Team(("x",), [(0,), (1,), (2,)])
+        direct = ProbTeam(t, {(0,): Fraction(1, 6), (1,): Fraction(1, 3), (2,): Fraction(1, 2)})
+        unreduced_input = ProbTeam(
+            t, {(2,): Fraction(3, 6), (1,): Fraction(4, 12), (0,): Fraction(1, 6)}
+        )
+        round_trip = direct.uniform_extend("y", [0, 1, 2]).restrict(("x",))
+        skolem_round_trip = direct.skolem_extend(
+            "y", lambda s: {0: Fraction(1, 7), 1: Fraction(2, 5), 2: Fraction(16, 35)}
+        ).restrict(("x",))
+        for pt in (unreduced_input, round_trip, skolem_round_trip):
+            assert pt == direct and hash(pt) == hash(direct)
+            assert (pt.denominator, pt.numerators()) == (6, {(0,): 1, (1,): 2, (2,): 3})
+
+    def test_merged_masses_are_reduced(self):
+        t = Team(("x", "y"), [(0, 0), (0, 1), (1, 0)])
+        pt = ProbTeam(t, {(0, 0): Fraction(1, 4), (0, 1): Fraction(1, 4), (1, 0): Fraction(1, 2)})
+        merged = pt.restrict(("x",))
+        assert (merged.denominator, merged.numerators()) == (2, {(0,): 1, (1,): 1})
+        uniform = ProbTeam.uniform(Team(("x",), [(0,), (1,)], universe=pt.universe))
+        assert merged == uniform and hash(merged) == hash(uniform)
+
+    def test_point_mass(self):
+        t = Team(("x", "y"), [(0, 0), (0, 1)])
+        pt = ProbTeam(t, {(0, 0): Fraction(1, 3), (0, 1): Fraction(2, 3)})
+        point = pt.restrict(("x",))
+        assert (point.denominator, point.numerators()) == (1, {(0,): 1})
+        assert point.weights() == {(0,): Fraction(1)}
+
+
+def test_masses_match_fraction_group_by():
+    rng = random.Random(2718)
+    for _ in range(300):
+        pt = random_prob_team(
+            rng, ("x", "y", "z"), universe_size=rng.choice((2, 3)), max_rows=6,
+            denominator=rng.choice((6, 12, 120)),
+        )
+        assert gcd(pt.denominator, *pt.numerators().values()) == 1
+        variables = tuple(rng.choice(pt.domain) for _ in range(rng.randint(0, 3)))
+        expected: dict = {}
+        for row, w in pt.weights().items():
+            key = tuple(row[pt.domain.index(v)] for v in variables)
+            expected[key] = expected.get(key, Fraction(0)) + w
+        masses = pt.masses(variables)
+        assert list(masses) == list(expected)
+        assert {k: Fraction(n, pt.denominator) for k, n in masses.items()} == expected
 
 
 # property-based invariants
