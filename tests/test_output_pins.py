@@ -1,20 +1,40 @@
-"""Byte pins of probabilistic outputs.
+"""Byte pins of constructed outputs.
 
-The digests and strings below were recorded from the Fraction-per-row
-representation of ``ProbTeam``; any later representation must serialize
-the constructions' outputs, and print conditional probabilities and
-marginals, exactly as it did.
+The probabilistic digests and strings were recorded from the
+Fraction-per-row representation of ``ProbTeam``; any later
+representation must serialize the constructions' outputs, and print
+conditional probabilities and marginals, exactly as it did.  The
+no-go witnesses, the relational constructions, the single-valued and
+strong-determinism constructions and the rebinding extensions were
+pinned before their block layout, search driver, column binding and
+Skolem lookup were each moved into one kernel.
 """
 
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
-from teamlogic.constructions import construct_weakdet_lambdaindep, localize_prob
+from teamlogic.constructions import (
+    construct_single_valued,
+    construct_strong_det,
+    construct_weakdet_lambdaindep,
+    localize_prob,
+    localize_rel,
+)
 from teamlogic.eval_prob import CondProbQuery, cond_prob, marginal
 from teamlogic.jsonio import dump_json, model_to_dict, team_to_dict
-from teamlogic.sampling import random_empirical_model, random_hv_prob_team, random_local_witness
+from teamlogic.models import empirical_domain, from_team
+from teamlogic.nogo import exists_strongdet_lambdaindep
+from teamlogic.sampling import (
+    random_empirical_model,
+    random_hv_prob_team,
+    random_local_witness,
+    random_prob_team,
+    random_team,
+)
+from teamlogic.teams import Team
 
 
 def digest(payload: dict) -> str:
@@ -83,3 +103,80 @@ def test_cond_prob_and_marginal_strings_pinned(pt1):
         "29/60", "7/22", "7/10", "21/46", "1", "0", "1", "1", "19/30", "0",
         "59/120", "37/85", "3/40", "41/58", "109/120", "0", "119/120", "4/49", "43/120", "11/39",
     ]
+
+
+def test_strongdet_witness_json_pinned(ex22):
+    assert digest(model_to_dict(exists_strongdet_lambdaindep(ex22))) == (
+        "bef7a82710f4d3477aa05b0d76aa31dca4797fc2a6b9eacec797089051411685"
+    )
+
+
+def test_strongdet_witnesses_on_grid_json_pinned():
+    # every explainable four-row model over the 2x2 grid with R/G outcomes
+    space = [
+        (a, b, x, y)
+        for a in ("a1", "a2") for b in ("b1", "b2")
+        for x in ("R", "G") for y in ("R", "G")
+    ]
+    witnesses = []
+    for rows in combinations(space, 4):
+        hv = exists_strongdet_lambdaindep(from_team(Team(empirical_domain(2), rows), "empirical"))
+        if hv is not None:
+            witnesses.append(model_to_dict(hv))
+    assert len(witnesses) == 292
+    assert digest({"models": witnesses}) == "83a7838d2b02bcd6040c144ad1b98898e1a240aed2cb69d704d01f6a9a1aa9f0"
+
+
+@pytest.mark.parametrize(
+    ("seed", "arity", "expected"),
+    [
+        (0, 1, "a6cc31b99cd34a51038179567b4329dc1d350055ac142c51140429914bc4daa2"),
+        (3, 1, "ff91cb533ed01b2220dde6aa184b2a3655afa6c220ac63ced582bc0faf5ab7a7"),
+        (0, 2, "9ce36f0637871b09880d71a84bdf1278f8c48fc1dd33f798476f1de6a7e9e70c"),
+        (1, 2, "f8b1743f4c8bb22fe2678bf21cf4a36a65d6b886ada21fcaea17ba3e945c87d5"),
+        (2, 2, "b7fabfb50faea949c266c4c1fbcd5da6d429c8f94857f45fa1764a1bd73e4c89"),
+        (4, 3, "6189e166d5cbcaefb2330b5e301d6d8b960b91e2ee8440155b190b793be0b23a"),
+    ],
+)
+def test_localize_rel_json_pinned(seed, arity, expected):
+    witness = random_local_witness(random.Random(seed), arity=arity)
+    assert digest(model_to_dict(localize_rel(witness))) == expected
+
+
+@pytest.mark.parametrize(
+    ("seed", "arity", "expected"),
+    [
+        (0, 1, "56002b3d3a8be6991b22119242145ec79034d42409acc31042473fc96c36dcd0"),
+        (5, 1, "e089dbe1a6017afb892401f20d684e2ffc1fbad4284ff0946a48680dfe21286e"),
+        (0, 2, "9f6a8ec4047c3f36fc2f1af48a49369bd8d43dba721406ff4a9fa53bc2d6b630"),
+        (6, 2, "547e88c997b66a2f9a9af2c194989a537df991a2b896703eed6d74f4c825bb21"),
+        (0, 3, "6e767d589865fbf232161df4ac1b3f0db499f0eaed255410ff2d9cf7ca9a9fda"),
+        (6, 3, "1f623219b8eaab8105db3d24ddc9fcaff0d6e31b360ca125093314fff52d5d76"),
+    ],
+)
+def test_relational_weakdet_lambdaindep_json_pinned(seed, arity, expected):
+    model = random_empirical_model(random.Random(seed), arity=arity, component_size=2)
+    assert digest(model_to_dict(construct_weakdet_lambdaindep(model))) == expected
+
+
+def test_single_valued_and_strong_det_json_pinned():
+    rng = random.Random(3)
+    payloads = []
+    for arity in (1, 2, 2, 3):
+        model = random_empirical_model(rng, arity=arity, probabilistic=True)
+        payloads.append(model_to_dict(construct_single_valued(model)))
+        payloads.append(model_to_dict(construct_strong_det(model)))
+    assert digest({"models": payloads}) == "0e621815abdb7ee881be6d5d6b67f73f8d87f405de68165e39258a6ddd6542b4"
+
+
+def test_rebinding_extensions_json_pinned():
+    # each operator rebinds the column y in place
+    rng = random.Random(13)
+    payloads = []
+    for _ in range(12):
+        team = random_team(rng, ("x", "y", "z"), universe_size=3, max_rows=6)
+        payloads.append(team_to_dict(team.generalize("y", (2, "v", 0))))
+        payloads.append(team_to_dict(team.skolem_extend("y", lambda s: {s["x"], (s["x"] + s["z"]) % 3})))
+        pt = random_prob_team(rng, ("x", "y", "z"), universe_size=3, max_rows=6)
+        payloads.append(team_to_dict(pt.uniform_extend("y", ("v", 1))))
+    assert digest({"teams": payloads}) == "ff944770a28a56811eaa07425a1ed9102ba589a104dd34a7e256ed8ad3b05fe9"
