@@ -16,8 +16,9 @@ Four constructors, each implementing a constructive proof:
 Hidden values are canonical structured tokens (a fixed symbol, row tags,
 integers 0..N-1, or pairs of a hidden value and a selector table), so
 outputs are reproducible byte for byte.  Every output is exactly
-empirically equivalent to its input; partition bookkeeping is asserted at
-build time.
+empirically equivalent to its input.  The LCM construction and
+probabilistic localization lay out their blocks by one kernel,
+``_partition``, which asserts the partition bookkeeping at build time.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .models import (
     induced_empirical,
 )
 from .properties import PropertyName, check_property
-from .teams import ProbTeam, Team, row_key, value_key
+from .teams import ProbTeam, row_key, value_key
 
 SINGLE_LAMBDA = "l0"
 
@@ -85,39 +86,49 @@ def construct_weakdet_lambdaindep(model: EmpiricalModel) -> HVModel:
         hv = construct_weakdet_lambdaindep(uniform)
         return from_team(hv.team, "hidden")
 
-    pt = model.prob_team
     n = model.arity
-    mvars = empirical_domain(n)[:n]
-    group_mass = pt.masses(mvars)
-    # p(b | a) is joint[(a, b)] / group_mass[a]: a ratio of int numerators
-    joint = {(z[:n], z[n:]): mass for z, mass in pt.masses(empirical_domain(n)).items()}
-    modulus = lcm(*(group_mass[a] // gcd(mass, group_mass[a]) for (a, _), mass in joint.items()))
-    lam = list(range(modulus))
-
-    # contiguous block per (measurement, outcome) pair, in canonical outcome order
-    blocks: dict = {}
-    outcomes = sorted({b for _, b in joint}, key=row_key)
-    # masses are keyed in first-occurrence order along the canonical rows,
-    # which lead with the measurement columns, so this order is canonical
-    for a, total in group_mass.items():
-        cursor = 0
-        for b in outcomes:
-            mass = joint.get((a, b))
-            if mass is None:
-                continue
-            size, rest = divmod(mass * modulus, total)
-            assert rest == 0
-            blocks[(a, b)] = lam[cursor : cursor + size]
-            cursor += size
-        assert cursor == modulus, "blocks must partition the hidden set"
-
+    # masses are keyed in canonical row order, and the measurement columns
+    # lead: each context's outcomes come in canonical order
+    contexts: dict = {}
+    for z, mass in model.prob_team.masses(empirical_domain(n)).items():
+        contexts.setdefault(z[:n], {})[z[n:]] = mass
+    blocks = _partition(contexts)
     dists = {key: dict.fromkeys(block, Fraction(1, len(block))) for key, block in blocks.items()}
 
     def family(s):
         # a row's measurements and outcomes are its halves: measurements lead
         return dists[(s.row[:n], s.row[n:])]
 
-    return from_team(pt.skolem_extend(LAMBDA_VAR, family), "hidden")
+    return from_team(model.prob_team.skolem_extend(LAMBDA_VAR, family), "hidden")
+
+
+def _partition(groups: dict) -> dict:
+    """The LCM partition: one hidden set range(N) cut into blocks, once
+    per group.
+
+    ``groups`` maps each group to its outcomes' int masses, in layout
+    order; the result maps each (group, outcome) pair to its block, a
+    ``range``.  An outcome's share of N is its share of the group's total
+    mass, and N is the lcm of the reduced denominators of those shares, so
+    every block size is an integer and each group's blocks partition the
+    hidden set.
+    """
+    totals = {group: sum(masses.values()) for group, masses in groups.items()}
+    modulus = lcm(*(
+        totals[group] // gcd(mass, totals[group])
+        for group, masses in groups.items()
+        for mass in masses.values()
+    ))
+    blocks: dict = {}
+    for group, masses in groups.items():
+        cursor = 0
+        for outcome, mass in masses.items():
+            size, rest = divmod(mass * modulus, totals[group])
+            assert rest == 0
+            blocks[(group, outcome)] = range(cursor, cursor + size)
+            cursor += size
+        assert cursor == modulus, "blocks must partition the hidden set"
+    return blocks
 
 
 def _require(model: HVModel):
@@ -219,41 +230,18 @@ def localize_prob(model: HVModel) -> HVModel:
     mvars = empirical_domain(n)[:n]
     ovars = empirical_domain(n)[n:]
 
-    # P(o_i = b | m_i = a, l = c) as a pair of int numerators
-    conditional: dict = {}
+    # component i cuts its hidden set once per (m_i, l) pair, by the masses
+    # of o_i; sorted (m_i, o_i, l) keys meet each pair's outcomes in order
+    blocks = []
     for i in range(n):
-        comp_mass = pt.masses((mvars[i], LAMBDA_VAR))
-        for (a, b, c), mass in pt.masses((mvars[i], ovars[i], LAMBDA_VAR)).items():
-            conditional[(i, a, b, c)] = (mass, comp_mass[(a, c)])
+        joint = pt.masses((mvars[i], ovars[i], LAMBDA_VAR))
+        groups: dict = {}
+        for a, b, c in sorted(joint, key=row_key):
+            groups.setdefault((a, c), {})[b] = joint[(a, b, c)]
+        blocks.append(_partition(groups))
     row_mass: dict = {}
     for key, mass in pt.masses(mvars + ovars + (LAMBDA_VAR,)).items():
         row_mass.setdefault((key[:n], key[n:-1]), {})[key[-1]] = mass
-
-    moduli = [
-        lcm(*(
-            total // gcd(mass, total)
-            for (i, _, _, _), (mass, total) in conditional.items()
-            if i == comp
-        ))
-        for comp in range(n)
-    ]
-
-    blocks: dict = {}
-    for comp in range(n):
-        pairs = sorted({(a, c) for (i, a, _, c) in conditional if i == comp}, key=row_key)
-        for a, c in pairs:
-            outs = sorted(
-                {b for (i, aa, b, cc) in conditional if i == comp and aa == a and cc == c},
-                key=value_key,
-            )
-            cursor = 0
-            for b in outs:
-                mass, total = conditional[(comp, a, b, c)]
-                size, rest = divmod(mass * moduli[comp], total)
-                assert rest == 0
-                blocks[(comp, a, b, c)] = range(cursor, cursor + size)
-                cursor += size
-            assert cursor == moduli[comp], "component blocks must partition"
 
     def family(s):
         # measurements lead the empirical domain, outcomes follow
@@ -263,7 +251,7 @@ def localize_prob(model: HVModel) -> HVModel:
         total = sum(by_lambda.values())  # the row's mass in the empirical model
         dist: dict = {}
         for c, mass in by_lambda.items():
-            ranges = [blocks[(i, a[i], b[i], c)] for i in range(n)]
+            ranges = [blocks[i][((a[i], c), b[i])] for i in range(n)]
             share = Fraction(mass, total * prod(len(r) for r in ranges))
             for combo in product(*ranges):
                 dist[(c, combo)] = share

@@ -62,7 +62,7 @@ from .formulas import (
     free_vars,
     is_downward_closed,
 )
-from .teams import Row, Team, positions, row_key, value_key
+from .teams import Row, Team, bind, positions, row_key, value_key
 
 
 @dataclass(frozen=True)
@@ -196,11 +196,6 @@ def _intern(formula: Formula, domain: tuple[str, ...], nodes: dict) -> _Node:
     return node
 
 
-def _bind(domain: tuple[str, ...], var: str) -> tuple[str, ...]:
-    """The domain after quantifying ``var``: a bound column is rebound in place."""
-    return domain if var in domain else domain + (var,)
-
-
 def _build(formula: Formula, domain: tuple[str, ...], nodes: dict) -> _Node:
     closed = is_downward_closed(formula)
     match formula:
@@ -221,12 +216,10 @@ def _build(formula: Formula, domain: tuple[str, ...], nodes: dict) -> _Node:
                 return _Node(formula, _Evaluator.pointwise, closed, check=check)
             decide = _Evaluator.conj if both else _Evaluator.or_split
             return _Node(formula, decide, closed, lhs=a, rhs=b)
-        case Forall(var, body):
-            inner = _intern(body, _bind(domain, var), nodes)
-            return _Node(formula, _Evaluator.forall, closed, var=var, body=inner)
-        case Exists(var, body):
-            inner = _intern(body, _bind(domain, var), nodes)
-            return _Node(formula, _Evaluator.exists, closed, var=var, body=inner)
+        case Forall(var, body) | Exists(var, body):
+            inner = _intern(body, bind(domain, var)[0], nodes)
+            decide = _Evaluator.forall if isinstance(formula, Forall) else _Evaluator.exists
+            return _Node(formula, decide, closed, var=var, body=inner)
     raise InvalidArgumentError(f"unknown formula node {formula!r}")
 
 
@@ -364,16 +357,31 @@ def exact_transversal(blocks: Sequence[Sequence], tick: Callable[[], None] = lam
             for v in free:
                 del state[v]
 
-    # one suspended frame per decided block, on an explicit stack so that
-    # a search as deep as the team is long stays off the recursion limit
+    for _ in depth_first(len(order), lambda k: picks(options[order[k]])):
+        return {v for v, picked in state.items() if picked}
+    return None
+
+
+def depth_first(depth: int, level: Callable[[int], Iterator[bool]]) -> Iterator[None]:
+    """Depth-first search over ``depth`` levels of choices.
+
+    ``level(k)`` makes each choice of level ``k`` in turn, yielding True
+    while it holds and undoing it on resumption.  Yields once per complete
+    choice, with every level's choice made; a caller that stops early
+    keeps the state of its last yield.  One suspended ``level(k)`` per
+    decided level is kept on an explicit stack, so that a search as deep
+    as a team is long stays off the recursion limit.
+    """
     frames: list[Iterator[bool]] = []
-    while len(frames) < len(order):
-        frames.append(picks(options[order[len(frames)]]))
-        while not next(frames[-1], False):
+    while True:
+        if len(frames) < depth:
+            frames.append(level(len(frames)))
+        else:
+            yield
+        while frames and not next(frames[-1], False):
             frames.pop()
-            if not frames:
-                return None
-    return {v for v, picked in state.items() if picked}
+        if not frames:
+            return
 
 
 class _Evaluator:
@@ -582,20 +590,12 @@ class _Evaluator:
                     c.undo()
 
         def solve(order: list[int]) -> bool:
-            # one suspended frame per decided row, on an explicit stack so
-            # that a search as deep as the team is long stays off the
-            # recursion limit; a solved component leaves its frames
-            # suspended, so its choices stay in the constraints and ``chosen``
-            frames: list[Iterator[bool]] = []
-            while True:
-                if len(frames) < len(order):
-                    frames.append(groups(order[len(frames)]))
-                elif not residual or residual_dc or check_residual_partial():
+            # a solved component stops its search at the solution, so its
+            # choices stay in the constraints and ``chosen``
+            for _ in depth_first(len(order), lambda k: groups(order[k])):
+                if not residual or residual_dc or check_residual_partial():
                     return True
-                while frames and not next(frames[-1], False):
-                    frames.pop()
-                if not frames:
-                    return False
+            return False
 
         # Solving components separately keeps a failure in one from
         # triggering backtracking through the alternatives of the others.
@@ -726,10 +726,9 @@ class _Block:
         else:
             # re-quantification of a bound column
             variables, matrix = [node.var], node.body
-            self.ext_domain = domain
-            slot = domain.index(node.var)
-            self.block_positions = (slot,)
-            self.extend = lambda row, choice: row[:slot] + (choice[0],) + row[slot + 1 :]
+            self.ext_domain, put = bind(domain, node.var)
+            self.block_positions = positions(domain, variables)
+            self.extend = lambda row, choice: put(row, choice[0])
         self.variables = tuple(variables)
         self.singleton = matrix.closed
         self.filters: list = []

@@ -213,23 +213,18 @@ def verify_fig1_commutes(prob_hv_team: ProbTeam) -> bool:
     """
     h_prob = from_team(prob_hv_team, "hidden")
     varE = empirical_domain(h_prob.arity)
-
-    # team level: support then restrict == restrict then support
-    a = prob_hv_team.support().restrict(varE)
-    b = prob_hv_team.restrict(varE).support()
-    if not a.same_rows(b):
-        return False
-
-    # model level, all composite paths to a relational empirical model
     e_prob = induced_empirical(h_prob)
-    h_rel = possibilistic_collapse(h_prob)
-    path1 = possibilistic_collapse(e_prob)
-    path2 = induced_empirical(h_rel)
-    if not path1.team.same_rows(path2.team):
+
+    # one row set along every path: support then restrict, restrict then
+    # support, and for models collapse then project, project then collapse
+    a = prob_hv_team.support().restrict(varE)
+    paths = (e_prob, possibilistic_collapse(e_prob), induced_empirical(possibilistic_collapse(h_prob)))
+    if not all(a.same_rows(path.team) for path in paths):
         return False
 
-    # the probabilistic empirical model is the exact marginal
-    if not e_prob.prob_team.same_weights(prob_hv_team.restrict(varE)):
-        return False
-    # and the relational projections agree with the team-level projection
-    return path1.team.same_rows(Team(varE, a.rows))
+    # the probabilistic empirical model is the exact marginal, summed here
+    # in Fractions over the hidden column, which comes last
+    marginal: dict = {}
+    for row, w in prob_hv_team.weights().items():
+        marginal[row[:-1]] = marginal.get(row[:-1], 0) + w
+    return e_prob.prob_team.weights() == marginal

@@ -7,8 +7,10 @@ out a *global section*, a family of per-component outcome functions whose
 graph lies inside the model, and the model is explainable exactly when
 the consistent sections jointly cover it.  :func:`exists_strongdet_lambdaindep`
 decides this by exhaustive section enumeration with per-context
-propagation; :func:`exists_local_lambdaindep` answers the Locality
-variant, which the localization normal form makes the same decision.
+propagation, on the driver :func:`~teamlogic.eval_rel.depth_first`; each
+section carries its graph, which the cover test and the witness read.
+:func:`exists_local_lambdaindep` answers the Locality variant, which the
+localization normal form makes the same decision.
 
 The canonical Hardy empirical model has no such explanation.  The
 bundled 18-vector configuration in 4-space drives three formulations of
@@ -34,7 +36,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import BudgetExceededError, InvalidArgumentError
-from .eval_rel import eval_atom_rel, exact_transversal
+from .eval_rel import depth_first, eval_atom_rel, exact_transversal
 from .formulas import NCC
 from .models import (
     LAMBDA_VAR,
@@ -47,18 +49,12 @@ from .teams import Team, Value, value_key
 
 @dataclass(frozen=True)
 class GlobalSection:
-    """Per-component outcome functions, stored as sorted value tables."""
+    """Per-component outcome functions, stored as sorted value tables,
+    and their graph: the model row the section picks at each context, in
+    canonical context order."""
 
     tables: tuple[tuple[tuple[Value, Value], ...], ...]
-
-    def outcome(self, component: int, measurement: Value) -> Value:
-        for key, val in self.tables[component]:
-            if key == measurement:
-                return val
-        raise InvalidArgumentError(f"measurement {measurement!r} outside section domain")
-
-    def outcomes(self, measurements) -> tuple:
-        return tuple(self.outcome(i, m) for i, m in enumerate(measurements))
+    graph: tuple[tuple, ...]
 
 
 def _contexts(model: EmpiricalModel) -> dict[tuple, list[tuple]]:
@@ -113,21 +109,13 @@ def consistent_sections(model: EmpiricalModel, max_sections: int = 5_000_000) ->
             for i, key in added:
                 del partial[i][key]
 
-    # one suspended frame per decided context, on an explicit stack so
-    # that a model with many contexts stays off the recursion limit
-    frames: list[Iterator[bool]] = []
-    while True:
-        if len(frames) == len(contexts):
-            tables = tuple(
-                tuple((m, partial[i][m]) for m in measured[i]) for i in range(n)
-            )
-            sections.append(GlobalSection(tables))
-        else:
-            frames.append(extensions(*contexts[len(frames)]))
-        while frames and not next(frames[-1], False):
-            frames.pop()
-        if not frames:
-            return sections
+    for _ in depth_first(len(contexts), lambda k: extensions(*contexts[k])):
+        tables = tuple(
+            tuple((m, partial[i][m]) for m in measured[i]) for i in range(n)
+        )
+        graph = tuple(a + tuple(partial[i][a[i]] for i in range(n)) for a, _ in contexts)
+        sections.append(GlobalSection(tables, graph))
+    return sections
 
 
 def exists_strongdet_lambdaindep(
@@ -156,18 +144,12 @@ def _section_cover(model: EmpiricalModel, sections: list[GlobalSection]) -> HVMo
     """The hidden-variable model whose hidden values are ``sections``,
     or None when their graphs do not cover the model."""
     team = model.team
-    contexts = _contexts(model)
-    covered = {
-        a + section.outcomes(a)
-        for section in sections
-        for a in contexts
-    }
-    if covered != set(team.rows):
+    if {row for section in sections for row in section.graph} != set(team.rows):
         return None
     rows = [
-        a + section.outcomes(a) + (("sec", section.tables),)
+        row + (("sec", section.tables),)
         for section in sections
-        for a in contexts
+        for row in section.graph
     ]
     return from_team(Team(team.domain + (LAMBDA_VAR,), rows), "hidden")
 

@@ -9,7 +9,9 @@ denominator in lowest terms: sums of masses are sums of ints, and
 the package.  Everything downstream (formula evaluation,
 hidden-variable models, constructions, the no-go searches) is built from
 the operators defined here: restriction, generalisation, Skolem extension,
-value-universe extension and possibilistic collapse.
+value-universe extension and possibilistic collapse.  Every extension, and
+every quantifier of the evaluator, binds its column by one rule,
+:func:`bind`, and both kinds of team read a Skolem function one way.
 
 Values are opaque tokens: strings, integers, exact rationals, or nested
 tuples of these (tuples are used for vectors in 4-space and for structured
@@ -87,6 +89,33 @@ def positions(domain: tuple[str, ...], variables: Sequence[str]) -> tuple[int, .
     except ValueError:
         missing = next(v for v in variables if v not in domain)
         raise DomainError(f"variable {missing!r} not in domain {domain}") from None
+
+
+def bind(domain: tuple[str, ...], var: str) -> tuple[tuple[str, ...], Callable[[Row, Value], Row]]:
+    """The domain after binding ``var``, and ``put(row, value)``, the row
+    with ``var`` set to ``value``: a bound column is rebound in place, and
+    a new one is appended."""
+    if var not in domain:
+        return domain + (var,), lambda row, v: row + (v,)
+    pos = domain.index(var)
+    return domain, lambda row, v: row[:pos] + (v,) + row[pos + 1 :]
+
+
+def _per_row(domain: tuple[str, ...], function, what: str) -> Callable[[Row], object]:
+    """A Skolem ``function`` as a function of the row: ``function`` is a
+    callable on assignments or a mapping keyed by :class:`Assignment`,
+    which must cover every row; ``what`` names it in that error."""
+    if not isinstance(function, Mapping):
+        return lambda row: function(Assignment(domain, row))
+    table = dict(function)
+
+    def lookup(row: Row):
+        try:
+            return table[Assignment(domain, row)]
+        except KeyError:
+            raise InvalidArgumentError(f"Skolem {what} is undefined on row {row!r}") from None
+
+    return lookup
 
 
 class Assignment(Mapping):
@@ -254,51 +283,25 @@ class Team:
         ``function`` may be a callable on assignments or a mapping keyed by
         :class:`Assignment`; it must cover every row.
         """
-        lookup = self._skolem_lookup(var, function)
-        return self._extend(var, lookup)
+        image_of = _per_row(self.domain, function, "function")
 
-    def _skolem_lookup(self, var: str, function) -> Callable[[Row], list]:
-        if isinstance(function, Mapping):
-            table = dict(function)
+        def checked(row: Row) -> list:
+            vals = _sorted_values(image_of(row))
+            if not vals:
+                raise InvalidArgumentError(f"Skolem image for row {row!r} is empty")
+            return vals
 
-            def lookup(row: Row) -> list:
-                s = Assignment(self.domain, row)
-                if s not in table:
-                    raise InvalidArgumentError(
-                        f"Skolem function is undefined on row {row!r}"
-                    )
-                return self._checked_image(table[s], row)
-
-        else:
-
-            def lookup(row: Row) -> list:
-                return self._checked_image(function(Assignment(self.domain, row)), row)
-
-        return lookup
-
-    @staticmethod
-    def _checked_image(image, row: Row) -> list:
-        vals = _sorted_values(image)
-        if not vals:
-            raise InvalidArgumentError(f"Skolem image for row {row!r} is empty")
-        return vals
+        return self._extend(var, checked)
 
     def _extend(self, var: str, image_of: Callable[[Row], list]) -> "Team":
+        domain, put = bind(self.domain, var)
         new_universe = set(self.universe)
-        if var in self.domain:
-            pos = self.domain.index(var)
-            new_rows = set()
-            for row in self.rows:
-                for v in image_of(row):
-                    new_rows.add(row[:pos] + (v,) + row[pos + 1 :])
-                    new_universe.add(v)
-            return Team(self.domain, new_rows, new_universe)
         new_rows = set()
         for row in self.rows:
             for v in image_of(row):
-                new_rows.add(row + (v,))
+                new_rows.add(put(row, v))
                 new_universe.add(v)
-        return Team(self.domain + (var,), new_rows, new_universe)
+        return Team(domain, new_rows, new_universe)
 
     def add_values(self, values: Iterable[Value]) -> "Team":
         """The team X+A: identical rows, universe enlarged by ``values``.
@@ -460,18 +463,7 @@ class ProbTeam:
         proportions; zero-weight extensions are dropped so full support is
         preserved.
         """
-        if isinstance(function, Mapping):
-            table = dict(function)
-
-            def dist_of(s: Assignment):
-                if s not in table:
-                    raise InvalidArgumentError(
-                        f"Skolem family is undefined on row {s.row!r}"
-                    )
-                return table[s]
-
-        else:
-            dist_of = function
+        dist_of = _per_row(self.domain, function, "family")
 
         # every distribution is checked before any row is split: each over
         # the lcm of its own denominators, and all over the lcm of those
@@ -479,7 +471,7 @@ class ProbTeam:
         scale = 1
         for row in self._numerators:
             dist = []
-            for v, p in dict(dist_of(Assignment(self.domain, row))).items():
+            for v, p in dict(dist_of(row)).items():
                 value_key(v)
                 p = _exact(p, f"probability of value {v!r}")
                 n = p.numerator
@@ -509,18 +501,13 @@ class ProbTeam:
     def _split(self, var: str, shares: Iterable[list], scale: int) -> "ProbTeam":
         """Extend (or rebind) ``var``: row i's numerator times each share of
         the i-th list of (value, share) pairs, over ``denominator * scale``."""
-        rebound = var in self.domain
-        pos = self.domain.index(var) if rebound else None
+        domain, put = bind(self.domain, var)
         out: dict[Row, int] = {}
         for (row, w), split in zip(self._numerators.items(), shares):
             for v, share in split:
-                if rebound:
-                    new_row = row[:pos] + (v,) + row[pos + 1 :]
-                else:
-                    new_row = row + (v,)
+                new_row = put(row, v)
                 out[new_row] = out.get(new_row, 0) + w * share
-        domain = self.domain if rebound else self.domain + (var,)
-        column = pos if rebound else -1
+        column = domain.index(var)
         universe = set(self.universe) | {row[column] for row in out}
         team = Team(domain, out.keys(), universe)
         return ProbTeam._reduced(team, out, self.denominator * scale)

@@ -86,6 +86,14 @@ class TestNogo:
             "nogo", "exists", "--model", "builtin:ex22", "--target", "strong-det+lambda")
         assert code == 0 and "exists with 2 hidden values" in out
 
+    def test_exists_over_section_budget_exits_3(self, tmp_path, capsys):
+        rows = [[f"a{j}", f"b{j}", f"x{t}", f"y{t}"] for j in range(12) for t in range(4)]
+        model = tmp_path / "wide.json"
+        model.write_text(json.dumps(
+            {"kind": "empirical", "domain": ["m1", "m2", "o1", "o2"], "rows": rows}))
+        code = main(["nogo", "exists", "--model", str(model), "--target", "strong-det+lambda"])
+        assert code == 3 and "error[budget-error]" in capsys.readouterr().err
+
     def test_ks_json(self):
         code, out, _ = run_cli("nogo", "ks", "--json")
         assert code == 0

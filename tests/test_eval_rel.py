@@ -6,7 +6,14 @@ from itertools import combinations, product
 import pytest
 
 from teamlogic.errors import BudgetExceededError, DomainError
-from teamlogic.eval_rel import EvalBudget, compile, eval_atom_rel, eval_rel, exact_transversal
+from teamlogic.eval_rel import (
+    EvalBudget,
+    compile,
+    depth_first,
+    eval_atom_rel,
+    eval_rel,
+    exact_transversal,
+)
 from teamlogic.formulas import (
     NC,
     NCC,
@@ -344,6 +351,33 @@ class TestKSAtom:
             chosen = exact_transversal(blocks)
             assert (chosen is not None) == bool(found), blocks
             assert chosen is None or frozenset(chosen) in found, blocks
+
+    def test_depth_first_at_depth_zero_yields_once(self):
+        def level(k):
+            raise AssertionError("no level to decide")
+
+        assert list(depth_first(0, level)) == [None]
+
+    def test_depth_first_enumerates_and_keeps_state_on_early_stop(self):
+        state = []
+
+        def level(k):
+            # after a 0, level 1 admits only 1 and level 2 nothing, so the
+            # search backs up two levels
+            options = {(0,): (1,), (0, 1): ()}.get(tuple(state), (0, 1))
+            for v in options:
+                state.append(v)
+                yield True
+                state.pop()
+
+        assert [tuple(state) for _ in depth_first(3, level)] == [
+            (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1),
+        ]
+        assert state == []
+        for _ in depth_first(3, level):
+            if state == [1, 0, 1]:
+                break
+        assert state == [1, 0, 1]
 
     def test_ncc_search_deeper_than_recursion_limit(self):
         # 1,500 two-value rows make a search 1,500 blocks deep; choosing

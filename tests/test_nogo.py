@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from teamlogic.errors import InvalidArgumentError
+from teamlogic.errors import BudgetExceededError, InvalidArgumentError
 from teamlogic.eval_rel import eval_atom_rel, eval_rel
 from teamlogic.formulas import NCC
 from teamlogic.models import empirical_domain, empirically_equivalent, from_team, induced_empirical
@@ -68,14 +68,23 @@ class TestSections:
             ]
             rng.shuffle(rows)
             model = from_team(Team(empirical_domain(n), rows), "empirical")
-            found = [section.tables for section in consistent_sections(model)]
+            found = [(s.tables, s.graph) for s in consistent_sections(model)]
             assert found == _brute_force_sections(rows, n)
+
+    def test_section_space_guard(self):
+        # twelve measurements per component, each with four outcomes:
+        # 4**12 candidate functions for the first component alone
+        rows = [(f"a{j}", f"b{j}", f"x{t}", f"y{t}") for j in range(12) for t in range(4)]
+        model = from_team(Team(empirical_domain(2), rows), "empirical")
+        with pytest.raises(BudgetExceededError, match="section space exceeds 5000000"):
+            consistent_sections(model)
 
 
 def _brute_force_sections(rows, n):
     """Every global section inside the model, by definition: one outcome
     row per context, kept when the picks agree on each component's
-    measurements; contexts, outcome rows and tables sorted here."""
+    measurements; contexts, outcome rows and tables sorted here.  Each
+    comes with its graph, the picked model rows in context order."""
     by_context = {}
     for row in rows:
         by_context.setdefault(row[:n], set()).add(row[n:])
@@ -88,10 +97,11 @@ def _brute_force_sections(rows, n):
             for a, b in zip(contexts, picks)
             for i in range(n)
         ):
-            sections.append(tuple(
+            tables = tuple(
                 tuple(sorted(f.items(), key=lambda kv: value_key(kv[0])))
                 for f in functions
-            ))
+            )
+            sections.append((tables, tuple(a + b for a, b in zip(contexts, picks))))
     return sections
 
 

@@ -177,6 +177,27 @@ class TestProbSkolemExtend:
         with pytest.raises(InvalidArgumentError):
             pt1.skolem_extend("v", lambda s: {0: Fraction(1, 2)})
 
+    def test_rebinding_merges_masses(self):
+        t = Team(("x", "y"), [(0, 0), (0, 1), (1, 0)])
+        pt = ProbTeam(t, {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 4), (1, 0): Fraction(1, 4)})
+        e = pt.skolem_extend("y", lambda s: {"a": Fraction(1, 2), s["x"] + 5: Fraction(1, 2)})
+        assert e.domain == ("x", "y")
+        assert e.weights() == {
+            (0, 5): Fraction(3, 8), (0, "a"): Fraction(3, 8),
+            (1, 6): Fraction(1, 8), (1, "a"): Fraction(1, 8),
+        }
+        assert e.universe == (0, 1, 5, 6, "a")
+
+    def test_mapping_family_and_missing_row(self):
+        t = Team(("x",), [(0,), (1,)])
+        pt = ProbTeam(t, {(0,): Fraction(1, 3), (1,): Fraction(2, 3)})
+        family = {Assignment(("x",), (0,)): {"a": 1}, Assignment(("x",), (1,)): {"a": Fraction(1, 2), "b": Fraction(1, 2)}}
+        e = pt.skolem_extend("y", family)
+        assert e.weights() == {(0, "a"): Fraction(1, 3), (1, "a"): Fraction(1, 3), (1, "b"): Fraction(1, 3)}
+        del family[Assignment(("x",), (1,))]
+        with pytest.raises(InvalidArgumentError, match=r"Skolem family is undefined on row \(1,\)"):
+            pt.skolem_extend("y", family)
+
     def test_zero_mass_values_dropped(self):
         t = Team(("x",), [(0,)])
         pt = ProbTeam(t, {(0,): Fraction(1)})
@@ -194,6 +215,16 @@ class TestUniformExtend:
         pt = ProbTeam(t, {(0,): Fraction(1)})
         e = pt.uniform_extend("y", [0, 1])
         assert e.weight((0, 0)) == Fraction(1, 2)
+
+    def test_rebinding_merges_masses(self):
+        t = Team(("x", "y"), [(0, 0), (0, 1), (1, 0)])
+        pt = ProbTeam(t, {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 4), (1, 0): Fraction(1, 4)})
+        e = pt.uniform_extend("y", ["v", "w"])
+        assert e.domain == ("x", "y")
+        assert e.weights() == {
+            (0, "v"): Fraction(3, 8), (0, "w"): Fraction(3, 8),
+            (1, "v"): Fraction(1, 8), (1, "w"): Fraction(1, 8),
+        }
 
     def test_support_matches_generalize(self, pt1):
         e = pt1.uniform_extend("v", [0, 1, 2])
