@@ -14,6 +14,11 @@ existential, the static half of its search (on first use).
 :meth:`Plan.run` decides the formulas on one team, each node at most once
 for that team.  :func:`eval_rel` compiles its formula and runs it.
 
+Generalized dependence and ``nc`` share one definition, the incremental
+constraint that an existential search keeps: ``nc(xs; y)`` is the
+generalized dependence whose side-1 key is the set of a row's ``xs``
+values.  Their atom kernel adds a team's rows to a fresh constraint.
+
 The clauses for disjunction and existential quantification are genuinely
 exponential, so the evaluator leans on three exact reductions:
 
@@ -260,23 +265,11 @@ def _kernel(atom: Formula, domain: tuple[str, ...]) -> Callable[[_Evaluator, tup
                 return len(set(map(pair, rows))) == len(set(map(key, rows)))
 
             return dep
-        case GenDep(x1, x2, y1, y2):
-            k1, k2 = _project(positions(domain, x1)), _project(positions(domain, x2))
-            v1, v2 = _project(positions(domain, y1)), _project(positions(domain, y2))
-
-            def gendep(evaluator, rows) -> bool:
-                side1: dict = {}
-                side2: dict = {}
-                for row in rows:
-                    side1.setdefault(k1(row), set()).add(v1(row))
-                    side2.setdefault(k2(row), set()).add(v2(row))
-                for key, vals1 in side1.items():
-                    vals2 = side2.get(key)
-                    if vals2 and len(vals1 | vals2) != 1:
-                        return False
-                return True
-
-            return gendep
+        case GenDep() | NC():
+            # a pairwise condition: adding every row to a fresh constraint,
+            # in any order, decides it on the team
+            make = partial(_CONSTRAINTS[type(atom)], domain, atom)
+            return lambda evaluator, rows: all(map(make().add, rows))
         case Indep(xs, cond, ys):
             x, z, y = (_project(positions(domain, v)) for v in (xs, cond, ys))
 
@@ -297,19 +290,6 @@ def _kernel(atom: Formula, domain: tuple[str, ...]) -> Callable[[_Evaluator, tup
         case Incl(xs, ys):
             x, y = _project(positions(domain, xs)), _project(positions(domain, ys))
             return lambda evaluator, rows: set(map(x, rows)) <= set(map(y, rows))
-        case NC(xs, y):
-            p_x = positions(domain, xs)
-            (p_y,) = positions(domain, (y,))
-
-            def nc(evaluator, rows) -> bool:
-                yvals = {row[p_y] for row in rows}
-                for row in rows:
-                    hits = yvals.intersection(row[i] for i in p_x)
-                    if hits - {row[p_y]}:
-                        return False
-                return True
-
-            return nc
         case NCC(xs):
             p_x = positions(domain, xs)
 
@@ -804,24 +784,27 @@ class _DepConstraint:
 
 class _GenDepConstraint:
     """Incremental generalized-dependence check: once a key occurs on both
-    sides, all its consequent values on either side must coincide."""
+    sides, all its values on either side must coincide.
 
-    __slots__ = ("p_x1", "p_x2", "k1", "k2", "v1", "v2", "side1", "side2", "trail")
+    A row enters side 1 under each of its side-1 ``keys1``, valued by
+    ``v1``, and side 2 under its one side-2 key ``k2``, valued by ``v2``.
+    ``dep((x1; x2), (y1; y2))`` has one key on each side.  ``nc(xs; y)``
+    is the case whose side-1 keys are a row's distinct ``xs`` values,
+    valued by its ``y``, and whose side-2 key is ``y``, valued by itself:
+    a ``y`` value among a row's ``xs`` values must be that row's ``y``.
+    """
 
-    def __init__(self, domain: tuple[str, ...], atom: GenDep):
-        self.p_x1, self.p_x2 = positions(domain, atom.x1), positions(domain, atom.x2)
-        self.k1, self.k2 = _project(self.p_x1), _project(self.p_x2)
-        self.v1, self.v2 = _project(positions(domain, atom.y1)), _project(positions(domain, atom.y2))
+    __slots__ = ("grouping_positions", "keys1", "v1", "k2", "v2", "side1", "side2", "trail")
+
+    def __init__(self, grouping_positions: tuple[int, ...], keys1, v1, k2, v2):
+        self.grouping_positions = grouping_positions
+        self.keys1, self.v1, self.k2, self.v2 = keys1, v1, k2, v2
         self.side1: dict = {}
         self.side2: dict = {}
         self.trail: list = []
 
-    @property
-    def grouping_positions(self):
-        return self.p_x1 + self.p_x2
-
     def interaction_nodes(self, row: Row):
-        yield self.k1(row)
+        yield from self.keys1(row)
         yield self.k2(row)
 
     @staticmethod
@@ -849,70 +832,44 @@ class _GenDepConstraint:
             del mine[key]
 
     def add(self, row: Row) -> bool:
-        k1, v1, k2, v2 = self.k1(row), self.v1(row), self.k2(row), self.v2(row)
-        if not self._put(self.side1, self.side2, k1, v1):
-            return False
-        if not self._put(self.side2, self.side1, k2, v2):
+        keys, v1, k2, v2 = self.keys1(row), self.v1(row), self.k2(row), self.v2(row)
+        put = 0
+        for k1 in keys:
+            if not self._put(self.side1, self.side2, k1, v1):
+                break
+            put += 1
+        else:
+            if self._put(self.side2, self.side1, k2, v2):
+                self.trail.append((keys, v1, k2, v2))
+                return True
+        for k1 in keys[:put]:
             self._unput(self.side1, k1, v1)
-            return False
-        self.trail.append((k1, v1, k2, v2))
-        return True
+        return False
 
     def undo(self):
-        k1, v1, k2, v2 = self.trail.pop()
+        keys, v1, k2, v2 = self.trail.pop()
         self._unput(self.side2, k2, v2)
-        self._unput(self.side1, k1, v1)
+        for k1 in keys:
+            self._unput(self.side1, k1, v1)
 
 
-class _NCConstraint:
-    """Incremental check of nc(xs, y): a y-value occurring among a row's
-    selector values pins that row's y."""
+def _gendep(domain: tuple[str, ...], atom: GenDep) -> _GenDepConstraint:
+    p_x1, p_x2 = positions(domain, atom.x1), positions(domain, atom.x2)
+    k1 = _project(p_x1)
+    return _GenDepConstraint(
+        p_x1 + p_x2, lambda row: (k1(row),), _project(positions(domain, atom.y1)),
+        _project(p_x2), _project(positions(domain, atom.y2)),
+    )
 
-    __slots__ = ("p_x", "p_y", "yvals", "containing", "trail")
 
-    def __init__(self, domain: tuple[str, ...], atom: NC):
-        self.p_x = positions(domain, atom.xs)
-        (self.p_y,) = positions(domain, (atom.y,))
-        self.yvals: dict = {}
-        self.containing: dict = {}
-        self.trail: list = []
-
-    @property
-    def grouping_positions(self):
-        return self.p_x + (self.p_y,)
-
-    def interaction_nodes(self, row: Row):
-        yield row[self.p_y]
-        for i in self.p_x:
-            yield row[i]
-
-    def add(self, row: Row) -> bool:
-        xset = frozenset(row[i] for i in self.p_x)
-        y = row[self.p_y]
-        for v in xset:
-            if v != y and v in self.yvals:
-                return False
-        for entry in self.containing.get(y, ()):
-            if entry != y:
-                return False
-        self.yvals[y] = self.yvals.get(y, 0) + 1
-        for v in xset:
-            self.containing.setdefault(v, []).append(y)
-        self.trail.append((xset, y))
-        return True
-
-    def undo(self):
-        xset, y = self.trail.pop()
-        self.yvals[y] -= 1
-        if self.yvals[y] == 0:
-            del self.yvals[y]
-        for v in xset:
-            bucket = self.containing[v]
-            bucket.pop()
-            if not bucket:
-                del self.containing[v]
+def _nc(domain: tuple[str, ...], atom: NC) -> _GenDepConstraint:
+    p_x = positions(domain, atom.xs)
+    (p_y,) = positions(domain, (atom.y,))
+    y = itemgetter(p_y)
+    return _GenDepConstraint(p_x + (p_y,), lambda row: tuple({row[i]: None for i in p_x}), y, y, y)
 
 
 #: The incremental constraint each dependence-family conjunct of an
-#: existential matrix becomes.
-_CONSTRAINTS = {Dep: _DepConstraint, GenDep: _GenDepConstraint, NC: _NCConstraint}
+#: existential matrix becomes, built from the conjunct and the block's
+#: domain.
+_CONSTRAINTS = {Dep: _DepConstraint, GenDep: _gendep, NC: _nc}

@@ -219,17 +219,6 @@ def free_vars(formula: Formula) -> frozenset[str]:
     raise InvalidArgumentError(f"unknown formula node {formula!r}")
 
 
-def all_vars(formula: Formula) -> frozenset[str]:
-    """Free and bound variables together."""
-    match formula:
-        case Exists(var, body) | Forall(var, body):
-            return all_vars(body) | {var}
-        case And(lhs, rhs) | Or(lhs, rhs):
-            return all_vars(lhs) | all_vars(rhs)
-        case _:
-            return free_vars(formula)
-
-
 def is_downward_closed(formula: Formula) -> bool:
     """Syntactic sufficient condition for downward closure: the formula
     lies in ``FO(dep)``.

@@ -148,7 +148,3 @@ def load_team(path: str | Path) -> Team | ProbTeam:
 
 def load_model(path: str | Path) -> EmpiricalModel | HVModel:
     return model_from_dict(load_path(path))
-
-
-def save_model(model: EmpiricalModel | HVModel, path: str | Path):
-    Path(path).write_text(dump_json(model_to_dict(model)))

@@ -16,12 +16,15 @@ equivalence, and the commutativity check tying all of these together.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import DomainError, InvalidArgumentError
 from .teams import ProbTeam, Team, value_key
 
 LAMBDA_VAR = "l"
 
 
+@cache
 def empirical_domain(arity: int) -> tuple[str, ...]:
     return tuple(f"m{i}" for i in range(1, arity + 1)) + tuple(
         f"o{i}" for i in range(1, arity + 1)

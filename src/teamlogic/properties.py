@@ -29,8 +29,8 @@ routes against each other.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from itertools import product
+from math import prod
 
 from .errors import InvalidArgumentError, UnsupportedFragmentError
 from .eval_prob import eval_prob
@@ -236,26 +236,25 @@ def locality_oracle_prob(model: HVModel) -> bool:
     comp_mass: dict = {}
     comp_joint: dict = {}
     outcome_values = [set() for _ in range(n)]
-    # the weights as Fractions, summed here rather than through ``masses``
-    for row, w in pt.weights().items():
+    # int numerators over the team's one denominator, summed here rather
+    # than through ``masses``; the denominator cancels in each comparison
+    for row, w in pt.numerators().items():
         a = tuple(row[x] for x in mpos)
         b = tuple(row[x] for x in opos)
         c = row[lpos]
-        joint[(a, b, c)] = joint.get((a, b, c), Fraction(0)) + w
-        context_mass[(a, c)] = context_mass.get((a, c), Fraction(0)) + w
+        joint[(a, b, c)] = joint.get((a, b, c), 0) + w
+        context_mass[(a, c)] = context_mass.get((a, c), 0) + w
         for i in range(n):
-            comp_mass[(i, a[i], c)] = comp_mass.get((i, a[i], c), Fraction(0)) + w
-            comp_joint[(i, a[i], b[i], c)] = comp_joint.get((i, a[i], b[i], c), Fraction(0)) + w
+            comp_mass[(i, a[i], c)] = comp_mass.get((i, a[i], c), 0) + w
+            comp_joint[(i, a[i], b[i], c)] = comp_joint.get((i, a[i], b[i], c), 0) + w
             outcome_values[i].add(b[i])
 
-    zero = Fraction(0)
+    # joint / mass == prod(comp_joint / comp_mass), in cleared form
     for (a, c), mass in context_mass.items():
-        for b in product(*[sorted(vals, key=value_key) for vals in outcome_values]):
-            left = joint.get((a, tuple(b), c), zero) / mass
-            right = Fraction(1)
-            for i in range(n):
-                right *= comp_joint.get((i, a[i], b[i], c), zero) / comp_mass[(i, a[i], c)]
-            if left != right:
+        masses = prod(comp_mass[(i, a[i], c)] for i in range(n))
+        for b in product(*outcome_values):
+            joints = prod(comp_joint.get((i, a[i], b[i], c), 0) for i in range(n))
+            if joint.get((a, b, c), 0) * masses != mass * joints:
                 return False
     return True
 

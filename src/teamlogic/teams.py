@@ -145,10 +145,6 @@ class Assignment(Mapping):
         (pos,) = positions(self._domain, (var,))
         return self._row[pos]
 
-    def values_at(self, variables: Sequence[str]) -> Row:
-        """Project the assignment onto a tuple of variables."""
-        return tuple(self._row[i] for i in positions(self._domain, variables))
-
     def __iter__(self) -> Iterator[str]:
         return iter(self._domain)
 

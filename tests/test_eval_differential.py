@@ -309,6 +309,22 @@ def test_differential_degenerate_atoms(atom):
             assert eval_rel(team, atom) == naive_eval(team, atom), rows
 
 
+@pytest.mark.parametrize(
+    "atom",
+    [a for a in EMPTY_TUPLE_ATOMS + REPEATED_VARIABLE_ATOMS if isinstance(a, (GenDep, NC))],
+    ids=print_formula,
+)
+def test_differential_degenerate_atoms_in_search(atom):
+    # the same atom as a conjunct under an existential, so that the
+    # search's incremental constraint decides it
+    formula = Exists("q1", And(atom, Dep((), ("q1",))))
+    space = list(product((0, 1), repeat=3))
+    for count in range(4):
+        for rows in combinations(space, count):
+            team = Team(VARS, rows, universe=(0, 1))
+            assert eval_rel(team, formula) == naive_eval(team, formula), rows
+
+
 #: Values whose one-column projection is itself a tuple, beside bare
 #: values, so a one-column key and a one-tuple key would collide.
 MIXED_VALUES = ((0,), (0, 1), "a", 0)

@@ -7,6 +7,7 @@ import pytest
 
 from teamlogic.errors import BudgetExceededError, DomainError
 from teamlogic.eval_rel import (
+    _CONSTRAINTS,
     EvalBudget,
     compile,
     depth_first,
@@ -138,6 +139,48 @@ class TestAtoms:
 
     def test_indep_conditional(self, sig):
         assert not eval_atom_rel(sig.team, Indep(("o1",), ("m1",), ("m2",)))
+
+
+class TestGenDepConstraint:
+    """The one incremental constraint behind dep((x1; x2), (y1; y2)) and
+    nc(xs; y), as the existential search drives it."""
+
+    @staticmethod
+    def state(c):
+        return ({k: dict(v) for k, v in c.side1.items()},
+                {k: dict(v) for k, v in c.side2.items()}, list(c.trail))
+
+    def test_failed_add_leaves_tables_unchanged(self):
+        c = _CONSTRAINTS[NC](("x", "y", "z"), NC(("x", "y"), "z"))
+        assert c.add((1, 2, 1))
+        before = self.state(c)
+        # 1 is row (1, 2, 1)'s z and among this row's selectors: fails at
+        # the second side-1 key, after the first was put
+        assert not c.add((4, 1, 3))
+        assert self.state(c) == before
+        # z = 2 is among row (1, 2, 1)'s selectors: fails on side 2, after
+        # both side-1 keys were put
+        assert not c.add((5, 6, 2))
+        assert self.state(c) == before
+
+    def test_undo_restores_state(self):
+        c = _CONSTRAINTS[GenDep](("x", "y", "z"), GenDep(("x",), ("y",), ("z",), ("z",)))
+        empty = self.state(c)
+        assert c.add((0, 1, 0))
+        before = self.state(c)
+        assert c.add((1, 0, 0))
+        assert not c.add((2, 0, 1))
+        c.undo()
+        assert self.state(c) == before
+        c.undo()
+        assert self.state(c) == empty
+
+    def test_repeated_selector_value_put_once(self):
+        c = _CONSTRAINTS[NC](("x", "y", "z"), NC(("x", "y", "x"), "z"))
+        assert c.add((7, 7, 7))
+        assert c.side1 == {7: {7: 1}} and c.side2 == {7: {7: 1}}
+        c.undo()
+        assert c.side1 == c.side2 == {}
 
 
 class TestConnectives:
