@@ -30,7 +30,7 @@ from .formulas import Formula, is_downward_closed, parse
 from .models import hidden_domain
 from .properties import PropertyName, property_formula
 from .sampling import random_prob_team
-from .teams import ProbTeam, Team, row_key
+from .teams import ProbTeam, Team
 
 #: Conditional-independence implication that holds relationally but not
 #: probabilistically, with its probabilistic counterexample team `pt1`.
@@ -50,14 +50,16 @@ def enumerate_teams(
     nonempty: bool = True,
 ) -> Iterator[Team]:
     """All teams over per-variable value columns with at most ``max_rows``
-    rows, smallest first, in canonical order."""
+    rows, smallest first, in canonical order.  Each team is yielded once:
+    a value listed twice in a column adds no row twice."""
     variables = tuple(name for name, _ in columns)
-    space = sorted(product(*[values for _, values in columns]), key=row_key)
     universe = {v for _, values in columns for v in values}
+    # the assignment space is validated and sorted once, as one team
+    whole = Team(variables, product(*[values for _, values in columns]), universe)
     start = 1 if nonempty else 0
     for count in range(start, max_rows + 1):
-        for rows in combinations(space, count):
-            yield Team(variables, rows, universe)
+        for rows in combinations(whole.rows, count):
+            yield whole._sub(rows)
 
 
 def find_rel_counterexample(

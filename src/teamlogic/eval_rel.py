@@ -440,56 +440,52 @@ class _Evaluator:
         if self.memo_eval(team, lhs) or self.memo_eval(team, rhs):
             return True
         n = len(team.rows)
-        rows = team.rows
         if lhs.closed or rhs.closed:
             # For a downward-closed side the cover may be thinned to a
             # partition, so enumerating one side's subset suffices.
             first, second = (lhs, rhs) if rhs.closed else (rhs, lhs)
             for mask in range(1, (1 << n) - 1):
                 self.tick()
-                left = self._subteam(team, rows, mask, n)
+                left = self._subteam(team, mask)
                 if self.memo_eval(left, first):
-                    right = self._subteam(team, rows, ~mask, n)
+                    right = self._subteam(team, ~mask)
                     if self.memo_eval(right, second):
                         return True
             return False
         for mask in range(1, (1 << n) - 1):
             self.tick()
-            left = self._subteam(team, rows, mask, n)
+            left = self._subteam(team, mask)
             if not self.memo_eval(left, lhs):
                 continue
-            complement = [i for i in range(n) if not mask & (1 << i)]
-            free = [i for i in range(n) if mask & (1 << i)]
+            free = [1 << i for i in range(n) if mask & (1 << i)]
             for k in range(len(free) + 1):
                 for extra in combinations(free, k):
                     self.tick()
-                    chosen = complement + list(extra)
-                    right = Team(team.domain, (rows[i] for i in chosen), team.universe)
+                    right = self._subteam(team, ~mask | sum(extra))
                     if self.memo_eval(right, rhs):
                         return True
         return False
 
     def _or_with_flat_side(self, team: Team, flat: _Node, other: _Node) -> bool:
         check = flat.check
-        rest = tuple(row for row in team.rows if not check(row))
+        satisfied = [1 << i for i, row in enumerate(team.rows) if check(row)]
+        rest = (1 << len(team.rows)) - 1 - sum(satisfied)
         if not rest:
             return True
-        rest_team = Team(team.domain, rest, team.universe)
         if other.closed:
-            return self.eval(rest_team, other)
-        satisfied = tuple(row for row in team.rows if check(row))
+            return self.eval(self._subteam(team, rest), other)
         for k in range(len(satisfied) + 1):
             for extra in combinations(satisfied, k):
                 self.tick()
-                candidate = Team(team.domain, rest + extra, team.universe)
+                candidate = self._subteam(team, rest | sum(extra))
                 if self.memo_eval(candidate, other):
                     return True
         return False
 
     @staticmethod
-    def _subteam(team: Team, rows: tuple, mask: int, n: int) -> Team:
-        picked = tuple(rows[i] for i in range(n) if mask & (1 << i))
-        return Team(team.domain, picked, team.universe)
+    def _subteam(team: Team, mask: int) -> Team:
+        """The rows of ``team`` whose bits are set in ``mask``, in row order."""
+        return team._sub([row for i, row in enumerate(team.rows) if mask >> i & 1])
 
     # -- existential quantification ----------------------------------------
 

@@ -17,7 +17,9 @@ Values are opaque tokens: strings, integers, exact rationals, or nested
 tuples of these (tuples are used for vectors in 4-space and for structured
 hidden-variable tags).  They carry a content-based total order via
 :func:`value_key`, so every iteration and every serialized output is
-bit-deterministic regardless of construction order or hash seeds.
+bit-deterministic regardless of construction order or hash seeds.  A
+team keys, sorts and checks the rows it is given once; a sub-team of it,
+whose rows are taken in row order, is built without doing so again.
 
 All objects are immutable after construction and all operations are pure
 functions; values and teams may be shared freely between threads.
@@ -204,11 +206,23 @@ class Team:
             raise InvalidArgumentError(
                 "universe must contain every value occurring in rows"
             )
-        self.domain = dom
-        self.rows = sorted_rows
-        self.universe = tuple(uni)
-        self._rowset = frozenset(keyed)
-        self._hash = hash((dom, sorted_rows, self.universe))
+        self._store(dom, sorted_rows, frozenset(keyed), tuple(uni))
+
+    def _sub(self, rows: Sequence[Row]) -> "Team":
+        """The team over this team's domain and universe whose rows are
+        ``rows``: distinct rows of this team, in :attr:`rows` order.  They
+        are canonical already, so nothing is keyed, sorted or checked."""
+        rows = tuple(rows)
+        team = object.__new__(Team)
+        team._store(self.domain, rows, frozenset(rows), self.universe)
+        return team
+
+    def _store(self, domain: tuple[str, ...], rows: tuple, rowset: frozenset, universe: tuple):
+        self.domain = domain
+        self.rows = rows
+        self.universe = universe
+        self._rowset = rowset
+        self._hash = hash((domain, rows, universe))
 
     # -- basic protocol ------------------------------------------------
 

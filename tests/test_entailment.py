@@ -18,7 +18,7 @@ from teamlogic.eval_rel import EvalBudget, eval_rel
 from teamlogic.formulas import parse
 from teamlogic.models import hidden_domain
 from teamlogic.properties import PropertyName as P, property_formula
-from teamlogic.teams import row_key
+from teamlogic.teams import Team, row_key
 
 
 class TestEnumerateTeams:
@@ -43,6 +43,18 @@ class TestEnumerateTeams:
             rows for k in (1, 2) for rows in combinations(space, k)
         ]
         assert space[:3] == [(0, 1), (0, "b"), (1, 1)]
+        # each team is a sub-team of the assignment space, built without
+        # keying its rows again, and equals the team validated from them
+        for t in teams:
+            twin = Team(t.domain, t.rows, t.universe)
+            assert t == twin and hash(t) == hash(twin)
+            assert t.universe == twin.universe == (0, 1, "a", "b")
+
+    def test_each_team_yielded_once(self):
+        # a value listed twice in a column adds no duplicate row to the space
+        teams = list(enumerate_teams([("x", [0, 0, 1])], 2))
+        assert [t.rows for t in teams] == [((0,),), ((1,),), ((0,), (1,))]
+        assert len(set(teams)) == len(teams)
 
 
 class TestFindCounterexample:

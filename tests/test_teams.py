@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teamlogic.errors import DomainError, InvalidArgumentError
+from teamlogic.eval_rel import DEFAULT_BUDGET, _Evaluator, compile
+from teamlogic.formulas import parse
 from teamlogic.sampling import random_prob_team
 from teamlogic.teams import Assignment, ProbTeam, Team, value_key
 
@@ -434,3 +436,33 @@ def test_int_and_str_subclass_values_order_like_their_bases():
     assert [value_key(v) for v in values] == [value_key(v) for v in plain]
     t = Team(("x",), [(v,) for v in values])
     assert t.rows == Team(("x",), [(v,) for v in plain]).rows
+
+
+MIXED_VALUES = [0, 2, -1, Fraction(1, 2), Fraction(-3, 4), "", "a", "b",
+                (1, "a"), ((0,), Fraction(1, 3)), ("x", (2, ("y",)))]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sub_team_agrees_with_validated_team(seed):
+    rng = random.Random(seed)
+    dep = parse("dep(, x)")
+    for _ in range(50):
+        domain = ("x", "y", "z")[: rng.randint(1, 3)]
+        rows = [tuple(rng.choice(MIXED_VALUES) for _ in domain) for _ in range(rng.randint(0, 8))]
+        t = Team(domain, rows, [v for row in rows for v in row] + rng.sample(MIXED_VALUES, 2))
+        picked = [row for row in t.rows if rng.random() < 0.5]
+        sub = t._sub(picked)
+        twin = Team(t.domain, picked, t.universe)
+        assert sub == twin and twin == sub and hash(sub) == hash(twin)
+        assert sub.rows == twin.rows == tuple(picked)
+        assert sub.universe == twin.universe == t.universe
+        assert len(sub) == len(twin) == len(picked)
+        for row in t.rows:
+            assert (row in sub) == (row in twin) == (row in picked)
+        # a memo entry stored under either team is found under the other
+        node = compile([dep], domain).roots[0]
+        for first, second in ((sub, twin), (twin, sub)):
+            evaluator = _Evaluator(DEFAULT_BUDGET, t)
+            verdict = evaluator.memo_eval(first, node)
+            assert evaluator.memo_eval(second, node) == verdict
+            assert list(evaluator.memo) == [(node, first)]
