@@ -32,9 +32,9 @@ none = find_rel_counterexample(PSI1, PHI1, ("x", "y", "z", "w"),
                                universe_size=2, max_rows=7)
 print("relational counterexample within universe 2, <= 7 rows:", none)
 
-# The other direction: psi2 entails phi2 probabilistically (a
-# measure-theoretic fact cited from the literature), but rt2 breaks the
-# relational version.
+# The other direction: psi2, Studeny's (1992) premise, entails phi2
+# probabilistically (a measure-theoretic fact cited from the literature),
+# but rt2 breaks the relational version.
 print("\npsi2 =", PSI2)
 print("phi2 =", PHI2)
 print("rt2 |= psi2 (relational):", eval_rel(rt2, PSI2))

@@ -37,10 +37,10 @@ from .teams import ProbTeam, Team
 PSI1 = parse("z _||_{x} w & z _||_{y} w & x _||_{w z} y")
 PHI1 = parse("z _||_{x y} w")
 
-#: Implication that holds probabilistically (by measure-theoretic
-#: arguments cited from the literature, not re-proved here) but fails
-#: relationally on the team `rt2`.
-PSI2 = parse("x _||_{y z} y & z _||_{x} w & z _||_{y} w & x _||_ y")
+#: Studeny's (1992) implication, which holds probabilistically (by
+#: measure-theoretic arguments cited from the literature, not re-proved
+#: here) but fails relationally on the team `rt2`.
+PSI2 = parse("x _||_{z w} y & z _||_{x} w & z _||_{y} w & x _||_ y")
 PHI2 = parse("z _||_ w")
 
 
@@ -234,19 +234,22 @@ def verify_property_entailments(
     # properties, and the plan decides each at most once per team
     plan = compile([f for _, lhs, rhs in pairs for f in (lhs, rhs)], tuple(name for name, _ in columns))
     report = EntailmentReport(arity=arity, teams_checked=0, prob_samples=prob_samples)
+
+    def failing(team: Team | ProbTeam) -> Iterator[str]:
+        """The pairs whose lhs ``team`` satisfies and whose rhs it does not."""
+        verdict = plan.run(team)
+        return (name for k, (name, _, _) in enumerate(pairs) if verdict(2 * k) and not verdict(2 * k + 1))
+
     for team in enumerate_teams(columns, max_rows):
         report.teams_checked += 1
-        verdict = plan.run(team)
-        for k, (name, _, _) in enumerate(pairs):
-            if verdict(2 * k) and not verdict(2 * k + 1):
-                report.counterexamples.setdefault(name, team)
+        for name in failing(team):
+            report.counterexamples.setdefault(name, team)
 
     rng = random.Random(seed)
     for _ in range(prob_samples):
         pt = random_prob_team(rng, hidden_domain(arity), universe_size=component_size, max_rows=max_rows + 2)
-        for name, lhs, rhs in pairs:
-            if eval_prob(pt, lhs) and not eval_prob(pt, rhs):
-                report.counterexamples.setdefault(f"{name} [probabilistic]", pt.team)
+        for name in failing(pt):
+            report.counterexamples.setdefault(f"{name} [probabilistic]", pt.team)
 
     # known non-implications: witnesses must exist within small bounds
     # (both need two components; at arity 1 NoSig is a tautology)

@@ -1,16 +1,18 @@
 """Probabilistic team-semantics evaluator.
 
-Decides the fragment built from atoms, conjunction and universal
-quantification, which covers every property formula in this package.
-General probabilistic disjunction and existential quantification range
-over a continuous space of convex splits and Skolem distribution families,
-so they are rejected rather than approximated; explicit witnesses can be
-checked with :func:`check_skolem_witness`, and the construction routines
-produce such witnesses for every use the theory needs.
+Decides the fragment built from atoms, flat (literal-only) formulas,
+conjunction and universal quantification, which covers every property
+formula in this package, by running the plans of :mod:`teamlogic.eval_rel`
+on the probabilistic team.  Non-flat probabilistic disjunction and
+existential quantification range over a continuous space of convex splits
+and Skolem distribution families, so they are rejected rather than
+approximated; explicit witnesses can be checked with
+:func:`check_skolem_witness`, and the construction routines produce such
+witnesses for every use the theory needs.
 
-Semantics of the atoms:
+Semantics:
 
-* literals hold when they hold relationally on the support team;
+* a flat formula holds exactly when it holds on the support team;
 * ``dep(xs, ys)`` holds when every occurring ``xs`` value forces a ``ys``
   value with conditional probability exactly 1;
 * ``xs _||_{zs} ys`` is conditional stochastic independence: the joint
@@ -19,8 +21,10 @@ Semantics of the atoms:
 * inclusion, generalized dependence, ``nc`` and ``ncc`` have no
   probabilistic definition in the source theory; they are evaluated on the
   support team.  This is the conservative extension consistent with the
-  fact that probabilistic truth implies relational truth on the support.
+  fact that probabilistic truth implies relational truth on the support;
+* ``A x . phi`` splits each row's mass uniformly over the universe.
 
+Only the universal quantifier checks the universe against the budget.
 All arithmetic is exact rational; no tolerance appears anywhere.
 """
 
@@ -29,29 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    DomainError,
-    InvalidArgumentError,
-    UnsupportedFragmentError,
-    ZeroProbabilityError,
-)
-from .eval_rel import DEFAULT_BUDGET, EvalBudget, eval_atom_rel, eval_rel
-from .formulas import (
-    NC,
-    NCC,
-    And,
-    Dep,
-    Eq,
-    Exists,
-    Forall,
-    Formula,
-    GenDep,
-    Incl,
-    Indep,
-    Neq,
-    Or,
-    free_vars,
-)
+from .errors import InvalidArgumentError, ZeroProbabilityError
+from .eval_rel import EvalBudget, compile
+from .formulas import Formula
 from .teams import ProbTeam, Row
 
 
@@ -98,65 +82,11 @@ def marginal(prob_team: ProbTeam, variables: tuple[str, ...], values: Row) -> Fr
 def eval_prob(prob_team: ProbTeam, formula: Formula, budget: EvalBudget | None = None) -> bool:
     """Decide whether a probabilistic team satisfies a formula.
 
-    Raises :class:`UnsupportedFragmentError` on disjunction or existential
-    quantification; those have no finite search space here.
+    Raises :class:`~teamlogic.errors.UnsupportedFragmentError` on a disjunction that is not
+    flat, or on existential quantification; those have no finite search
+    space here.
     """
-    budget = budget or DEFAULT_BUDGET
-    missing = free_vars(formula) - set(prob_team.domain)
-    if missing:
-        raise DomainError(
-            f"free variables {sorted(missing)} not bound by team domain {prob_team.domain}"
-        )
-    return _eval(prob_team, formula, budget)
-
-
-def _eval(prob_team: ProbTeam, formula: Formula, budget: EvalBudget) -> bool:
-    match formula:
-        case And(lhs, rhs):
-            return _eval(prob_team, lhs, budget) and _eval(prob_team, rhs, budget)
-        case Forall(var, body):
-            budget.check_universe(len(prob_team.universe))
-            budget.check_rows(len(prob_team.team.rows) * len(prob_team.universe))
-            return _eval(prob_team.uniform_extend(var, prob_team.universe), body, budget)
-        case Or() | Exists():
-            raise UnsupportedFragmentError(
-                "probabilistic disjunction and existential quantification are "
-                "not decided; check an explicit witness instead"
-            )
-        case Dep():
-            # probability-1 dependence is dependence on the (full) support
-            return eval_atom_rel(prob_team.support(), formula)
-        case Indep(xs, cond, ys):
-            return _indep(prob_team, xs, cond, ys)
-        case Eq() | Neq() | Incl() | GenDep() | NC() | NCC():
-            # support-determined atoms: relational evaluation on the collapse
-            return eval_rel(prob_team.support(), formula, budget)
-    raise InvalidArgumentError(f"unknown formula node {formula!r}")
-
-
-def _indep(prob_team: ProbTeam, xs, cond, ys) -> bool:
-    """Conditional stochastic independence, checked exactly.
-
-    For every combination of an occurring xs value, ys value and condition
-    value, the conditional joint must equal the product of the conditional
-    marginals; the identity is verified in cleared form
-    joint * total == x_marginal * y_marginal on the masses' numerators,
-    so it is decided on ints, without division.
-    """
-    totals = prob_team.masses(cond)
-    x_mass = prob_team.masses((*cond, *xs))
-    y_mass = prob_team.masses((*cond, *ys))
-    joint_mass = prob_team.masses((*cond, *xs, *ys))
-    k = len(cond)
-    xvals = {key[k:] for key in x_mass}
-    yvals = {key[k:] for key in y_mass}
-    for z, total in totals.items():
-        for x in xvals:
-            mx = x_mass.get(z + x, 0)
-            for y in yvals:
-                if joint_mass.get(z + x + y, 0) * total != mx * y_mass.get(z + y, 0):
-                    return False
-    return True
+    return compile([formula], prob_team.domain).run(prob_team, budget)(0)
 
 
 def check_skolem_witness(

@@ -1,10 +1,11 @@
-"""Relational team-semantics evaluator.
+"""Team-semantics evaluator, relational and probabilistic.
 
 Implements the inductive satisfaction clauses exactly, with lax semantics
 throughout: disjunction splits into two covering (possibly overlapping)
 subteams, the existential quantifier ranges over set-valued Skolem
 functions, and the universal quantifier generalises over the team's value
-universe.
+universe.  Run on a :class:`~teamlogic.teams.ProbTeam`, the same plan
+decides the probabilistic fragment of :mod:`teamlogic.eval_prob`.
 
 Evaluation compiles, then runs.  :func:`compile` turns formulas into a
 :class:`Plan` over one variable domain, in which each distinct subformula
@@ -46,7 +47,7 @@ from itertools import combinations, product
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import BudgetExceededError, DomainError, InvalidArgumentError
+from .errors import BudgetExceededError, DomainError, InvalidArgumentError, UnsupportedFragmentError
 from .formulas import (
     ATOM_TYPES,
     NC,
@@ -67,7 +68,7 @@ from .formulas import (
     free_vars,
     is_downward_closed,
 )
-from .teams import Row, Team, bind, positions, row_key, value_key
+from .teams import ProbTeam, Row, Team, bind, positions, row_key, value_key
 
 
 @dataclass(frozen=True)
@@ -151,9 +152,10 @@ class Plan:
     domain: tuple[str, ...]
     roots: tuple[_Node, ...]
 
-    def run(self, team: Team, budget: EvalBudget | None = None) -> Callable[[int], bool]:
+    def run(self, team: Team | ProbTeam, budget: EvalBudget | None = None) -> Callable[[int], bool]:
         """The verdict of the ``i``-th formula on ``team``, as a function of ``i``.
 
+        A :class:`~teamlogic.teams.ProbTeam` is decided probabilistically.
         A verdict is decided when it is asked for, and each node at most
         once for the team.  ``budget`` bounds the work of each verdict
         afresh, as it bounds one :func:`eval_rel` call; a verdict does
@@ -162,7 +164,8 @@ class Plan:
         if team.domain != self.domain:
             raise DomainError(f"team domain {team.domain} differs from plan domain {self.domain}")
         budget = budget or DEFAULT_BUDGET
-        budget.check_universe(len(team.universe))
+        if isinstance(team, Team):  # probabilistic atoms decide on any universe
+            budget.check_universe(len(team.universe))
         evaluator = _Evaluator(budget, team)
         roots = self.roots
         return lambda i: evaluator.root(roots[i])
@@ -246,22 +249,25 @@ def _empty(row: Row) -> tuple:
     return ()
 
 
-def _decide_atom(evaluator: _Evaluator, team: Team, node: _Node) -> bool:
+def _decide_atom(evaluator: _Evaluator, team: Team | ProbTeam, node: _Node) -> bool:
     # through the method, so that wrapping ``_Evaluator.atom`` sees every
     # atom decision
     return evaluator.atom(team, node)
 
 
-def _kernel(atom: Formula, domain: tuple[str, ...]) -> Callable[[_Evaluator, tuple], bool]:
-    """The atom's test on a team's rows, over projections computed once."""
+def _kernel(atom: Formula, domain: tuple[str, ...]) -> Callable[[_Evaluator, Team | ProbTeam], bool]:
+    """The atom's test on a team, over projections computed once.  Only
+    ``_||_`` reads a probabilistic team's weights; every other atom reads
+    its support rows."""
     match atom:
         case Dep(xs, ys):
             key = _project(positions(domain, xs))
             pair = _project(positions(domain, xs + ys))
 
-            def dep(evaluator, rows) -> bool:
+            def dep(evaluator, team) -> bool:
                 # ys is a function of xs exactly when no xs value comes
                 # with two ys values: both projections count alike
+                rows = team.rows
                 return len(set(map(pair, rows))) == len(set(map(key, rows)))
 
             return dep
@@ -269,13 +275,15 @@ def _kernel(atom: Formula, domain: tuple[str, ...]) -> Callable[[_Evaluator, tup
             # a pairwise condition: adding every row to a fresh constraint,
             # in any order, decides it on the team
             make = partial(_CONSTRAINTS[type(atom)], domain, atom)
-            return lambda evaluator, rows: all(map(make().add, rows))
+            return lambda evaluator, team: all(map(make().add, team.rows))
         case Indep(xs, cond, ys):
             x, z, y = (_project(positions(domain, v)) for v in (xs, cond, ys))
 
-            def indep(evaluator, rows) -> bool:
+            def indep(evaluator, team) -> bool:
+                if isinstance(team, ProbTeam):
+                    return _stochastic_indep(team, xs, cond, ys)
                 groups: dict = {}
-                for row in rows:
+                for row in team.rows:
                     key = z(row)
                     g = groups.get(key)
                     if g is None:
@@ -289,11 +297,11 @@ def _kernel(atom: Formula, domain: tuple[str, ...]) -> Callable[[_Evaluator, tup
             return indep
         case Incl(xs, ys):
             x, y = _project(positions(domain, xs)), _project(positions(domain, ys))
-            return lambda evaluator, rows: set(map(x, rows)) <= set(map(y, rows))
+            return lambda evaluator, team: set(map(x, team.rows)) <= set(map(y, team.rows))
         case NCC(xs):
             p_x = positions(domain, xs)
 
-            def ncc(evaluator, rows) -> bool:
+            def ncc(evaluator, team) -> bool:
                 """Search for a per-row selection that is globally
                 non-contextual.
 
@@ -301,11 +309,36 @@ def _kernel(atom: Formula, domain: tuple[str, ...]) -> Callable[[_Evaluator, tup
                 selector values exactly once; singleton choices suffice
                 because the atom is downward closed.
                 """
-                blocks = [sorted({row[i] for i in p_x}, key=value_key) for row in rows]
+                blocks = [sorted({row[i] for i in p_x}, key=value_key) for row in team.rows]
                 return exact_transversal(blocks, evaluator.tick) is not None
 
             return ncc
     raise InvalidArgumentError(f"{atom!r} is not a team atom")
+
+
+def _stochastic_indep(prob_team: ProbTeam, xs, cond, ys) -> bool:
+    """Conditional stochastic independence, checked exactly.
+
+    For every combination of an occurring xs value, ys value and condition
+    value, the conditional joint must equal the product of the conditional
+    marginals; the identity is verified in cleared form
+    joint * total == x_marginal * y_marginal on the masses' numerators,
+    so it is decided on ints, without division.
+    """
+    totals = prob_team.masses(cond)
+    x_mass = prob_team.masses((*cond, *xs))
+    y_mass = prob_team.masses((*cond, *ys))
+    joint_mass = prob_team.masses((*cond, *xs, *ys))
+    k = len(cond)
+    xvals = {key[k:] for key in x_mass}
+    yvals = {key[k:] for key in y_mass}
+    for z, total in totals.items():
+        for x in xvals:
+            mx = x_mass.get(z + x, 0)
+            for y in yvals:
+                if joint_mass.get(z + x + y, 0) * total != mx * y_mass.get(z + y, 0):
+                    return False
+    return True
 
 
 def exact_transversal(blocks: Sequence[Sequence], tick: Callable[[], None] = lambda: None) -> set | None:
@@ -370,7 +403,7 @@ class _Evaluator:
     memo of verdicts on the subteams and extensions that searches build
     and the node count that the budget bounds together with the memo."""
 
-    def __init__(self, budget: EvalBudget, team: Team):
+    def __init__(self, budget: EvalBudget, team: Team | ProbTeam):
         self.budget = budget
         self.team = team
         self.verdicts: dict = {}
@@ -415,21 +448,23 @@ class _Evaluator:
     def pointwise(self, team: Team, node: _Node) -> bool:
         return all(map(node.check, team.rows))
 
-    def atom(self, team: Team, node: _Node) -> bool:
-        return node.kernel(self, team.rows)
+    def atom(self, team: Team | ProbTeam, node: _Node) -> bool:
+        return node.kernel(self, team)
 
     def conj(self, team: Team, node: _Node) -> bool:
         return self.eval(team, node.lhs) and self.eval(team, node.rhs)
 
-    def forall(self, team: Team, node: _Node) -> bool:
+    def forall(self, team: Team | ProbTeam, node: _Node) -> bool:
         if not team.rows:
             return True
+        self.budget.check_universe(len(team.universe))
         self.budget.check_rows(len(team.rows) * len(team.universe))
         return self.eval(team.generalize(node.var, team.universe), node.body)
 
     # -- disjunction -----------------------------------------------------
 
     def or_split(self, team: Team, node: _Node) -> bool:
+        _refuse_prob_search(team)
         lhs, rhs = node.lhs, node.rhs
         if not team.rows:
             return True
@@ -490,6 +525,7 @@ class _Evaluator:
     # -- existential quantification ----------------------------------------
 
     def exists(self, team: Team, node: _Node) -> bool:
+        _refuse_prob_search(team)
         if not team.rows:
             return True
         block = node.block
@@ -676,6 +712,15 @@ class _Evaluator:
                         yield out
 
         return source
+
+
+def _refuse_prob_search(team: Team | ProbTeam):
+    # the splits and Skolem families of a distribution form a continuum
+    if isinstance(team, ProbTeam):
+        raise UnsupportedFragmentError(
+            "probabilistic disjunction and existential quantification are "
+            "not decided; check an explicit witness instead"
+        )
 
 
 class _Block:

@@ -29,12 +29,12 @@ routes against each other.
 from __future__ import annotations
 
 from enum import Enum
+from functools import cache
 from itertools import product
 from math import prod
 
 from .errors import InvalidArgumentError, UnsupportedFragmentError
-from .eval_prob import eval_prob
-from .eval_rel import EvalBudget, eval_rel
+from .eval_rel import EvalBudget, Plan, compile
 from .formulas import And, Dep, Exists, Formula, GenDep, Incl, Indep, conjoin
 from .models import LAMBDA_VAR, EmpiricalModel, HVModel, empirical_domain
 from .teams import value_key
@@ -160,18 +160,23 @@ def check_property(
     """
     if prop not in EMPIRICAL_PROPERTIES and not isinstance(model, HVModel):
         raise InvalidArgumentError(f"{prop.value} needs a hidden-variable model")
-    formula = property_formula(prop, model.arity)
-    if model.probabilistic:
-        if prop is PropertyName.NON_CONTEXT_E:
-            if strict:
-                raise UnsupportedFragmentError(
-                    "NonContextE uses disjunction-free existentials over "
-                    "distributions; evaluate on the support (strict=False) "
-                    "or check a witness"
-                )
-            return eval_rel(model.team, formula, budget)
-        return eval_prob(model.prob_team, formula, budget)
-    return eval_rel(model.team, formula, budget)
+    data = model.data
+    if model.probabilistic and prop is PropertyName.NON_CONTEXT_E:
+        if strict:
+            raise UnsupportedFragmentError(
+                "NonContextE uses disjunction-free existentials over "
+                "distributions; evaluate on the support (strict=False) "
+                "or check a witness"
+            )
+        data = model.team
+    return _property_plan(prop, model.arity, data.domain).run(data, budget)(0)
+
+
+@cache
+def _property_plan(prop: PropertyName, arity: int, domain: tuple[str, ...]) -> Plan:
+    """The compiled formula of a property; a model's kind and arity fix
+    its domain, so this holds at most two plans per property and arity."""
+    return compile([property_formula(prop, arity)], domain)
 
 
 # ---------------------------------------------------------------------------

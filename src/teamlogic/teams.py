@@ -388,6 +388,11 @@ class ProbTeam:
     def universe(self) -> tuple:
         return self.team.universe
 
+    @property
+    def rows(self) -> tuple:
+        """The support's rows, in canonical order."""
+        return self.team.rows
+
     def weight(self, row) -> Fraction:
         key = row.row if isinstance(row, Assignment) else tuple(row)
         try:
@@ -507,6 +512,9 @@ class ProbTeam:
         if not vals:
             raise InvalidArgumentError("cannot extend uniformly over an empty value set")
         return self._split(var, repeat([(v, 1) for v in vals]), len(vals))
+
+    #: The universal quantifier's extension, by the name it has on :class:`Team`.
+    generalize = uniform_extend
 
     def _split(self, var: str, shares: Iterable[list], scale: int) -> "ProbTeam":
         """Extend (or rebind) ``var``: row i's numerator times each share of

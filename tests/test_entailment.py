@@ -4,7 +4,9 @@ import pytest
 
 from teamlogic.entailment import (
     PHI1,
+    PHI2,
     PSI1,
+    PSI2,
     EntailmentReport,
     _first_counterexample,
     enumerate_teams,
@@ -14,11 +16,12 @@ from teamlogic.entailment import (
     verify_separations,
 )
 from teamlogic.errors import BudgetExceededError
+from teamlogic.eval_prob import eval_prob
 from teamlogic.eval_rel import EvalBudget, eval_rel
 from teamlogic.formulas import parse
 from teamlogic.models import hidden_domain
 from teamlogic.properties import PropertyName as P, property_formula
-from teamlogic.teams import Team, row_key
+from teamlogic.teams import ProbTeam, Team, row_key
 
 
 class TestEnumerateTeams:
@@ -116,6 +119,17 @@ class TestSeparations:
         assert rep.rt2_satisfies_psi2 and not rep.rt2_satisfies_phi2
         assert rep.rel_counterexample_to_psi1_phi1 is None
         assert len(rep.lines()) == 6
+
+    def test_psi2_is_studenys_premise(self):
+        # with x _||_{y z} y in the first place, as once written, the
+        # premise holds of this uniform team, which fails phi2; Studeny's
+        # x _||_{z w} y excludes it
+        mistyped = parse("x _||_{y z} y & z _||_{x} w & z _||_{y} w & x _||_ y")
+        rows = [(0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 0, 1), (1, 1, 1, 1)]
+        pt = ProbTeam.uniform(Team(("x", "y", "z", "w"), rows))
+        assert eval_prob(pt, mistyped) and not eval_prob(pt, PHI2)
+        assert not eval_prob(pt, PSI2)
+        assert PSI2 == parse("x _||_{z w} y & z _||_{x} w & z _||_{y} w & x _||_ y")
 
 
 class TestPropertyEntailments:

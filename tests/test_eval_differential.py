@@ -11,7 +11,11 @@ optimized evaluator is allowed to be clever about.
 The probabilistic part checks the exact-marginal readers (the
 independence atom, ``cond_prob`` and ``marginal``) against probabilities
 summed by plain comprehension over the weight table, with conditional
-independence tested by division rather than in cleared form.
+independence tested by division rather than in cleared form.  A naive
+probabilistic evaluator for atoms, conjunction and the universal
+quantifier, which splits weights by its own arithmetic, is checked
+against ``eval_prob`` and against compiled plans run on probabilistic
+teams.
 """
 
 import random
@@ -439,3 +443,73 @@ def test_differential_cond_prob_and_marginal():
         else:
             assert cond_prob(pt, query) == naive_prob(pt, cond + event, cond_vals + ev_vals) / pz
     assert 0 < zero_conditions < 400
+
+
+def naive_prob_eval(pt: ProbTeam, f) -> bool:
+    """The probabilistic clauses for atoms, ``&`` and ``A``: ``_||_`` by
+    division, ``dep`` by conditional probabilities 0 or 1, the other
+    atoms on the support, and ``A`` by splitting each row's weight into
+    equal shares, one per value of the universe."""
+    if isinstance(f, Indep):
+        return naive_indep(pt, f.xs, f.cond, f.ys)
+    if isinstance(f, Dep):
+        domain = pt.domain
+        for row in pt.team.rows:
+            x = tuple(row[domain.index(v)] for v in f.xs)
+            y = tuple(row[domain.index(v)] for v in f.ys)
+            if naive_prob(pt, f.xs + f.ys, x + y) != naive_prob(pt, f.xs, x):
+                return False
+        return True
+    if isinstance(f, And):
+        return naive_prob_eval(pt, f.lhs) and naive_prob_eval(pt, f.rhs)
+    if isinstance(f, Forall):
+        domain, values = pt.domain, pt.universe
+        if f.var in domain:
+            pos = domain.index(f.var)
+            extended = domain
+        else:
+            pos = len(domain)
+            extended = domain + (f.var,)
+        weights: dict = {}
+        for row, w in pt.weights().items():
+            for v in values:
+                new = row[:pos] + (v,) + row[pos + 1 :]
+                weights[new] = weights.get(new, 0) + w / len(values)
+        return naive_prob_eval(ProbTeam(Team(extended, weights, values), weights), f.body)
+    return naive_eval(pt.support(), f)
+
+
+def random_prob_formula(rng, depth, names=VARS):
+    """Atoms and literals joined by ``&`` and ``A``; a quantified variable
+    is fresh or rebinds a column, and its body may mention it."""
+    pick = rng.random()
+    if depth == 0 or pick < 0.4:
+        return random_formula(rng, 0, names=names)
+    if pick < 0.7:
+        return And(random_prob_formula(rng, depth - 1, names),
+                   random_prob_formula(rng, depth - 1, names))
+    var = rng.choice(("q1", "q2", "x"))
+    inner = names if var in names else names + (var,)
+    body = random_prob_formula(rng, depth - 1, inner)
+    if rng.random() < 0.5:
+        body = And(body, Indep((var,), (), (rng.choice(names),)))
+    return Forall(var, body)
+
+
+def test_differential_prob_fragment():
+    rng = random.Random(2718)
+    verdicts = []
+    for _ in range(60):
+        formulas = [random_prob_formula(rng, depth=2) for _ in range(4)]
+        plan = compile(formulas, VARS)
+        for _ in range(3):
+            pt = random_prob_team(rng, VARS, universe_size=2, max_rows=4)
+            verdict = plan.run(pt)
+            order = list(range(len(formulas)))
+            rng.shuffle(order)
+            for i in order:
+                expected = naive_prob_eval(pt, formulas[i])
+                assert verdict(i) == eval_prob(pt, formulas[i]) == expected, (
+                    pt.weights(), print_formula(formulas[i]))
+                verdicts.append(expected)
+    assert 0.2 < sum(verdicts) / len(verdicts) < 0.8

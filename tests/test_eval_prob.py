@@ -86,6 +86,33 @@ class TestEvalProb:
         assert eval_prob(pt1, parse("z <= x")) == eval_rel(pt1.support(), parse("z <= x"))
         assert eval_prob(pt1, parse("ncc(x y)")) == eval_rel(pt1.support(), parse("ncc(x y)"))
 
+    def test_every_atom_decides_past_universe_budget(self):
+        # each atom is a scan of the support rows, like dep; only the
+        # universal quantifier checks the universe
+        pt = ProbTeam.uniform(Team(("x", "y"), [(i, i % 2) for i in range(200)]))
+        verdicts = {
+            "x <= y": False,
+            "y <= x": True,
+            "x = x": True,
+            "dep((x; x), (y; y))": True,
+            "nc(x; y)": True,
+            "ncc(x y)": True,
+        }
+        for text, verdict in verdicts.items():
+            assert eval_prob(pt, parse(text)) is verdict, text
+        with pytest.raises(BudgetExceededError):
+            eval_prob(pt, parse("A z . dep(x, y)"))
+
+    def test_flat_disjunction_is_decided_on_the_support(self, pt1):
+        # a flat formula holds of a probabilistic team exactly when it
+        # holds of its support, row by row
+        for text in ("x = 0 | x != 0", "x = 0 | y = 1", "x = y | z = w", "x = 0 & (y = 1 | z = 0)"):
+            formula = parse(text)
+            assert eval_prob(pt1, formula) == eval_rel(pt1.support(), formula), text
+        assert eval_prob(pt1, parse("x = 0 | x != 0"))
+        with pytest.raises(UnsupportedFragmentError):
+            eval_prob(pt1, parse("dep(x, y) | x = 0"))
+
 
 class TestWitnesses:
     def test_own_row_witness_certifies_strongdet(self, ex22):
