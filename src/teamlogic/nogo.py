@@ -8,7 +8,8 @@ graph lies inside the model, and the model is explainable exactly when
 the consistent sections jointly cover it.  :func:`exists_strongdet_lambdaindep`
 decides this by exhaustive section enumeration with per-context
 propagation, on the driver :func:`~teamlogic.eval_rel.depth_first`; each
-section carries its graph, which the cover test and the witness read.
+section's graph is the model rows it picks, which the cover test reads
+and a covered model's witness takes in canonical row order.
 :func:`exists_local_lambdaindep` answers the Locality variant, which the
 localization normal form makes the same decision.
 
@@ -31,19 +32,17 @@ transfers; the reports state this derivation rather than re-searching.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from typing import Iterator
 
 from .errors import BudgetExceededError, InvalidArgumentError
 from .eval_rel import depth_first, eval_atom_rel, exact_transversal
 from .formulas import NCC
-from .models import (
-    LAMBDA_VAR,
-    EmpiricalModel,
-    HVModel,
-    from_team,
-)
+from .jsonio import _fraction
+from .models import LAMBDA_VAR, EmpiricalModel, HVModel
 from .teams import Team, Value, value_key
 
 
@@ -57,33 +56,25 @@ class GlobalSection:
     graph: tuple[tuple, ...]
 
 
-def _contexts(model: EmpiricalModel) -> dict[tuple, list[tuple]]:
-    """Each context (measurement tuple) mapped to its outcome rows.
-
-    A model's measurement columns come first and its team keeps its rows
-    sorted by ``row_key``, so this one grouping pass meets the contexts,
-    and each context's outcome rows, already in canonical order.
-    """
-    n = model.arity
-    groups: dict[tuple, list[tuple]] = {}
-    for row in model.team.rows:
-        groups.setdefault(row[:n], []).append(row[n:])
-    return groups
-
-
 def consistent_sections(model: EmpiricalModel, max_sections: int = 5_000_000) -> list[GlobalSection]:
     """All global sections whose graph is contained in the model.
 
     Enumerated by per-context propagation: contexts are processed in
-    canonical order, each choosing a compatible outcome row and extending
+    canonical order, each choosing a compatible model row and extending
     the partial per-component functions, with contradictions pruned early.
+    A section's graph is the tuple of the rows chosen.
     """
     n = model.arity
-    contexts = list(_contexts(model).items())
+    # measurements lead the domain and the rows are canonical, so one
+    # grouping pass meets the contexts, and each one's rows, in order
+    groups: dict[tuple, list[tuple]] = {}
+    for row in model.team.rows:
+        groups.setdefault(row[:n], []).append(row)
+    contexts = list(groups.items())
     measured = [sorted({a[i] for a, _ in contexts}, key=value_key) for i in range(n)]
     space = 1
     for i in range(n):
-        space *= len({b[i] for _, rows in contexts for b in rows}) ** len(measured[i])
+        space *= len({row[n + i] for row in model.team.rows}) ** len(measured[i])
         if space > max_sections:
             raise BudgetExceededError(
                 f"section space exceeds {max_sections}; refusing blind enumeration"
@@ -91,30 +82,30 @@ def consistent_sections(model: EmpiricalModel, max_sections: int = 5_000_000) ->
 
     sections: list[GlobalSection] = []
     partial: list[dict] = [{} for _ in range(n)]
+    chosen: list[tuple] = [()] * len(contexts)
 
-    def extensions(a: tuple, rows: list) -> Iterator[bool]:
-        """Extend ``partial`` by each compatible outcome row of context
-        ``a`` in turn, yielding while it holds; undone on resumption."""
-        for b in rows:
+    def extensions(k: int) -> Iterator[bool]:
+        """Extend ``partial`` by each compatible row of context ``k`` in
+        turn, yielding while it holds; undone on resumption."""
+        a, rows = contexts[k]
+        for row in rows:
             added = []
             for i in range(n):
                 known = partial[i].get(a[i])
                 if known is None:
-                    partial[i][a[i]] = b[i]
+                    partial[i][a[i]] = row[n + i]
                     added.append((i, a[i]))
-                elif known != b[i]:
+                elif known != row[n + i]:
                     break
             else:
+                chosen[k] = row
                 yield True
             for i, key in added:
                 del partial[i][key]
 
-    for _ in depth_first(len(contexts), lambda k: extensions(*contexts[k])):
-        tables = tuple(
-            tuple((m, partial[i][m]) for m in measured[i]) for i in range(n)
-        )
-        graph = tuple(a + tuple(partial[i][a[i]] for i in range(n)) for a, _ in contexts)
-        sections.append(GlobalSection(tables, graph))
+    for _ in depth_first(len(contexts), extensions):
+        tables = tuple(tuple((m, partial[i][m]) for m in measured[i]) for i in range(n))
+        sections.append(GlobalSection(tables, tuple(chosen)))
     return sections
 
 
@@ -140,18 +131,33 @@ def exists_strongdet_lambdaindep(
     return _section_cover(model, consistent_sections(model, max_sections))
 
 
+def _covers(model: EmpiricalModel, sections: list[GlobalSection]) -> bool:
+    """Whether the graphs of ``sections`` cover the model's rows."""
+    return {row for section in sections for row in section.graph} == set(model.team.rows)
+
+
 def _section_cover(model: EmpiricalModel, sections: list[GlobalSection]) -> HVModel | None:
     """The hidden-variable model whose hidden values are ``sections``,
-    or None when their graphs do not cover the model."""
-    team = model.team
-    if {row for section in sections for row in section.graph} != set(team.rows):
+    tagged ``("sec", tables)``, or None when they do not cover the model.
+    Each model row, in row order, is extended by the tags of the sections
+    that pick it, in tag order: the rows come out canonical."""
+    if not _covers(model, sections):
         return None
-    rows = [
-        row + (("sec", section.tables),)
-        for section in sections
-        for row in section.graph
-    ]
-    return from_team(Team(team.domain + (LAMBDA_VAR,), rows), "hidden")
+    team = model.team
+    graphs = {("sec", s.tables): s.graph for s in sections}
+    keys = {tag: value_key(tag) for tag in graphs}
+    tags_of: dict[tuple, list] = {}
+    for tag in sorted(graphs, key=keys.__getitem__):
+        for row in graphs[tag]:
+            tags_of.setdefault(row, []).append(tag)
+    # a list first: tuple() of a generator over-allocates, which raises peak RSS
+    rows = tuple([row + (tag,) for row in team.rows for tag in tags_of[row]])
+    # the model's universe is its sorted active values; numbers and strings
+    # sort before every tuple, so only its tuples are merged with the tags
+    cut = next((i for i, v in enumerate(team.universe) if isinstance(v, tuple)), len(team.universe))
+    keys.update((v, value_key(v)) for v in team.universe[cut:])
+    universe = team.universe[:cut] + tuple(sorted(keys, key=keys.__getitem__))
+    return HVModel(Team._canonical(team.domain + (LAMBDA_VAR,), rows, universe), model.arity)
 
 
 def exists_local_lambdaindep(
@@ -200,13 +206,7 @@ def check_hardy_conditions(model: EmpiricalModel) -> list[str]:
         return failures
     a1, a2 = m1
     b1, b2 = m2
-    r_candidates = [
-        (r, g)
-        for r in sorted(outcome_values, key=value_key)
-        for g in sorted(outcome_values, key=value_key)
-        if r != g
-    ]
-    for r, g in r_candidates:
+    for r, g in permutations(sorted(outcome_values, key=value_key), 2):
         ok = (
             (a1, b1, r, r) in team
             and (a1, b2, r, r) not in team
@@ -246,7 +246,7 @@ def verify_hardy() -> HardyReport:
     sections = consistent_sections(model)
     return HardyReport(
         conditions_ok=not check_hardy_conditions(model),
-        witness_exists=_section_cover(model, sections) is not None,
+        witness_exists=_covers(model, sections),
         sections_found=len(sections),
     )
 
@@ -291,14 +291,10 @@ class KSConfiguration:
                             f"basis {j}: vectors {basis[p]} and {basis[q]} are not orthogonal"
                         )
         if require_double_cover:
-            counts = [0] * len(self.vectors)
-            for basis in self.bases:
-                for i in basis:
-                    if 0 <= i < len(counts):
-                        counts[i] += 1
-            for idx, c in enumerate(counts):
-                if c != 2:
-                    problems.append(f"vector {idx} occurs in {c} bases, expected exactly 2")
+            counts = Counter(i for basis in self.bases for i in basis)
+            for idx in range(len(self.vectors)):
+                if counts[idx] != 2:
+                    problems.append(f"vector {idx} occurs in {counts[idx]} bases, expected exactly 2")
         return problems
 
 
@@ -324,7 +320,7 @@ def _index(i) -> int:
 def _coord(x) -> Value:
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise InvalidArgumentError(f"KS coordinates must be exact, got {x!r}")
-    return Fraction(x) if isinstance(x, str) else x
+    return _fraction(x) if isinstance(x, str) else x
 
 
 def cabello_config() -> KSConfiguration:
@@ -354,10 +350,7 @@ def parity_obstruction(cfg: KSConfiguration) -> bool:
     """True when the double-cover parity argument alone forbids a
     coloring: with every vector in exactly two bases, the incidences of a
     transversal are even, but one per basis needs an odd count."""
-    counts: dict[int, int] = {}
-    for basis in cfg.bases:
-        for i in basis:
-            counts[i] = counts.get(i, 0) + 1
+    counts = Counter(i for basis in cfg.bases for i in basis)
     return all(c == 2 for c in counts.values()) and len(cfg.bases) % 2 == 1
 
 

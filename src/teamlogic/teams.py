@@ -19,7 +19,8 @@ hidden-variable tags).  They carry a content-based total order via
 :func:`value_key`, so every iteration and every serialized output is
 bit-deterministic regardless of construction order or hash seeds.  A
 team keys, sorts and checks the rows it is given once; a sub-team of it,
-whose rows are taken in row order, is built without doing so again.
+whose rows are taken in row order, and a team whose rows a caller
+assembles in canonical order are stored without doing so again.
 
 All objects are immutable after construction and all operations are pure
 functions; values and teams may be shared freely between threads.
@@ -208,14 +209,18 @@ class Team:
             )
         self._store(dom, sorted_rows, frozenset(keyed), tuple(uni))
 
+    @staticmethod
+    def _canonical(domain: tuple[str, ...], rows: tuple, universe: tuple) -> "Team":
+        """The team with canonical ``rows`` over the sorted ``universe``
+        holding their values, taken as given: nothing is keyed or checked."""
+        team = object.__new__(Team)
+        team._store(domain, rows, frozenset(rows), universe)
+        return team
+
     def _sub(self, rows: Sequence[Row]) -> "Team":
         """The team over this team's domain and universe whose rows are
-        ``rows``: distinct rows of this team, in :attr:`rows` order.  They
-        are canonical already, so nothing is keyed, sorted or checked."""
-        rows = tuple(rows)
-        team = object.__new__(Team)
-        team._store(self.domain, rows, frozenset(rows), self.universe)
-        return team
+        ``rows``: distinct rows of this team, in :attr:`rows` order."""
+        return Team._canonical(self.domain, tuple(rows), self.universe)
 
     def _store(self, domain: tuple[str, ...], rows: tuple, rowset: frozenset, universe: tuple):
         self.domain = domain

@@ -115,6 +115,17 @@ class TestNogo:
         assert code == 2 and "error[invalid-input]" in captured.err
         assert "configuration valid" not in captured.out
 
+    def test_ks_zero_denominator_coordinate_is_input_error(self, tmp_path, capsys):
+        payload = json.loads(
+            (Path(teamlogic.__file__).parent / "data" / "cabello18.json").read_text())
+        payload["vectors"][0][0] = "1/0"
+        config = tmp_path / "ks.json"
+        config.write_text(json.dumps(payload))
+        code = main(["nogo", "ks", "--config", str(config)])
+        captured = capsys.readouterr()
+        assert code == 2 and "error[invalid-input]" in captured.err
+        assert "configuration valid" not in captured.out
+
 
 class TestConstruct:
     def test_construct_roundtrip(self, tmp_path):

@@ -7,9 +7,11 @@ import pytest
 from teamlogic.errors import BudgetExceededError, InvalidArgumentError
 from teamlogic.eval_rel import eval_atom_rel, eval_rel
 from teamlogic.formulas import NCC
+from teamlogic.jsonio import model_to_dict
 from teamlogic.models import empirical_domain, empirically_equivalent, from_team, induced_empirical
 from teamlogic.nogo import (
     KSConfiguration,
+    _covers,
     cabello_config,
     check_hardy_conditions,
     consistent_sections,
@@ -53,21 +55,7 @@ class TestSections:
 
 
     def test_matches_brute_force_product_over_contexts(self):
-        rng = random.Random(5)
-        pool = [10, 9, "a", "b", (1, "x"), (0,), Fraction(1, 2)]
-        for _ in range(300):
-            n = rng.randint(1, 3)
-            mvals = [rng.sample(pool, rng.randint(1, 2)) for _ in range(n)]
-            ovals = [rng.sample(pool, rng.randint(1, 2)) for _ in range(n)]
-            contexts = list(product(*mvals))
-            outcomes = list(product(*ovals))
-            rows = [
-                a + b
-                for a in rng.sample(contexts, min(len(contexts), rng.randint(1, 4)))
-                for b in rng.sample(outcomes, min(len(outcomes), rng.randint(1, 3)))
-            ]
-            rng.shuffle(rows)
-            model = from_team(Team(empirical_domain(n), rows), "empirical")
+        for rows, n, model in _mixed_value_models():
             found = [(s.tables, s.graph) for s in consistent_sections(model)]
             assert found == _brute_force_sections(rows, n)
 
@@ -78,6 +66,26 @@ class TestSections:
         model = from_team(Team(empirical_domain(2), rows), "empirical")
         with pytest.raises(BudgetExceededError, match="section space exceeds 5000000"):
             consistent_sections(model)
+
+
+def _mixed_value_models():
+    """300 seeded models of arity 1 to 3 whose values mix ints,
+    ``Fraction``s, strings and tuples, each with its shuffled rows."""
+    rng = random.Random(5)
+    pool = [10, 9, "a", "b", (1, "x"), (0,), Fraction(1, 2)]
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        mvals = [rng.sample(pool, rng.randint(1, 2)) for _ in range(n)]
+        ovals = [rng.sample(pool, rng.randint(1, 2)) for _ in range(n)]
+        contexts = list(product(*mvals))
+        outcomes = list(product(*ovals))
+        rows = [
+            a + b
+            for a in rng.sample(contexts, min(len(contexts), rng.randint(1, 4)))
+            for b in rng.sample(outcomes, min(len(outcomes), rng.randint(1, 3)))
+        ]
+        rng.shuffle(rows)
+        yield rows, n, from_team(Team(empirical_domain(n), rows), "empirical")
 
 
 def _brute_force_sections(rows, n):
@@ -156,6 +164,57 @@ class TestExistsStrongDetLambdaIndep:
         pm = from_team(ProbTeam.uniform(ex22.team), "empirical")
         with pytest.raises(InvalidArgumentError):
             exists_strongdet_lambdaindep(pm)
+
+
+def _assert_validated_witness(model):
+    """The witness of ``model``, stored without re-validation, equals the
+    one ``from_team`` validates from its rows, or there is none."""
+    witness = exists_strongdet_lambdaindep(model)
+    assert _covers(model, consistent_sections(model)) == (witness is not None)
+    if witness is None:
+        return None
+    twin = from_team(Team(witness.team.domain, witness.team.rows), "hidden")
+    assert witness == twin and hash(witness) == hash(twin)
+    assert witness.team.rows == twin.team.rows
+    assert witness.team.universe == twin.team.universe
+    assert (witness.arity, witness.warnings) == (twin.arity, twin.warnings)
+    assert model_to_dict(witness) == model_to_dict(twin)
+    return witness
+
+
+class TestWitness:
+    def test_grid_models_up_to_five_rows(self):
+        space = [(a, b, x, y) for a in ("a1", "a2") for b in ("b1", "b2")
+                 for x in ("R", "G") for y in ("R", "G")]
+        explained = 0
+        for size in range(1, 6):
+            for rows in combinations(space, size):
+                model = from_team(Team(empirical_domain(2), rows), "empirical")
+                explained += _assert_validated_witness(model) is not None
+        assert explained > 0
+
+    def test_mixed_value_models(self):
+        explained = sum(
+            _assert_validated_witness(model) is not None
+            for _, _, model in _mixed_value_models()
+        )
+        assert explained > 0
+
+    def test_tuple_value_after_the_tags(self):
+        # ("z",) sorts after every ("sec", ...) tag, so the universe is not
+        # the model's with the tags appended
+        model = from_team(Team(("m1", "o1"), [("a", ("z",)), ("b", 1)]), "empirical")
+        witness = _assert_validated_witness(model)
+        assert witness.team.universe[-1] == ("z",)
+        assert witness.team.universe[:3] == (1, "a", "b")
+
+    def test_model_value_equal_to_a_tag(self):
+        # the section choosing 1 at "a" has the tag ("sec", ((("a", 1),),)),
+        # which is also an outcome value: the universe holds it once
+        tag = ("sec", ((("a", 1),),))
+        model = from_team(Team(("m1", "o1"), [("a", 1), ("a", tag)]), "empirical")
+        witness = _assert_validated_witness(model)
+        assert witness.team.universe.count(tag) == 1 and len(witness.team.universe) == 4
 
 
 class TestHardy:
