@@ -11,7 +11,8 @@ Evaluation compiles, then runs.  :func:`compile` turns formulas into a
 :class:`Plan` over one variable domain, in which each distinct subformula
 is one node, built once: its downward-closure flag, its row predicate or
 atom kernel (over column projections computed at build time) and, for an
-existential, the static half of its search (on first use).
+existential, the static half of its search.  A plan is complete when
+:func:`compile` returns, and no run changes it.
 :meth:`Plan.run` decides the formulas on one team, each node at most once
 for that team.  :func:`eval_rel` compiles its formula and runs it.
 
@@ -25,8 +26,10 @@ exponential, so the evaluator leans on three exact reductions:
 
 * classical (literal-only) subformulas are flat and get decided pointwise,
   one row at a time;
-* for downward-closed operands, covering splits reduce to partitions and
-  set-valued Skolem functions reduce to single-valued ones;
+* a flat disjunct takes every row it holds on, and a downward-closed
+  operand needs only a minimal choice (one rule, :func:`_choices`): a
+  cover whose right side is closed is a partition, and a Skolem function
+  for a closed matrix is single-valued;
 * inside an existential block, conjuncts are compiled into per-row filters
   (classical parts, inclusion atoms with stable right side) and incremental
   consistency structures (dependence-family atoms) driving a backtracking
@@ -34,16 +37,15 @@ exponential, so the evaluator leans on three exact reductions:
 
 Searches that outgrow the :class:`EvalBudget` raise
 :class:`~teamlogic.errors.BudgetExceededError`, a third outcome that is
-never conflated with ``False``.  The evaluator is pure, and a plan changes
-only to keep the search blocks it derives from its own nodes, so
-independent runs may share a plan and run concurrently.
+never conflated with ``False``.  The evaluator is pure, so independent
+runs may share a plan and run concurrently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -180,7 +182,7 @@ class _Node:
     A classical (literal-only) node carries its row predicate ``check``
     and an atom node its ``kernel``; a connective links its operand nodes,
     a quantifier its variable and body, and an existential its search
-    ``block`` once a search has reached it.  Nodes compare by identity.
+    ``block``.  Nodes compare by identity.
     """
 
     formula: Formula
@@ -226,8 +228,10 @@ def _build(formula: Formula, domain: tuple[str, ...], nodes: dict) -> _Node:
             return _Node(formula, decide, closed, lhs=a, rhs=b)
         case Forall(var, body) | Exists(var, body):
             inner = _intern(body, bind(domain, var)[0], nodes)
-            decide = _Evaluator.forall if isinstance(formula, Forall) else _Evaluator.exists
-            return _Node(formula, decide, closed, var=var, body=inner)
+            if isinstance(formula, Forall):
+                return _Node(formula, _Evaluator.forall, closed, var=var, body=inner)
+            block = _Block(var, inner, domain)
+            return _Node(formula, _Evaluator.exists, closed, var=var, body=inner, block=block)
     raise InvalidArgumentError(f"unknown formula node {formula!r}")
 
 
@@ -464,57 +468,43 @@ class _Evaluator:
     # -- disjunction -----------------------------------------------------
 
     def or_split(self, team: Team, node: _Node) -> bool:
+        """Search the covers of ``team`` by a left and a right sub-team.
+
+        A flat side goes on the left, else a downward-closed side on the
+        right.  A flat left side has one candidate, the rows it holds on
+        (flat formulas are closed under unions and subsets); any other has
+        each proper, nonempty sub-team it holds on, once neither side
+        holds on the whole team.  The right team is the rest of the team
+        plus a choice of the left's rows."""
         _refuse_prob_search(team)
-        lhs, rhs = node.lhs, node.rhs
         if not team.rows:
             return True
-        if lhs.check:
-            return self._or_with_flat_side(team, lhs, rhs)
-        if rhs.check:
-            return self._or_with_flat_side(team, rhs, lhs)
-        if self.memo_eval(team, lhs) or self.memo_eval(team, rhs):
-            return True
+        lhs, rhs = node.lhs, node.rhs
+        if rhs.check or not lhs.check and lhs.closed and not rhs.closed:
+            lhs, rhs = rhs, lhs
         n = len(team.rows)
-        if lhs.closed or rhs.closed:
-            # For a downward-closed side the cover may be thinned to a
-            # partition, so enumerating one side's subset suffices.
-            first, second = (lhs, rhs) if rhs.closed else (rhs, lhs)
-            for mask in range(1, (1 << n) - 1):
-                self.tick()
-                left = self._subteam(team, mask)
-                if self.memo_eval(left, first):
-                    right = self._subteam(team, ~mask)
-                    if self.memo_eval(right, second):
-                        return True
-            return False
-        for mask in range(1, (1 << n) - 1):
-            self.tick()
-            left = self._subteam(team, mask)
-            if not self.memo_eval(left, lhs):
-                continue
-            free = [1 << i for i in range(n) if mask & (1 << i)]
-            for k in range(len(free) + 1):
-                for extra in combinations(free, k):
-                    self.tick()
-                    right = self._subteam(team, ~mask | sum(extra))
-                    if self.memo_eval(right, rhs):
-                        return True
-        return False
-
-    def _or_with_flat_side(self, team: Team, flat: _Node, other: _Node) -> bool:
-        check = flat.check
-        satisfied = [1 << i for i, row in enumerate(team.rows) if check(row)]
-        rest = (1 << len(team.rows)) - 1 - sum(satisfied)
-        if not rest:
+        full = (1 << n) - 1
+        if lhs.check:
+            held = sum(1 << i for i, row in enumerate(team.rows) if lhs.check(row))
+            if held == full:
+                return True
+            lefts = (held,)
+        elif self.memo_eval(team, lhs) or self.memo_eval(team, rhs):
             return True
-        if other.closed:
-            return self.eval(self._subteam(team, rest), other)
-        for k in range(len(satisfied) + 1):
-            for extra in combinations(satisfied, k):
-                self.tick()
-                candidate = self._subteam(team, rest | sum(extra))
-                if self.memo_eval(candidate, other):
-                    return True
+        else:
+            lefts = range(1, full)
+        for mask in lefts:
+            self.tick()
+            if lhs.check or self.memo_eval(self._subteam(team, mask), lhs):
+                # _choices takes none of them for a closed right side
+                free = () if rhs.closed else [1 << i for i in range(n) if mask >> i & 1]
+                for extra in _choices(free, 0, rhs.closed):
+                    # different left teams share right teams, whose repeats
+                    # are memo hits, so each right team ticks
+                    if not rhs.closed:
+                        self.tick()
+                    if self.memo_eval(self._subteam(team, ~mask | sum(extra)), rhs):
+                        return True
         return False
 
     @staticmethod
@@ -529,10 +519,6 @@ class _Evaluator:
         if not team.rows:
             return True
         block = node.block
-        if block is None:
-            # built on first use: the block of an existential that an
-            # enclosing block absorbs is never needed
-            block = node.block = _Block(node, team.domain)
         values = team.universe
         if not values:
             raise InvalidArgumentError("cannot quantify over an empty universe")
@@ -541,7 +527,6 @@ class _Evaluator:
         incl_filters = [(pos, x, set(map(y, team.rows))) for pos, x, y in block.incl_filters]
         constraints = [make() for make in block.constraints]
         residual_dc = block.residual_dc
-        singleton = block.singleton
 
         choice_source = self._choice_source(values, width, block.block_positions, incl_filters)
         candidates: list[list[Row]] = []
@@ -567,20 +552,11 @@ class _Evaluator:
             partial = Team(block.ext_domain, (r for group in chosen for r in group), team.universe)
             return all(self.memo_eval(partial, c) for c in residual)
 
-        def choices_for(i: int):
-            cands = candidates[i]
-            if singleton:
-                for ext in cands:
-                    yield (ext,)
-            else:
-                for size in range(1, len(cands) + 1):
-                    yield from combinations(cands, size)
-
         def groups(i: int) -> Iterator[bool]:
             """Add each admissible choice group of row ``i`` to the
             constraints and ``chosen`` in turn, yielding while it holds;
             undone on resumption."""
-            for group in choices_for(i):
+            for group in _choices(candidates[i], 1, block.closed):
                 self.tick()
                 progress = []
                 ok = True
@@ -714,6 +690,18 @@ class _Evaluator:
         return source
 
 
+def _choices(items: Sequence, least: int, closed: bool) -> Iterable[tuple]:
+    """The sub-tuples of ``items`` with at least ``least`` members,
+    smallest first; only those of size ``least`` when ``closed``, since a
+    downward-closed formula that holds with a larger choice holds with a
+    smaller one.  A split's right team takes any of the left's rows
+    (``least`` 0), an existential any nonempty set of values for a row
+    (``least`` 1)."""
+    if closed:
+        return combinations(items, least)
+    return chain.from_iterable(combinations(items, k) for k in range(least, len(items) + 1))
+
+
 def _refuse_prob_search(team: Team | ProbTeam):
     # the splits and Skolem families of a distribution form a continuum
     if isinstance(team, ProbTeam):
@@ -726,32 +714,31 @@ def _refuse_prob_search(team: Team | ProbTeam):
 class _Block:
     """The static half of an existential search: the block of variables
     it quantifies together, how a row is extended by a choice of their
-    values, and the matrix's conjuncts sorted into row filters, inclusion
-    filters, incremental constraints and residual nodes."""
+    values, whether the matrix is downward closed, and the matrix's
+    conjuncts sorted into row filters, inclusion filters, incremental
+    constraints and residual nodes."""
 
     __slots__ = (
         "variables", "ext_domain", "block_positions", "extend", "filters",
-        "incl_filters", "constraints", "residual", "residual_dc", "singleton",
+        "incl_filters", "constraints", "residual", "residual_dc", "closed",
     )
 
-    def __init__(self, node: _Node, domain: tuple[str, ...]):
-        variables: list[str] = []
-        matrix = node
-        while isinstance(matrix.formula, Exists) and matrix.var not in domain and matrix.var not in variables:
-            variables.append(matrix.var)
-            matrix = matrix.body
-        if variables:
+    def __init__(self, var: str, body: _Node, domain: tuple[str, ...]):
+        variables, matrix = [var], body
+        if var in domain:
+            # re-quantification of a bound column
+            self.ext_domain, put = bind(domain, var)
+            self.block_positions = positions(domain, variables)
+            self.extend = lambda row, choice: put(row, choice[0])
+        else:
+            while isinstance(matrix.formula, Exists) and matrix.var not in domain and matrix.var not in variables:
+                variables.append(matrix.var)
+                matrix = matrix.body
             self.ext_domain = domain + tuple(variables)
             self.block_positions = tuple(range(len(domain), len(self.ext_domain)))
             self.extend = lambda row, choice: row + choice
-        else:
-            # re-quantification of a bound column
-            variables, matrix = [node.var], node.body
-            self.ext_domain, put = bind(domain, node.var)
-            self.block_positions = positions(domain, variables)
-            self.extend = lambda row, choice: put(row, choice[0])
         self.variables = tuple(variables)
-        self.singleton = matrix.closed
+        self.closed = matrix.closed
         self.filters: list = []
         self.incl_filters: list = []
         self.constraints: list = []

@@ -277,6 +277,9 @@ class KSConfiguration:
             elif all(x == 0 for x in vec):
                 problems.append(f"vector {idx} is zero")
         for j, basis in enumerate(self.bases):
+            if len(basis) != 4:
+                problems.append(f"basis {j} has {len(basis)} vectors, not 4")
+                continue
             if len(set(basis)) != 4:
                 problems.append(f"basis {j} repeats a vector")
                 continue

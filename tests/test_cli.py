@@ -115,6 +115,22 @@ class TestNogo:
         assert code == 2 and "error[invalid-input]" in captured.err
         assert "configuration valid" not in captured.out
 
+    @pytest.mark.parametrize("basis, problem", [
+        ([0, 1, 2], "basis 0 has 3 vectors, not 4"),
+        ([0, 1, 2, 3, 0], "basis 0 has 5 vectors, not 4"),
+        ([0, 1, 2, 2], "basis 0 repeats a vector"),
+    ])
+    def test_ks_basis_size_is_reported_before_repeats(self, tmp_path, capsys, basis, problem):
+        payload = {"vectors": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                   "bases": [basis]}
+        config = tmp_path / "ks.json"
+        config.write_text(json.dumps(payload))
+        code = main(["nogo", "ks", "--config", str(config)])
+        captured = capsys.readouterr()
+        assert code == 2 and "error[invalid-input]" in captured.err
+        assert problem in captured.err
+        assert ("repeats" in captured.err) == ("repeats" in problem)
+
     def test_ks_zero_denominator_coordinate_is_input_error(self, tmp_path, capsys):
         payload = json.loads(
             (Path(teamlogic.__file__).parent / "data" / "cabello18.json").read_text())

@@ -329,6 +329,39 @@ def test_differential_degenerate_atoms_in_search(atom):
             assert eval_rel(team, formula) == naive_eval(team, formula), rows
 
 
+#: Disjunctions of each shape the split search orients: a flat side
+#: (left or right) beside a downward-closed or a non-closed side, one
+#: downward-closed side (left or right), both closed, and neither closed.
+SPLIT_SHAPES = (
+    Or(Eq(Var("x"), Const(0)), Dep(("y",), ("z",))),
+    Or(Neq(Var("x"), Var("y")), Incl(("x",), ("z",))),
+    Or(Dep((), ("x",)), Eq(Var("y"), Const(1))),
+    Or(Indep(("x",), (), ("y",)), And(Neq(Var("x"), Var("z")), Eq(Var("y"), Const(0)))),
+    Or(And(Dep(("x",), ("y",)), Dep((), ("z",))), Indep(("x",), (), ("y",))),
+    Or(Incl(("x",), ("y",)), Dep((), ("z",))),
+    Or(Dep((), ("x",)), Dep(("y",), ("z",))),
+    Or(Indep(("x",), (), ("y",)), Incl(("x",), ("y",))),
+    Or(Incl(("x",), ("y",)), Incl(("y",), ("x",))),
+    Or(And(Incl(("y",), ("z",)), Dep(("x",), ("z",))), Indep(("x",), ("z",), ("y",))),
+)
+
+
+@pytest.mark.parametrize("formula", SPLIT_SHAPES, ids=print_formula)
+def test_differential_split_shapes(formula):
+    # teams of up to 5 rows, so that a cover may add up to 4 of the left
+    # side's rows to the right side; few teams need an overlapping cover
+    # at all, so there are many
+    rng = random.Random(print_formula(formula))
+    space = list(product((0, 1, 2), repeat=3))
+    verdicts = set()
+    for count in [1] + [2, 3, 4, 5] * 30:
+        team = Team(VARS, rng.sample(space, count), universe=(0, 1, 2))
+        verdict = eval_rel(team, formula)
+        assert verdict == naive_eval(team, formula), team.rows
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 #: Values whose one-column projection is itself a tuple, beside bare
 #: values, so a one-column key and a one-tuple key would collide.
 MIXED_VALUES = ((0,), (0, 1), "a", 0)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 import weakref
@@ -90,6 +91,35 @@ class TestPlan:
         assert sum(need) > max(need)
         verdict = compile(formulas, team.domain).run(team, EvalBudget(memo_limit=max(need)))
         assert [verdict(i) for i in range(2)] == [eval_rel(team, f) for f in formulas]
+
+    def test_runs_change_no_node(self):
+        # a plan is complete when compile returns: runs on several teams
+        # leave every field of every node as compile set it
+        formulas = [
+            parse("E q . dep(x, q) & (x = 0 | y _||_ q)"),
+            parse("A r . E s . dep(r, s) | x <= y"),
+            parse("E x . x _||_ y | E q . E r . dep(q, r) & y <= q"),
+        ]
+        plan = compile(formulas, ("x", "y"))
+
+        def snapshot():
+            fields, stack = {}, list(plan.roots)
+            while stack:
+                node = stack.pop()
+                if node not in fields:
+                    fields[node] = [getattr(node, f.name) for f in dataclasses.fields(node)]
+                    stack.extend(c for c in (node.lhs, node.rhs, node.body) if c is not None)
+            return fields
+
+        before = snapshot()
+        for rows in ([(0, 0)], [(0, 1), (1, 0)], [(0, 0), (0, 1), (1, 1)]):
+            verdict = plan.run(T(("x", "y"), rows, universe=(0, 1)))
+            for i in range(len(formulas)):
+                verdict(i)
+        after = snapshot()
+        assert after.keys() == before.keys()
+        for node, values in before.items():
+            assert all(a is b for a, b in zip(values, after[node], strict=True)), node.formula
 
     def test_evaluation_keeps_no_formula_alive(self):
         # nothing outlives a call: neither the plan nor a cache of
@@ -354,6 +384,24 @@ class TestBudget:
         t = T(("x",), [(0,)], universe=range(30))
         with pytest.raises(BudgetExceededError):
             eval_rel(t, parse("dep(x, x)"), EvalBudget(max_universe=8))
+
+    @pytest.mark.parametrize("text, count, limit", [
+        ("x _||_ y | x <= y", 9, 64),
+        ("x = 0 | x <= y", 9, 64),
+        # every left team of the eleven x = 0 rows holds: 3^11 (left,
+        # right) pairs over 2^12 distinct teams, so the memo alone would
+        # stay far inside this limit
+        ("x _||_ y | x <= y", 11, 20_000),
+    ])
+    def test_split_search_honours_budget(self, text, count, limit):
+        # no cover exists (x <= y fails on every nonempty team), so the
+        # search runs to exhaustion: over every left team when neither side
+        # is closed, over the 2^count right teams beside the flat side's rows
+        team = T(("x", "y"), [(0, y) for y in range(10, 10 + count)] + [(1, 99)])
+        formula = parse(text)
+        with pytest.raises(BudgetExceededError):
+            eval_rel(team, formula, EvalBudget(memo_limit=limit))
+        assert not eval_rel(team, formula)
 
     def test_budget_error_is_not_false(self):
         # same query under a generous budget evaluates fine
