@@ -22,7 +22,6 @@ inputs and seed; ``--json`` emits a versioned machine-readable report.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .datasets import load_bundled
@@ -86,8 +85,7 @@ def cmd_eval(args) -> int:
         verdict = eval_prob(data, formula, budget)
         semantics = "probabilistic"
     else:
-        team = data.support() if isinstance(data, ProbTeam) else data
-        verdict = eval_rel(team, formula, budget)
+        verdict = eval_rel(data.support(), formula, budget)
         semantics = "relational"
     return _emit(
         args,

@@ -45,11 +45,9 @@ SINGLE_LAMBDA = "l0"
 def construct_single_valued(model: EmpiricalModel) -> HVModel:
     """Extend by a constant hidden column; trivially empirically equivalent
     and single-valued (hence independent of the measurements)."""
-    if model.probabilistic:
-        pt = model.prob_team.skolem_extend(LAMBDA_VAR, lambda s: {SINGLE_LAMBDA: Fraction(1)})
-        return from_team(pt, "hidden")
-    team = model.team.skolem_extend(LAMBDA_VAR, lambda s: (SINGLE_LAMBDA,))
-    return from_team(team, "hidden")
+    # a one-entry map of weight 1 is a distribution to a ProbTeam, and to
+    # a Team an image, whose one value is its key
+    return from_team(model.data.skolem_extend(LAMBDA_VAR, lambda s: {SINGLE_LAMBDA: 1}), "hidden")
 
 
 def construct_strong_det(model: EmpiricalModel) -> HVModel:
@@ -60,11 +58,8 @@ def construct_strong_det(model: EmpiricalModel) -> HVModel:
     deliberately fails hidden-variable independence on any model with more
     than one measurement tuple.
     """
-    if model.probabilistic:
-        pt = model.prob_team.skolem_extend(LAMBDA_VAR, lambda s: {s.row: Fraction(1)})
-        return from_team(pt, "hidden")
-    team = model.team.skolem_extend(LAMBDA_VAR, lambda s: (s.row,))
-    return from_team(team, "hidden")
+    # one value of weight 1, read as in construct_single_valued
+    return from_team(model.data.skolem_extend(LAMBDA_VAR, lambda s: {s.row: 1}), "hidden")
 
 
 def construct_weakdet_lambdaindep(model: EmpiricalModel) -> HVModel:
@@ -87,8 +82,8 @@ def construct_weakdet_lambdaindep(model: EmpiricalModel) -> HVModel:
         return from_team(hv.team, "hidden")
 
     n = model.arity
-    # masses are keyed in canonical row order, and the measurement columns
-    # lead: each context's outcomes come in canonical order
+    # masses are keyed in canonical row order, and a row's context is its
+    # prefix: each context's outcomes come in canonical order
     contexts: dict = {}
     for z, mass in model.prob_team.masses(empirical_domain(n)).items():
         contexts.setdefault(z[:n], {})[z[n:]] = mass
@@ -96,7 +91,6 @@ def construct_weakdet_lambdaindep(model: EmpiricalModel) -> HVModel:
     dists = {key: dict.fromkeys(block, Fraction(1, len(block))) for key, block in blocks.items()}
 
     def family(s):
-        # a row's measurements and outcomes are its halves: measurements lead
         return dists[(s.row[:n], s.row[n:])]
 
     return from_team(model.prob_team.skolem_extend(LAMBDA_VAR, family), "hidden")
@@ -160,22 +154,16 @@ def localize_rel(model: HVModel, max_selectors: int = 1_000_000) -> HVModel:
     if model.probabilistic:
         raise InvalidArgumentError("localize_rel needs a relational model")
     _require(model)
-    team = model.team
     n = model.arity
     empirical = induced_empirical(model).team
-    mvars = empirical_domain(n)[:n]
-    ovars = empirical_domain(n)[n:]
-    mpos = team.positions(mvars)
-    opos = team.positions(ovars)
-    (lpos,) = team.positions((LAMBDA_VAR,))
 
     witnessed: dict = {}
-    for row in team.rows:
-        c = row[lpos]
+    for row in model.team.rows:
+        c = row[2 * n]
         for i in range(n):
-            witnessed.setdefault((i, c), {}).setdefault(row[mpos[i]], set()).add(row[opos[i]])
+            witnessed.setdefault((i, c), {}).setdefault(row[i], set()).add(row[n + i])
 
-    lam_values = sorted({row[lpos] for row in team.rows}, key=value_key)
+    lam_values = model.lambda_values()
     selector_tags: dict = {}
     for c in lam_values:
         per_component = []
@@ -196,12 +184,11 @@ def localize_rel(model: HVModel, max_selectors: int = 1_000_000) -> HVModel:
         selector_tags[c] = [tuple(fs) for fs in product(*per_component)]
 
     def compatible(s):
+        a, b = s.row[:n], s.row[n:]
         tags = []
         for c in lam_values:
             for f in selector_tags[c]:
-                if all(
-                    dict(f[i]).get(s[mvars[i]]) == s[ovars[i]] for i in range(n)
-                ):
+                if all(dict(f[i]).get(a[i]) == b[i] for i in range(n)):
                     tags.append((c, f))
         assert tags, "lambda-independence guarantees a compatible selector"
         return tags
@@ -240,11 +227,10 @@ def localize_prob(model: HVModel) -> HVModel:
             groups.setdefault((a, c), {})[b] = joint[(a, b, c)]
         blocks.append(_partition(groups))
     row_mass: dict = {}
-    for key, mass in pt.masses(mvars + ovars + (LAMBDA_VAR,)).items():
-        row_mass.setdefault((key[:n], key[n:-1]), {})[key[-1]] = mass
+    for row, mass in pt.numerators().items():
+        row_mass.setdefault((row[:n], row[n : 2 * n]), {})[row[2 * n]] = mass
 
     def family(s):
-        # measurements lead the empirical domain, outcomes follow
         a = s.row[:n]
         b = s.row[n:]
         by_lambda = row_mass[(a, b)]

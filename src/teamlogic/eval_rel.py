@@ -609,7 +609,7 @@ class _Evaluator:
             key=lambda i: (
                 row_key(tuple(team.rows[i][p] for p in sig_positions)),
                 len(candidates[i]),
-                row_key(team.rows[i]),
+                i,  # the rows are distinct and in row_key order
             ),
         )
         if residual or any(

@@ -73,7 +73,7 @@ def _list_field(payload: dict, name: str, item_type: type | None = None) -> list
 
 
 def team_to_dict(data: Team | ProbTeam) -> dict:
-    team = data.team if isinstance(data, ProbTeam) else data
+    team = data.support()
     payload = {
         "domain": list(team.domain),
         "universe": [value_to_json(v) for v in team.universe],

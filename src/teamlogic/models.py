@@ -2,11 +2,15 @@
 
 An empirical model of arity n is a team over the reserved variables
 ``m1..mn, o1..on``; a hidden-variable model additionally carries the
-hidden column ``l``.  Component value sets are the active values of each
-column, per the convention that every measurement, outcome and hidden
-value appears in at least one row.  Wrappers are immutable; the wrapped
-data is either a relational :class:`~teamlogic.teams.Team` or a
-:class:`~teamlogic.teams.ProbTeam`.
+hidden column ``l``.  This column order is the model's fixed layout, and
+the package reads a model row by it: the measurements are ``row[:n]``,
+the outcomes ``row[n:2n]`` and the hidden value ``row[2n]``.  Component
+value sets are the active values of each column, per the convention that
+every measurement, outcome and hidden value appears in at least one row.
+Wrappers are immutable; the wrapped data is either a relational
+:class:`~teamlogic.teams.Team` or a :class:`~teamlogic.teams.ProbTeam`,
+and both answer ``support()``, ``restrict`` and ``skolem_extend``, so an
+operation that is the same in both semantics runs once on the data.
 
 The layer also provides the structural moves between the two worlds:
 projecting a hidden-variable model to its induced empirical model,
@@ -51,8 +55,8 @@ class _ModelBase:
 
     @property
     def team(self) -> Team:
-        """The relational team: the data itself, or the support."""
-        return self.data.support() if self.probabilistic else self.data
+        """The relational team: the data's support."""
+        return self.data.support()
 
     @property
     def prob_team(self) -> ProbTeam:
@@ -106,7 +110,7 @@ def from_team(data: Team | ProbTeam, kind: str) -> EmpiricalModel | HVModel:
     model are its active values, and extensions must be made explicit with
     ``add_values``.
     """
-    team = data.support() if isinstance(data, ProbTeam) else data
+    team = data.support()
     if not team.rows:
         raise InvalidArgumentError("models must be nonempty")
     arity, expected = _infer_arity(team.domain, kind)
@@ -144,10 +148,7 @@ def _infer_arity(domain: tuple[str, ...], kind: str) -> tuple[int, tuple[str, ..
 
 def induced_empirical(model: HVModel) -> EmpiricalModel:
     """Project out the hidden column; probabilistically, marginalize over it."""
-    varE = empirical_domain(model.arity)
-    if model.probabilistic:
-        return from_team(model.prob_team.restrict(varE), "empirical")
-    return from_team(model.data.restrict(varE), "empirical")
+    return from_team(model.data.restrict(empirical_domain(model.arity)), "empirical")
 
 
 def possibilistic_collapse(model: EmpiricalModel | HVModel):
@@ -175,30 +176,23 @@ def empirically_equivalent(
         )
     if empirical.probabilistic != hidden.probabilistic:
         raise InvalidArgumentError("cannot compare relational with probabilistic models")
-    induced = induced_empirical(hidden)
-    if mode == "joint":
-        if empirical.probabilistic:
-            return induced.prob_team.same_weights(empirical.prob_team)
-        return induced.team.same_rows(empirical.team)
-    if mode != "conditional":
+    if mode not in ("joint", "conditional"):
         raise InvalidArgumentError(f"unknown equivalence mode {mode!r}")
-    n = empirical.arity
-    mvars = empirical_domain(n)[:n]
+    induced = induced_empirical(hidden)
     if not empirical.probabilistic:
-        # conditioning degenerates relationally: compare rows per measurement
+        # conditioning degenerates relationally: both modes compare rows
         return induced.team.same_rows(empirical.team)
-    left, right = induced.prob_team, empirical.prob_team
-    if left.team.values_of(mvars) != right.team.values_of(mvars):
-        return False
-    return _same_conditionals(left, right, n)
+    if mode == "joint":
+        return induced.prob_team.same_weights(empirical.prob_team)
+    return _same_conditionals(induced.prob_team, empirical.prob_team, empirical.arity)
 
 
 def _same_conditionals(left: ProbTeam, right: ProbTeam, arity: int) -> bool:
-    """Equal rows, each with equal probability given its context, compared
+    """Equal rows, hence equal measurement sets, each row with equal
+    probability given its context (its prefix ``row[:arity]``), compared
     in cleared form on the int numerators."""
     if not left.team.same_rows(right.team):
         return False
-    # measurements lead the empirical domain, so a row's context is its prefix
     left_totals = left.masses(empirical_domain(arity)[:arity])
     right_totals = right.masses(empirical_domain(arity)[:arity])
     return all(

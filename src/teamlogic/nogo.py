@@ -65,7 +65,7 @@ def consistent_sections(model: EmpiricalModel, max_sections: int = 5_000_000) ->
     A section's graph is the tuple of the rows chosen.
     """
     n = model.arity
-    # measurements lead the domain and the rows are canonical, so one
+    # a row's context is its prefix and the rows are canonical, so one
     # grouping pass meets the contexts, and each one's rows, in order
     groups: dict[tuple, list[tuple]] = {}
     for row in model.team.rows:
@@ -294,7 +294,7 @@ class KSConfiguration:
                             f"basis {j}: vectors {basis[p]} and {basis[q]} are not orthogonal"
                         )
         if require_double_cover:
-            counts = Counter(i for basis in self.bases for i in basis)
+            counts = _incidences(self.bases)
             for idx in range(len(self.vectors)):
                 if counts[idx] != 2:
                     problems.append(f"vector {idx} occurs in {counts[idx]} bases, expected exactly 2")
@@ -353,8 +353,14 @@ def parity_obstruction(cfg: KSConfiguration) -> bool:
     """True when the double-cover parity argument alone forbids a
     coloring: with every vector in exactly two bases, the incidences of a
     transversal are even, but one per basis needs an odd count."""
-    counts = Counter(i for basis in cfg.bases for i in basis)
+    counts = _incidences(cfg.bases)
     return all(c == 2 for c in counts.values()) and len(cfg.bases) % 2 == 1
+
+
+def _incidences(bases) -> Counter:
+    """The number of bases each vector lies in; a basis that repeats a
+    vector counts it once."""
+    return Counter(i for basis in bases for i in set(basis))
 
 
 def ks_colorable(cfg: KSConfiguration) -> tuple[int, ...] | None:

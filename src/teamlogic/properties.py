@@ -36,7 +36,7 @@ from math import prod
 from .errors import InvalidArgumentError, UnsupportedFragmentError
 from .eval_rel import EvalBudget, Plan, compile
 from .formulas import And, Dep, Exists, Formula, GenDep, Incl, Indep, conjoin
-from .models import LAMBDA_VAR, EmpiricalModel, HVModel, empirical_domain
+from .models import LAMBDA_VAR, EmpiricalModel, HVModel
 from .teams import value_key
 
 
@@ -194,25 +194,16 @@ def locality_oracle_rel(model: HVModel) -> bool:
         raise InvalidArgumentError("relational oracle needs a relational model")
     team = model.team
     n = model.arity
-    mvars = empirical_domain(n)[:n]
-    ovars = empirical_domain(n)[n:]
-    mpos = team.positions(mvars)
-    opos = team.positions(ovars)
-    (lpos,) = team.positions((LAMBDA_VAR,))
-
-    rowset = set(team.rows)
     witnessed: dict = {}
     for row in team.rows:
-        c = row[lpos]
+        c = row[2 * n]
         for i in range(n):
-            witnessed.setdefault((i, row[mpos[i]], c), set()).add(row[opos[i]])
+            witnessed.setdefault((i, row[i], c), set()).add(row[n + i])
     for row in team.rows:
-        a = tuple(row[x] for x in mpos)
-        c = row[lpos]
+        a, c = row[:n], row[2 * n]
         options = [sorted(witnessed.get((i, a[i], c), ()), key=value_key) for i in range(n)]
         for b in product(*options):
-            candidate = _assemble(row, mpos, opos, b)
-            if candidate not in rowset:
+            if a + b + (c,) not in team:
                 return False
     return True
 
@@ -227,15 +218,7 @@ def locality_oracle_prob(model: HVModel) -> bool:
     """
     if not model.probabilistic:
         raise InvalidArgumentError("probabilistic oracle needs a probabilistic model")
-    pt = model.prob_team
-    team = pt.team
     n = model.arity
-    mvars = empirical_domain(n)[:n]
-    ovars = empirical_domain(n)[n:]
-    mpos = team.positions(mvars)
-    opos = team.positions(ovars)
-    (lpos,) = team.positions((LAMBDA_VAR,))
-
     joint: dict = {}
     context_mass: dict = {}
     comp_mass: dict = {}
@@ -243,10 +226,8 @@ def locality_oracle_prob(model: HVModel) -> bool:
     outcome_values = [set() for _ in range(n)]
     # int numerators over the team's one denominator, summed here rather
     # than through ``masses``; the denominator cancels in each comparison
-    for row, w in pt.numerators().items():
-        a = tuple(row[x] for x in mpos)
-        b = tuple(row[x] for x in opos)
-        c = row[lpos]
+    for row, w in model.prob_team.numerators().items():
+        a, b, c = row[:n], row[n : 2 * n], row[2 * n]
         joint[(a, b, c)] = joint.get((a, b, c), 0) + w
         context_mass[(a, c)] = context_mass.get((a, c), 0) + w
         for i in range(n):
@@ -262,10 +243,3 @@ def locality_oracle_prob(model: HVModel) -> bool:
             if joint.get((a, b, c), 0) * masses != mass * joints:
                 return False
     return True
-
-
-def _assemble(row, mpos, opos, outcomes):
-    out = list(row)
-    for i, pos in enumerate(opos):
-        out[pos] = outcomes[i]
-    return tuple(out)

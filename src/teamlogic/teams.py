@@ -263,6 +263,11 @@ class Team:
         """Row-set equality, ignoring the universes."""
         return self.domain == other.domain and self.rows == other.rows
 
+    def support(self) -> "Team":
+        """The relational team behind the data: a team is its own support,
+        as a :class:`ProbTeam`'s is its rows."""
+        return self
+
     # -- team operators -------------------------------------------------
 
     def values_of(self, variables: Sequence[str]) -> frozenset:
@@ -293,10 +298,12 @@ class Team:
         function: Callable[[Assignment], Iterable[Value]] | Mapping,
     ) -> "Team":
         """Skolem extension: each row is extended by every value of its
-        (nonempty) image set under ``function``.
+        (nonempty) image under ``function``.
 
         ``function`` may be a callable on assignments or a mapping keyed by
-        :class:`Assignment`; it must cover every row.
+        :class:`Assignment`; it must cover every row.  An image is any
+        iterable of values, a mapping's keys among them: a one-entry map
+        of weight 1 extends a team as it extends a :class:`ProbTeam`.
         """
         image_of = _per_row(self.domain, function, "function")
 

@@ -131,6 +131,18 @@ class TestNogo:
         assert problem in captured.err
         assert ("repeats" in captured.err) == ("repeats" in problem)
 
+    def test_ks_double_cover_counts_each_basis_once(self, tmp_path, capsys):
+        # the basis repeats vectors 0 and 1, which still lie in one basis only
+        payload = {"vectors": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+                   "bases": [[0, 1, 2, 1, 0]]}
+        config = tmp_path / "ks.json"
+        config.write_text(json.dumps(payload))
+        code = main(["nogo", "ks", "--config", str(config)])
+        err = capsys.readouterr().err
+        assert code == 2 and "error[invalid-input]" in err
+        for idx in range(3):
+            assert f"vector {idx} occurs in 1 bases, expected exactly 2" in err
+
     def test_ks_zero_denominator_coordinate_is_input_error(self, tmp_path, capsys):
         payload = json.loads(
             (Path(teamlogic.__file__).parent / "data" / "cabello18.json").read_text())

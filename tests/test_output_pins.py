@@ -7,7 +7,9 @@ conditional probabilities and marginals, exactly as it did.  The
 no-go witnesses, the relational constructions, the single-valued and
 strong-determinism constructions and the rebinding extensions were
 pinned before their block layout, search driver, column binding and
-Skolem lookup were each moved into one kernel.
+Skolem lookup were each moved into one kernel.  The single-valued and
+strong-determinism constructions are pinned on relational models too,
+from before each became one call on the model's data in both semantics.
 """
 
 import hashlib
@@ -23,6 +25,7 @@ from teamlogic.constructions import (
     localize_prob,
     localize_rel,
 )
+from teamlogic.datasets import load_bundled
 from teamlogic.eval_prob import CondProbQuery, cond_prob, marginal
 from teamlogic.jsonio import dump_json, model_to_dict, team_to_dict
 from teamlogic.models import empirical_domain, from_team
@@ -167,6 +170,17 @@ def test_single_valued_and_strong_det_json_pinned():
         payloads.append(model_to_dict(construct_single_valued(model)))
         payloads.append(model_to_dict(construct_strong_det(model)))
     assert digest({"models": payloads}) == "0e621815abdb7ee881be6d5d6b67f73f8d87f405de68165e39258a6ddd6542b4"
+
+
+def test_relational_single_valued_and_strong_det_json_pinned():
+    rng = random.Random(3)
+    models = [random_empirical_model(rng, arity=arity) for arity in (1, 2, 2, 3)]
+    models += [load_bundled(name) for name in ("ex22", "sig", "hardy", "siglambda", "loc6")]
+    payloads = []
+    for model in models:
+        payloads.append(model_to_dict(construct_single_valued(model)))
+        payloads.append(model_to_dict(construct_strong_det(model)))
+    assert digest({"models": payloads}) == "a53ff0793fd37d9ea001f5e43838f79ee1ac51cb465a8111302d6f2226043ed4"
 
 
 def test_rebinding_extensions_json_pinned():

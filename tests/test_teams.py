@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from teamlogic.errors import DomainError, InvalidArgumentError
 from teamlogic.eval_rel import DEFAULT_BUDGET, _Evaluator, compile
 from teamlogic.formulas import parse
-from teamlogic.sampling import random_prob_team
+from teamlogic.sampling import random_prob_team, random_team
 from teamlogic.teams import Assignment, ProbTeam, Team, value_key
 
 
@@ -106,6 +106,33 @@ class TestSkolemExtend:
     def test_empty_image_rejected(self):
         with pytest.raises(InvalidArgumentError):
             team(EX22_ROWS).skolem_extend("l", lambda s: ())
+
+
+class TestSupportProtocol:
+    """A Team answers the ProbTeam protocol: it is its own support, and a
+    one-entry map of weight 1 extends it as it extends the uniform
+    distribution on it, by the map's one key."""
+
+    def test_team_is_its_own_support(self, ex22):
+        t = team(EX22_ROWS)
+        assert t.support() is t
+        assert ex22.team.support() is ex22.team
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_point_skolem_extension_agrees_with_uniform(self, seed):
+        rng = random.Random(seed)
+        functions = (
+            lambda s: {"c": 1},
+            lambda s: {s.row: 1},
+            lambda s: {(s["x"] + s["z"]) % 3: Fraction(1)},
+            lambda s: {("t", s["y"]): 1},
+        )
+        for _ in range(20):
+            t = random_team(rng, ("x", "y", "z"), universe_size=3, max_rows=6)
+            for var in ("y", "l"):
+                for f in functions:
+                    extended = t.skolem_extend(var, f)
+                    assert extended == ProbTeam.uniform(t).skolem_extend(var, f).support()
 
 
 class TestAddValues:
@@ -350,7 +377,7 @@ def test_skolem_full_universe_equals_generalize(rows):
 @settings(max_examples=40)
 def test_prob_roundtrip_exact(seed):
     rng = random.Random(seed)
-    from teamlogic.sampling import random_prob_team
+    from teamlogic.sampling import random_prob_team, random_team
 
     pt = random_prob_team(rng, ("x", "y"), universe_size=3, max_rows=5)
     dist = {0: Fraction(rng.randint(1, 3), 5)}
