@@ -164,14 +164,10 @@ def cmd_entail(args) -> int:
         ]
         payload = {"command": "entail", "counterexample": None, "transfers": transfers}
     else:
-        rows = [list(map(_plain, row)) for row in team.rows]
+        rows = [list(map(value_to_json, row)) for row in team.rows]
         lines = [f"counterexample with {len(team)} rows:"] + [f"  {r}" for r in rows]
         payload = {"command": "entail", "counterexample": rows, "transfers": transfers}
     return _emit(args, payload, lines)
-
-
-def _plain(value):
-    return value_to_json(value)
 
 
 def cmd_nogo(args) -> int:

@@ -14,11 +14,15 @@ Four constructors, each implementing a constructive proof:
   semantics respectively.
 
 Hidden values are canonical structured tokens (a fixed symbol, row tags,
-integers 0..N-1, or pairs of a hidden value and a selector table), so
+integers 0..N-1, or pairs of a hidden value and a section's tables), so
 outputs are reproducible byte for byte.  Every output is exactly
 empirically equivalent to its input.  The LCM construction and
 probabilistic localization lay out their blocks by one kernel,
 ``_partition``, which asserts the partition bookkeeping at build time.
+Relational localization runs on global sections: each old hidden value's
+rows are a model for :func:`~teamlogic.nogo.consistent_sections`, and the
+new hidden column is assembled by :func:`~teamlogic.models.tag_rows`, as
+the no-go witness is.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
 
-from .errors import BudgetExceededError, InvalidArgumentError, PreconditionError
+from .errors import InvalidArgumentError, PreconditionError
 from .models import (
     LAMBDA_VAR,
     EmpiricalModel,
@@ -35,9 +39,11 @@ from .models import (
     empirical_domain,
     from_team,
     induced_empirical,
+    tag_rows,
 )
+from .nogo import consistent_sections
 from .properties import PropertyName, check_property
-from .teams import ProbTeam, row_key, value_key
+from .teams import ProbTeam, row_key
 
 SINGLE_LAMBDA = "l0"
 
@@ -73,27 +79,24 @@ def construct_weakdet_lambdaindep(model: EmpiricalModel) -> HVModel:
     independence, while a hidden value and a measurement pin the block and
     hence the outcome, yielding Weak Determinism.
 
-    Relational models are routed through the uniform distribution and
-    collapsed back.
+    A relational model's masses are those of the uniform distribution on
+    its rows, and each row is extended by its block.
     """
-    if not model.probabilistic:
-        uniform = from_team(ProbTeam.uniform(model.team), "empirical")
-        hv = construct_weakdet_lambdaindep(uniform)
-        return from_team(hv.team, "hidden")
-
+    if isinstance(model, HVModel):
+        raise InvalidArgumentError("the LCM construction needs an empirical model as input")
     n = model.arity
+    data = model.data
+    masses = (data if model.probabilistic else ProbTeam.uniform(data)).masses(empirical_domain(n))
     # masses are keyed in canonical row order, and a row's context is its
     # prefix: each context's outcomes come in canonical order
     contexts: dict = {}
-    for z, mass in model.prob_team.masses(empirical_domain(n)).items():
+    for z, mass in masses.items():
         contexts.setdefault(z[:n], {})[z[n:]] = mass
     blocks = _partition(contexts)
+    # a uniform distribution over a block: a ProbTeam splits the row's mass
+    # over it, and a Team takes its keys as the row's image
     dists = {key: dict.fromkeys(block, Fraction(1, len(block))) for key, block in blocks.items()}
-
-    def family(s):
-        return dists[(s.row[:n], s.row[n:])]
-
-    return from_team(model.prob_team.skolem_extend(LAMBDA_VAR, family), "hidden")
+    return from_team(data.skolem_extend(LAMBDA_VAR, lambda s: dists[(s.row[:n], s.row[n:])]), "hidden")
 
 
 def _partition(groups: dict) -> dict:
@@ -145,56 +148,32 @@ def localize_rel(model: HVModel, max_selectors: int = 1_000_000) -> HVModel:
     """Relational localization: from Locality and hidden-variable
     independence to Strong Determinism and hidden-variable independence.
 
-    New hidden values are pairs of an old hidden value c and a family of
-    per-component selectors f_i mapping each measurement value to an
-    outcome witnessed with it under c; a row is compatible with (c, f)
-    when every selector reproduces its outcomes.  Selector families are
-    enumerated exhaustively, guarded by ``max_selectors``.
+    New hidden values are pairs (c, tables) of an old hidden value c and a
+    consistent global section of c's slice, the rows with hidden value c
+    read as an empirical model; each row is tagged with the pairs whose
+    section picks it.  Under Locality and independence these sections are
+    exactly the families of per-component selectors of outcomes witnessed
+    under c.  ``max_selectors`` bounds each slice's section space, an
+    upper bound on its selector families, as in
+    :func:`~teamlogic.nogo.consistent_sections`.
     """
     if model.probabilistic:
         raise InvalidArgumentError("localize_rel needs a relational model")
     _require(model)
     n = model.arity
     empirical = induced_empirical(model).team
-
-    witnessed: dict = {}
+    # the rows of a hidden value, less that value, are canonical rows of
+    # the empirical team: the hidden value comes last
+    slices: dict = {}
     for row in model.team.rows:
-        c = row[2 * n]
-        for i in range(n):
-            witnessed.setdefault((i, c), {}).setdefault(row[i], set()).add(row[n + i])
-
-    lam_values = model.lambda_values()
-    selector_tags: dict = {}
-    for c in lam_values:
-        per_component = []
-        count = 1
-        for i in range(n):
-            options = witnessed[(i, c)]
-            keys = sorted(options, key=value_key)
-            choices = [sorted(options[k], key=value_key) for k in keys]
-            for ch in choices:
-                count *= len(ch)
-            if count > max_selectors:
-                raise BudgetExceededError(
-                    f"selector family for hidden value {c!r} exceeds {max_selectors}"
-                )
-            per_component.append(
-                [tuple(zip(keys, pick)) for pick in product(*choices)]
-            )
-        selector_tags[c] = [tuple(fs) for fs in product(*per_component)]
-
-    def compatible(s):
-        a, b = s.row[:n], s.row[n:]
-        tags = []
-        for c in lam_values:
-            for f in selector_tags[c]:
-                if all(dict(f[i]).get(a[i]) == b[i] for i in range(n)):
-                    tags.append((c, f))
-        assert tags, "lambda-independence guarantees a compatible selector"
-        return tags
-
-    extended = empirical.skolem_extend(LAMBDA_VAR, compatible)
-    return from_team(extended, "hidden")
+        slices.setdefault(row[2 * n], []).append(row[: 2 * n])
+    graphs = {
+        (c, s.tables): s.graph
+        for c, rows in slices.items()
+        for s in consistent_sections(EmpiricalModel(empirical._sub(rows), n), max_selectors)
+    }
+    # under Loc every row lies on some section; tag_rows asserts it
+    return HVModel(tag_rows(empirical, graphs), n)
 
 
 def localize_prob(model: HVModel) -> HVModel:

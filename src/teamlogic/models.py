@@ -16,6 +16,9 @@ The layer also provides the structural moves between the two worlds:
 projecting a hidden-variable model to its induced empirical model,
 possibilistic collapse of probabilistic models, exact empirical
 equivalence, and the commutativity check tying all of these together.
+:func:`tag_rows` adds a hidden column of tags, each given by the rows it
+holds, in canonical order; the no-go witness and relational localization
+are both assembled by it.
 """
 
 from __future__ import annotations
@@ -99,6 +102,27 @@ class HVModel(_ModelBase):
 def _column_values(team: Team, var: str) -> tuple:
     (pos,) = team.positions((var,))
     return tuple(sorted({row[pos] for row in team.rows}, key=value_key))
+
+
+def tag_rows(team: Team, graphs: dict) -> Team:
+    """``team`` extended by the hidden column: each row, in row order, by
+    the tags whose graph (a tuple of rows of ``team``) holds it, in tag
+    order, so the rows come out canonical.  Every row must lie on some
+    graph."""
+    keys = {tag: value_key(tag) for tag in graphs}
+    tags_of: dict[tuple, list] = {}
+    for tag in sorted(graphs, key=keys.__getitem__):
+        for row in graphs[tag]:
+            tags_of.setdefault(row, []).append(tag)
+    assert len(tags_of) == len(team.rows), "every row must carry a tag"
+    # a list first: tuple() of a generator over-allocates, which raises peak RSS
+    rows = tuple([row + (tag,) for row in team.rows for tag in tags_of[row]])
+    # the team's universe is its sorted active values; numbers and strings
+    # sort before every tuple, so only its tuples are merged with the tags
+    cut = next((i for i, v in enumerate(team.universe) if isinstance(v, tuple)), len(team.universe))
+    keys.update((v, value_key(v)) for v in team.universe[cut:])
+    universe = team.universe[:cut] + tuple(sorted(keys, key=keys.__getitem__))
+    return Team._canonical(team.domain + (LAMBDA_VAR,), rows, universe)
 
 
 def from_team(data: Team | ProbTeam, kind: str) -> EmpiricalModel | HVModel:

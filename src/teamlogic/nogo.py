@@ -9,9 +9,12 @@ the consistent sections jointly cover it.  :func:`exists_strongdet_lambdaindep`
 decides this by exhaustive section enumeration with per-context
 propagation, on the driver :func:`~teamlogic.eval_rel.depth_first`; each
 section's graph is the model rows it picks, which the cover test reads
-and a covered model's witness takes in canonical row order.
-:func:`exists_local_lambdaindep` answers the Locality variant, which the
-localization normal form makes the same decision.
+and a covered model's witness takes in canonical row order, through
+:func:`~teamlogic.models.tag_rows`.  :func:`exists_local_lambdaindep`
+answers the Locality variant, which the localization normal form makes
+the same decision.  The same kernel serves that normal form:
+:func:`~teamlogic.constructions.localize_rel` takes its new hidden values
+from the consistent sections of each old hidden value's rows.
 
 The canonical Hardy empirical model has no such explanation.  The
 bundled 18-vector configuration in 4-space drives three formulations of
@@ -42,7 +45,7 @@ from .errors import BudgetExceededError, InvalidArgumentError
 from .eval_rel import depth_first, eval_atom_rel, exact_transversal
 from .formulas import NCC
 from .jsonio import _fraction
-from .models import LAMBDA_VAR, EmpiricalModel, HVModel
+from .models import EmpiricalModel, HVModel, tag_rows
 from .teams import Team, Value, value_key
 
 
@@ -138,26 +141,10 @@ def _covers(model: EmpiricalModel, sections: list[GlobalSection]) -> bool:
 
 def _section_cover(model: EmpiricalModel, sections: list[GlobalSection]) -> HVModel | None:
     """The hidden-variable model whose hidden values are ``sections``,
-    tagged ``("sec", tables)``, or None when they do not cover the model.
-    Each model row, in row order, is extended by the tags of the sections
-    that pick it, in tag order: the rows come out canonical."""
+    tagged ``("sec", tables)``, or None when they do not cover the model."""
     if not _covers(model, sections):
         return None
-    team = model.team
-    graphs = {("sec", s.tables): s.graph for s in sections}
-    keys = {tag: value_key(tag) for tag in graphs}
-    tags_of: dict[tuple, list] = {}
-    for tag in sorted(graphs, key=keys.__getitem__):
-        for row in graphs[tag]:
-            tags_of.setdefault(row, []).append(tag)
-    # a list first: tuple() of a generator over-allocates, which raises peak RSS
-    rows = tuple([row + (tag,) for row in team.rows for tag in tags_of[row]])
-    # the model's universe is its sorted active values; numbers and strings
-    # sort before every tuple, so only its tuples are merged with the tags
-    cut = next((i for i, v in enumerate(team.universe) if isinstance(v, tuple)), len(team.universe))
-    keys.update((v, value_key(v)) for v in team.universe[cut:])
-    universe = team.universe[:cut] + tuple(sorted(keys, key=keys.__getitem__))
-    return HVModel(Team._canonical(team.domain + (LAMBDA_VAR,), rows, universe), model.arity)
+    return HVModel(tag_rows(model.team, {("sec", s.tables): s.graph for s in sections}), model.arity)
 
 
 def exists_local_lambdaindep(

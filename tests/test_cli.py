@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -6,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import teamlogic
-from teamlogic.cli import main
-from teamlogic.jsonio import load_model
+from teamlogic.cli import CONSTRUCT_TARGETS, main
+from teamlogic.jsonio import dump_json, load_model, model_to_dict
+from teamlogic.sampling import random_empirical_model, random_local_witness
 
 
 def run_cli(*argv):
@@ -177,6 +179,47 @@ class TestConstruct:
         code, _, err = run_cli(
             "construct", "--model", "builtin:loc6", "--target", "localize", "--out", "-")
         assert code == 2 and "Locality" in err
+
+
+    def test_lcm_construction_rejects_probabilistic_hidden_model(self, tmp_path, capsys):
+        model = tmp_path / "hv.json"
+        witness = random_local_witness(random.Random(3), probabilistic=True)
+        model.write_text(dump_json(model_to_dict(witness)))
+        code = main(["construct", "--model", str(model), "--target", "weakdet-lambda-indep", "--out", "-"])
+        assert code == 2 and "error[invalid-input]" in capsys.readouterr().err
+
+
+#: Generated model files for the exit-code sweep, by name.
+GENERATED_MODELS = {
+    "prob-empirical": lambda: random_empirical_model(random.Random(5), probabilistic=True),
+    "prob-hidden": lambda: random_local_witness(random.Random(3), probabilistic=True),
+    "rel-local-witness": lambda: random_local_witness(random.Random(7)),
+}
+SWEEP_MODELS = [f"builtin:{name}" for name in ("ex22", "sig", "hardy", "siglambda", "loc6")] + [
+    f"file:{name}" for name in GENERATED_MODELS
+]
+
+
+@pytest.fixture(scope="module")
+def model_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("models")
+    files = {}
+    for name, make in GENERATED_MODELS.items():
+        files[name] = folder / f"{name}.json"
+        files[name].write_text(dump_json(model_to_dict(make())))
+    return files
+
+
+@pytest.mark.parametrize("target", CONSTRUCT_TARGETS)
+@pytest.mark.parametrize("spec", SWEEP_MODELS)
+def test_construct_exits_0_or_2(spec, target, model_files, capsys):
+    # every construction either succeeds or reports an input error: no
+    # model and target pair ends in a traceback
+    if spec.startswith("file:"):
+        spec = str(model_files[spec[len("file:"):]])
+    code = main(["construct", "--model", spec, "--target", target, "--out", "-"])
+    err = capsys.readouterr().err
+    assert code == 0 and not err or code == 2 and err.startswith("error[")
 
 
 class TestVerifySuites:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -12,7 +13,8 @@ from teamlogic.constructions import (
 )
 from teamlogic.errors import PreconditionError
 from teamlogic.eval_prob import CondProbQuery, cond_prob
-from teamlogic.models import empirically_equivalent, from_team, induced_empirical
+from teamlogic.jsonio import model_to_dict
+from teamlogic.models import LAMBDA_VAR, empirically_equivalent, from_team, induced_empirical
 from teamlogic.properties import (
     PropertyName as P,
     check_property,
@@ -20,7 +22,7 @@ from teamlogic.properties import (
     locality_oracle_rel,
 )
 from teamlogic.sampling import random_empirical_model, random_local_witness
-from teamlogic.teams import ProbTeam, Team
+from teamlogic.teams import ProbTeam, Team, value_key
 
 
 class TestSingleValued:
@@ -207,6 +209,61 @@ class TestLocalize:
                 expected = mass_c / len(lams)
                 for lam in lams:
                     assert marginal(z.prob_team, ("l",), (lam,)) == expected
+
+
+def reference_localize_rel(model):
+    """Relational localization by exhaustive selector families, the
+    independent reference for :func:`localize_rel`.
+
+    New hidden values are pairs of an old hidden value c and a family of
+    per-component selectors f_i mapping each measurement value to an
+    outcome witnessed with it under c; each row is extended by every pair
+    whose selectors reproduce its outcomes.
+    """
+    n = model.arity
+    witnessed: dict = {}
+    for row in model.team.rows:
+        c = row[2 * n]
+        for i in range(n):
+            witnessed.setdefault((i, c), {}).setdefault(row[i], set()).add(row[n + i])
+
+    lam_values = model.lambda_values()
+    selector_tags: dict = {}
+    for c in lam_values:
+        per_component = []
+        for i in range(n):
+            options = witnessed[(i, c)]
+            keys = sorted(options, key=value_key)
+            choices = [sorted(options[k], key=value_key) for k in keys]
+            per_component.append([tuple(zip(keys, pick)) for pick in product(*choices)])
+        selector_tags[c] = [tuple(fs) for fs in product(*per_component)]
+
+    def compatible(s):
+        a, b = s.row[:n], s.row[n:]
+        tags = [
+            (c, f)
+            for c in lam_values
+            for f in selector_tags[c]
+            if all(dict(f[i]).get(a[i]) == b[i] for i in range(n))
+        ]
+        assert tags, "lambda-independence guarantees a compatible selector"
+        return tags
+
+    empirical = induced_empirical(model).team
+    return from_team(empirical.skolem_extend(LAMBDA_VAR, compatible), "hidden")
+
+
+class TestLocalizeReference:
+    def test_sections_match_selector_families(self):
+        # three seeded witnesses for each arity, component size and number
+        # of hidden values; the serialized models must agree byte for byte
+        rng = random.Random(123)
+        for arity, size, lams in product((1, 2, 3), (2, 3), (1, 2, 3)):
+            for _ in range(3):
+                witness = random_local_witness(rng, arity, size, lams)
+                assert model_to_dict(localize_rel(witness)) == model_to_dict(
+                    reference_localize_rel(witness)
+                )
 
 
 class TestRandomSweep:
