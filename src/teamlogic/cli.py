@@ -25,7 +25,7 @@ import argparse
 import sys
 
 from .datasets import load_bundled
-from .errors import BudgetExceededError, TeamLogicError
+from .errors import BudgetExceededError, InvalidArgumentError, TeamLogicError
 from .eval_prob import eval_prob
 from .eval_rel import EvalBudget, eval_rel
 from .formulas import parse
@@ -55,7 +55,7 @@ def _resolve_model(spec: str) -> EmpiricalModel | HVModel:
         obj = load_bundled(spec[len("builtin:") :])
         if isinstance(obj, (EmpiricalModel, HVModel)):
             return obj
-        raise TeamLogicError(f"{spec} is not a model table")
+        raise InvalidArgumentError(f"{spec} is not a model table")
     return load_model(spec)
 
 
@@ -81,7 +81,7 @@ def cmd_eval(args) -> int:
     budget = _budget(args)
     if args.prob:
         if not isinstance(data, ProbTeam):
-            raise TeamLogicError("--prob needs a team with weights")
+            raise InvalidArgumentError("--prob needs a team with weights")
         verdict = eval_prob(data, formula, budget)
         semantics = "probabilistic"
     else:
@@ -123,7 +123,7 @@ def cmd_construct(args) -> int:
         result = constructions.construct_weakdet_lambdaindep(model)
     else:
         if not isinstance(model, HVModel):
-            raise TeamLogicError("localize needs a hidden-variable model as input")
+            raise InvalidArgumentError("localize needs a hidden-variable model as input")
         if model.probabilistic:
             result = constructions.localize_prob(model)
         else:
@@ -204,9 +204,9 @@ def cmd_nogo(args) -> int:
     # exists
     model = _resolve_model(args.model)
     if not isinstance(model, EmpiricalModel):
-        raise TeamLogicError("nogo exists needs an empirical model")
+        raise InvalidArgumentError("nogo exists needs an empirical model")
     if model.probabilistic:
-        raise TeamLogicError(
+        raise InvalidArgumentError(
             "decision runs relationally; pass the support model "
             "(nonexistence transfers to the probabilistic side)"
         )

@@ -23,7 +23,7 @@ from itertools import combinations, product
 from typing import Iterator
 
 from .datasets import load_bundled
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InvalidArgumentError
 from .eval_prob import eval_prob
 from .eval_rel import EvalBudget, compile, eval_rel
 from .formulas import Formula, is_downward_closed, parse
@@ -44,18 +44,25 @@ PSI2 = parse("x _||_{z w} y & z _||_{x} w & z _||_{y} w & x _||_ y")
 PHI2 = parse("z _||_ w")
 
 
+def assignment_space(columns: list[tuple[str, list]]) -> Team:
+    """Every assignment of per-variable value columns, validated and
+    sorted once, as one team.  A sweep compiles its plan over this team
+    and enumerates its sub-teams."""
+    variables = tuple(name for name, _ in columns)
+    universe = {v for _, values in columns for v in values}
+    return Team(variables, product(*[values for _, values in columns]), universe)
+
+
 def enumerate_teams(
-    columns: list[tuple[str, list]],
+    space: Team | list[tuple[str, list]],
     max_rows: int,
     nonempty: bool = True,
 ) -> Iterator[Team]:
-    """All teams over per-variable value columns with at most ``max_rows``
-    rows, smallest first, in canonical order.  Each team is yielded once:
-    a value listed twice in a column adds no row twice."""
-    variables = tuple(name for name, _ in columns)
-    universe = {v for _, values in columns for v in values}
-    # the assignment space is validated and sorted once, as one team
-    whole = Team(variables, product(*[values for _, values in columns]), universe)
+    """All sub-teams of ``space`` with at most ``max_rows`` rows, smallest
+    first, in canonical order.  ``space`` is a team, or per-variable value
+    columns standing for their :func:`assignment_space`.  Each team is
+    yielded once: a value listed twice in a column adds no row twice."""
+    whole = space if isinstance(space, Team) else assignment_space(space)
     start = 1 if nonempty else 0
     for count in range(start, max_rows + 1):
         for rows in combinations(whole.rows, count):
@@ -73,6 +80,8 @@ def find_rel_counterexample(
 ) -> Team | None:
     """First team (canonical order) satisfying ``lhs`` but not ``rhs``,
     or None when no counterexample exists within the bounds."""
+    if universe_size < 1 or max_rows < 1:
+        raise InvalidArgumentError("universe size and row bound must be at least 1")
     if universe_size ** len(variables) > row_space_cap:
         raise BudgetExceededError(
             f"assignment space {universe_size}^{len(variables)} exceeds cap {row_space_cap}"
@@ -88,8 +97,9 @@ def _first_counterexample(
     max_rows: int,
     budget: EvalBudget | None = None,
 ) -> Team | None:
-    plan = compile([lhs, rhs], tuple(name for name, _ in columns))
-    for team in enumerate_teams(columns, max_rows):
+    space = assignment_space(columns)
+    plan = compile([lhs, rhs], space.domain, space)
+    for team in enumerate_teams(space, max_rows):
         verdict = plan.run(team, budget)
         if verdict(0) and not verdict(1):
             return team
@@ -213,6 +223,14 @@ def _formula_of(props: tuple[PropertyName, ...], arity: int) -> Formula:
     return conjoin([property_formula(p, arity) for p in props])
 
 
+def _property_columns(arity: int, component_size: int) -> list[tuple[str, list]]:
+    """The value columns of the property entailment sweep: measurements,
+    outcomes and the hidden variable, ``component_size`` values each."""
+    columns = [(v, [f"a{k}" for k in range(component_size)]) for v in hidden_domain(arity)[:arity]]
+    columns += [(v, [f"x{k}" for k in range(component_size)]) for v in hidden_domain(arity)[arity : 2 * arity]]
+    return columns + [("l", [f"lam{k}" for k in range(component_size)])]
+
+
 def verify_property_entailments(
     arity: int = 2,
     component_size: int = 2,
@@ -223,16 +241,15 @@ def verify_property_entailments(
     """Exhaustive bounded relational check of the five property
     entailments, randomized probabilistic confirmation, plus the two
     expected non-implications (dropping a conjunct breaks each)."""
-    columns = [(v, [f"a{k}" for k in range(component_size)]) for v in hidden_domain(arity)[:arity]]
-    columns += [(v, [f"x{k}" for k in range(component_size)]) for v in hidden_domain(arity)[arity : 2 * arity]]
-    columns += [("l", [f"lam{k}" for k in range(component_size)])]
+    columns = _property_columns(arity, component_size)
     pairs = [
         (name, _formula_of(lhs, arity), _formula_of(rhs, arity))
         for name, lhs, rhs in IMPLICATIONS
     ]
     # formula 2k is the k-th pair's lhs and 2k + 1 its rhs; the pairs share
     # properties, and the plan decides each at most once per team
-    plan = compile([f for _, lhs, rhs in pairs for f in (lhs, rhs)], tuple(name for name, _ in columns))
+    space = assignment_space(columns)
+    plan = compile([f for _, lhs, rhs in pairs for f in (lhs, rhs)], space.domain, space)
     report = EntailmentReport(arity=arity, teams_checked=0, prob_samples=prob_samples)
 
     def failing(team: Team | ProbTeam) -> Iterator[str]:
@@ -240,7 +257,7 @@ def verify_property_entailments(
         verdict = plan.run(team)
         return (name for k, (name, _, _) in enumerate(pairs) if verdict(2 * k) and not verdict(2 * k + 1))
 
-    for team in enumerate_teams(columns, max_rows):
+    for team in enumerate_teams(space, max_rows):
         report.teams_checked += 1
         for name in failing(team):
             report.counterexamples.setdefault(name, team)

@@ -16,6 +16,17 @@ existential, the static half of its search.  A plan is complete when
 :meth:`Plan.run` decides the formulas on one team, each node at most once
 for that team.  :func:`eval_rel` compiles its formula and runs it.
 
+A plan compiled over an assignment space (a sweep's plan) also holds one
+packed int per space row, in which each ``dep`` and ``_||_`` atom over
+the plan's domain has the row's class bits at its own offset
+(:mod:`teamlogic.masks`).  A run ORs its team's row ints once and decides each
+such atom on that team by one test of its field.  The atom kernels, which
+read the rows, decide everything else: a :class:`~teamlogic.teams.ProbTeam`,
+whose ``_||_`` is stochastic; the sub-teams and extensions that splits
+and quantifiers build; a team with a row outside the space; plans without
+a space; and spaces whose masks would exceed
+:data:`~teamlogic.masks.MASK_BITS`.
+
 Generalized dependence and ``nc`` share one definition, the incremental
 constraint that an existential search keeps: ``nc(xs; y)`` is the
 generalized dependence whose side-1 key is the set of a row's ``xs``
@@ -70,6 +81,7 @@ from .formulas import (
     free_vars,
     is_downward_closed,
 )
+from .masks import RowMasks
 from .teams import ProbTeam, Row, Team, bind, positions, row_key, value_key
 
 
@@ -106,7 +118,7 @@ class EvalBudget:
 DEFAULT_BUDGET = EvalBudget()
 
 
-def compile(formulas: Iterable[Formula], domain: Sequence[str]) -> Plan:
+def compile(formulas: Iterable[Formula], domain: Sequence[str], space: Team | None = None) -> Plan:
     """Compile ``formulas`` into one plan for teams over ``domain``.
 
     Each distinct subformula, over each domain a quantifier extends
@@ -114,6 +126,12 @@ def compile(formulas: Iterable[Formula], domain: Sequence[str]) -> Plan:
     subformulas share their nodes.  Raises
     :class:`~teamlogic.errors.DomainError` when a formula has a free
     variable outside ``domain``.
+
+    ``space`` is the assignment space whose sub-teams the plan will run
+    on, if one is known: the plan then packs the class bits of its
+    ``dep`` and ``_||_`` atoms over ``domain`` into one mask per space
+    row (see :mod:`teamlogic.masks`), unless they would take more than
+    :data:`~teamlogic.masks.MASK_BITS` bits.
     """
     domain = tuple(domain)
     nodes: dict = {}
@@ -123,7 +141,12 @@ def compile(formulas: Iterable[Formula], domain: Sequence[str]) -> Plan:
         if missing:
             raise DomainError(f"free variables {sorted(missing)} not bound by team domain {domain}")
         roots.append(_intern(formula, domain, nodes))
-    return Plan(domain, tuple(roots))
+    masks = None
+    if space is not None:
+        if space.domain != domain:
+            raise DomainError(f"space domain {space.domain} differs from plan domain {domain}")
+        masks = RowMasks.build(domain, space.rows, {node: f for (f, d), node in nodes.items() if d == domain})
+    return Plan(domain, tuple(roots), masks)
 
 
 def eval_rel(team: Team, formula: Formula, budget: EvalBudget | None = None) -> bool:
@@ -148,11 +171,13 @@ def eval_atom_rel(team: Team, atom: Formula) -> bool:
 @dataclass(frozen=True)
 class Plan:
     """Formulas compiled by :func:`compile` for teams over one variable
-    domain: ``roots`` holds the node of each formula, in order.  Runs on
-    different teams may share a plan."""
+    domain: ``roots`` holds the node of each formula, in order, and
+    ``masks`` the row masks of the assignment space it was compiled over,
+    if any.  Runs on different teams may share a plan."""
 
     domain: tuple[str, ...]
     roots: tuple[_Node, ...]
+    masks: RowMasks | None = None
 
     def run(self, team: Team | ProbTeam, budget: EvalBudget | None = None) -> Callable[[int], bool]:
         """The verdict of the ``i``-th formula on ``team``, as a function of ``i``.
@@ -166,9 +191,11 @@ class Plan:
         if team.domain != self.domain:
             raise DomainError(f"team domain {team.domain} differs from plan domain {self.domain}")
         budget = budget or DEFAULT_BUDGET
+        masks = None
         if isinstance(team, Team):  # probabilistic atoms decide on any universe
             budget.check_universe(len(team.universe))
-        evaluator = _Evaluator(budget, team)
+            masks = self.masks  # a ProbTeam's _||_ stays stochastic
+        evaluator = _Evaluator(budget, team, masks)
         roots = self.roots
         return lambda i: evaluator.root(roots[i])
 
@@ -403,13 +430,17 @@ def depth_first(depth: int, level: Callable[[int], Iterator[bool]]) -> Iterator[
 
 class _Evaluator:
     """The search state of one run on one team: the verdicts of the nodes
-    decided on that team itself, and, for the verdict being decided, the
-    memo of verdicts on the subteams and extensions that searches build
-    and the node count that the budget bounds together with the memo."""
+    decided on that team itself, its row masks' OR with the field tests
+    that read it, when ``masks`` covers the team, and, for the verdict
+    being decided, the memo of verdicts on the subteams and extensions
+    that searches build and the node count that the budget bounds
+    together with the memo."""
 
-    def __init__(self, budget: EvalBudget, team: Team | ProbTeam):
+    def __init__(self, budget: EvalBudget, team: Team | ProbTeam, masks: RowMasks | None = None):
         self.budget = budget
         self.team = team
+        self.bits = None if masks is None else masks.of(team)
+        self.tests = {} if self.bits is None else masks.tests
         self.verdicts: dict = {}
         self.nodes = 0
         self.memo: dict = {}
@@ -453,7 +484,9 @@ class _Evaluator:
         return all(map(node.check, team.rows))
 
     def atom(self, team: Team | ProbTeam, node: _Node) -> bool:
-        return node.kernel(self, team)
+        # a sub-team that a split or a quantifier builds has no mask
+        test = self.tests and team is self.team and self.tests.get(node)
+        return test(self.bits) if test else node.kernel(self, team)
 
     def conj(self, team: Team, node: _Node) -> bool:
         return self.eval(team, node.lhs) and self.eval(team, node.rhs)

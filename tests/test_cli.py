@@ -222,6 +222,39 @@ def test_construct_exits_0_or_2(spec, target, model_files, capsys):
     assert code == 0 and not err or code == 2 and err.startswith("error[")
 
 
+#: The CLI's own input refusals, each with the message it prints; the
+#: file name ``prob-empirical`` stands for that generated model file.
+CLI_REFUSALS = [
+    (["check", "--model", "builtin:pt1", "--property", "weak-det"],
+     "builtin:pt1 is not a model table"),
+    (["eval", "--team", "builtin:rt2", "--formula", "dep(x, y)", "--prob"],
+     "--prob needs a team with weights"),
+    (["construct", "--model", "builtin:ex22", "--target", "localize", "--out", "-"],
+     "localize needs a hidden-variable model as input"),
+    (["nogo", "exists", "--model", "builtin:loc6", "--target", "strong-det+lambda"],
+     "nogo exists needs an empirical model"),
+    (["nogo", "exists", "--model", "prob-empirical", "--target", "strong-det+lambda"],
+     "decision runs relationally"),
+]
+
+
+@pytest.mark.parametrize("argv, message", CLI_REFUSALS, ids=[m for _, m in CLI_REFUSALS])
+def test_cli_refusals_are_input_errors(argv, message, model_files, capsys):
+    argv = [str(model_files[a]) if a in model_files else a for a in argv]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith(f"error[invalid-input]: {message}")
+
+
+@pytest.mark.parametrize("bound", [("--universe", "0"), ("--universe", "-1"),
+                                   ("--max-rows", "0"), ("--max-rows", "-2")], ids="=".join)
+def test_entail_refuses_empty_bounds(bound, capsys):
+    code = main(["entail", "--lhs", "dep(x,y)", "--rhs", "dep(y,x)", "--vars", "x", "y", *bound])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err.startswith("error[invalid-input]")
+
+
 class TestVerifySuites:
     def test_separations_suite(self):
         code, out, _ = run_cli("verify", "--suite", "separations")

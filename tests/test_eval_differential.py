@@ -8,6 +8,11 @@ decomposition.  Agreement over random teams and random formulas spanning
 all atom kinds and connectives exercises exactly the machinery the
 optimized evaluator is allowed to be clever about.
 
+The row-mask part checks plans compiled over an assignment space, which
+decide ``dep`` and ``_||_`` on each sub-team of the space by an OR of
+row masks, against the same formulas compiled without a space, which run
+the batch kernels.
+
 The probabilistic part checks the exact-marginal readers (the
 independence atom, ``cond_prob`` and ``marginal``) against probabilities
 summed by plain comprehension over the weight table, with conditional
@@ -24,6 +29,16 @@ from itertools import combinations, product
 
 import pytest
 
+from teamlogic.datasets import load_bundled
+from teamlogic.entailment import (
+    IMPLICATIONS,
+    PHI1,
+    PSI1,
+    _formula_of,
+    _property_columns,
+    assignment_space,
+    enumerate_teams,
+)
 from teamlogic.errors import ZeroProbabilityError
 from teamlogic.eval_prob import CondProbQuery, cond_prob, eval_prob, marginal
 from teamlogic.eval_rel import compile, eval_rel
@@ -42,8 +57,11 @@ from teamlogic.formulas import (
     Neq,
     Or,
     Var,
+    parse,
     print_formula,
 )
+from teamlogic.masks import MASK_BITS
+from teamlogic.properties import PropertyName
 from teamlogic.sampling import random_prob_team
 from teamlogic.teams import ProbTeam, Team
 
@@ -395,6 +413,140 @@ def test_differential_tuple_valued_single_columns(formula):
     for _ in range(40):
         team = Team(VARS, rng.sample(space, rng.randint(1, 3)), universe=MIXED_VALUES)
         assert eval_rel(team, formula) == naive_eval(team, formula), team.rows
+
+
+def _masked_and_batch(formulas, space):
+    """The formulas compiled over ``space``, with its row masks, and
+    compiled without a space."""
+    masked = compile(formulas, space.domain, space)
+    assert masked.masks is not None
+    return masked, compile(formulas, space.domain)
+
+
+def _agree(masked, batch, team, count):
+    """The verdicts of both plans on ``team``, which must agree."""
+    mine, theirs = masked.run(team), batch.run(team)
+    verdicts = [mine(i) for i in range(count)]
+    assert verdicts == [theirs(i) for i in range(count)], team.rows
+    return verdicts
+
+
+@pytest.mark.parametrize("suite", ["entailments", "separations"])
+def test_masks_agree_on_every_sweep_team(suite):
+    # every team of the default sweep, with every formula the sweep asks
+    if suite == "entailments":
+        columns, max_rows = _property_columns(2, 2), 4
+        # the five implications and the dropped-conjunct non-implication
+        pairs = [(lhs, rhs) for _, lhs, rhs in IMPLICATIONS]
+        pairs.append(((PropertyName.PAR_INDEP_H,), (PropertyName.NO_SIG_E,)))
+        formulas = [_formula_of(side, 2) for pair in pairs for side in pair]
+    else:
+        columns, max_rows = [(v, [0, 1]) for v in ("x", "y", "z", "w")], 7
+        formulas = [PSI1, PHI1]
+    masked, batch = _masked_and_batch(formulas, assignment_space(columns))
+    teams, verdicts = 0, set()
+    for team in enumerate_teams(columns, max_rows):
+        verdicts.update(_agree(masked, batch, team, len(formulas)))
+        teams += 1
+    assert teams == {"entailments": 41_448, "separations": 26_332}[suite]
+    assert verdicts == {True, False}
+
+
+#: Column values of mixed kinds: ints, strings, fractions and tuples,
+#: with a one-tuple beside the bare value it holds.
+MIXED_COLUMN_VALUES = (0, 1, "a", Fraction(1, 2), (0,), (0, "a"))
+
+
+def test_masks_agree_on_random_subteams_of_mixed_spaces():
+    rng = random.Random(9091)
+    verdicts = set()
+    for _ in range(40):
+        columns = [(v, rng.sample(MIXED_COLUMN_VALUES, rng.randint(1, 4))) for v in VARS]
+        space = assignment_space(columns)
+        # quantifier-free: the search tests below quantify
+        formulas = [random_formula(rng, depth=2, quantifiers_left=0) for _ in range(4)] + [
+            Dep(("x",), ("y",)), Indep(("x",), ("z",), ("y",)),
+        ]
+        masked, batch = _masked_and_batch(formulas, space)
+        for _ in range(12):
+            count = rng.randint(0, min(5, len(space.rows)))
+            picked = sorted(rng.sample(range(len(space.rows)), count))
+            rows = [space.rows[i] for i in picked]
+            # a sub-team, and the same rows validated as a new team
+            for team in (space._sub(rows), Team(VARS, rows, space.universe)):
+                got = _agree(masked, batch, team, len(formulas))
+                assert got == [naive_eval(team, f) for f in formulas], team.rows
+                verdicts.update(got)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "atom",
+    [a for a in EMPTY_TUPLE_ATOMS + REPEATED_VARIABLE_ATOMS if isinstance(a, (Dep, Indep))],
+    ids=print_formula,
+)
+def test_masks_agree_on_degenerate_atoms(atom):
+    # every team of up to 3 rows, the empty team among them
+    columns = [(v, [0, 1]) for v in VARS]
+    masked, batch = _masked_and_batch([atom], assignment_space(columns))
+    teams = list(enumerate_teams(columns, 3, nonempty=False))
+    assert not teams[0].rows
+    for team in teams:
+        assert _agree(masked, batch, team, 1) == [naive_eval(team, atom)], team.rows
+
+
+#: Splits and existentials, whose whole-team checks run on the masks and
+#: whose sub-teams and extensions run the batch kernels.
+SEARCH_FORMULAS = SPLIT_SHAPES + tuple(parse(text) for text in (
+    "dep(x, y) & (x _||_{z} y | dep(z, x))",
+    "E q . dep(x, q) & x _||_ y",
+    "E q . (x _||_{z} q | dep(q, y)) & dep(x, y)",
+    "A q . dep(x q, y) | x _||_ y",
+    "E x . dep(x, y) & x _||_ z",
+))
+
+
+def test_masks_agree_under_splits_and_quantifiers():
+    rng = random.Random(4040)
+    space = assignment_space([(v, [0, 1, 2]) for v in VARS])
+    masked, batch = _masked_and_batch(SEARCH_FORMULAS, space)
+    verdicts = set()
+    for count in [0, 1] + [2, 3, 4] * 25:
+        team = space._sub(sorted(rng.sample(space.rows, count)))
+        verdicts.update(_agree(masked, batch, team, len(SEARCH_FORMULAS)))
+    assert verdicts == {True, False}
+
+
+def test_masks_over_the_bit_cap_are_not_built():
+    # dep(x, y) & x _||_ y over an n-by-n space: n key and n * n pair
+    # classes, and three fields of the 1 * n * n grid, in each of n * n rows
+    formulas = [parse("dep(x, y) & x _||_ y"), parse("dep(x, y)"), parse("x _||_ y")]
+    n = next(n for n in range(1, 100) if n * n * (n + 4 * n * n) > MASK_BITS)
+    rng = random.Random(n)
+    for size, built in ((n - 1, True), (n, False)):
+        space = assignment_space([(v, list(range(size))) for v in ("x", "y")])
+        masked, batch = compile(formulas, space.domain, space), compile(formulas, space.domain)
+        assert (masked.masks is not None) == built
+        verdicts = set()
+        for _ in range(20):
+            a, b = sorted(rng.sample(range(size), 2))
+            for rows in ([(a, b)], [(a, a), (b, b)], [(a, a), (a, b), (b, b)],
+                         [(a, a), (a, b), (b, a), (b, b)]):
+                verdicts.update(_agree(masked, batch, space._sub(rows), len(formulas)))
+        assert verdicts == {True, False}
+
+
+def test_masks_leave_probabilistic_teams_stochastic():
+    # pt1's support lies in the space, yet the plan decides _||_ on pt1
+    # by its weights, where PSI1 holds and PHI1 does not
+    pt1 = load_bundled("pt1")
+    space = assignment_space([(v, list(pt1.universe)) for v in pt1.domain])
+    plan = compile([PSI1, PHI1], pt1.domain, space)
+    assert plan.masks is not None and plan.masks.of(pt1.support()) is not None
+    verdict = plan.run(pt1)
+    assert [verdict(0), verdict(1)] == [eval_prob(pt1, PSI1), eval_prob(pt1, PHI1)] == [True, False]
+    relational = plan.run(pt1.support())
+    assert [relational(0), relational(1)] == [True, True]
 
 
 def naive_prob(pt: ProbTeam, variables, values) -> Fraction:

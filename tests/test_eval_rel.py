@@ -6,6 +6,7 @@ from itertools import combinations, product
 
 import pytest
 
+from teamlogic.entailment import assignment_space, enumerate_teams
 from teamlogic.errors import BudgetExceededError, DomainError
 from teamlogic.eval_rel import (
     _CONSTRAINTS,
@@ -70,6 +71,18 @@ class TestPlan:
         with pytest.raises(BudgetExceededError):
             plan.run(T(("x", "y"), [(0, 1)], universe=range(9)), EvalBudget(max_universe=8))
 
+    def test_space_masks_cover_only_the_space(self):
+        space = assignment_space([("x", [0, 1]), ("y", [0, 1])])
+        with pytest.raises(DomainError):
+            compile([parse("dep(x, y)")], ("y", "x"), space)
+        plan = compile([parse("dep(x, y)"), parse("x = 0")], ("x", "y"), space)
+        assert plan.masks.of(T(("x", "y"), [(0, 1), (1, 1)])) is not None
+        # a row outside the space: the team runs the batch kernels
+        outside = T(("x", "y"), [(0, 1), (2, 1)])
+        assert plan.masks.of(outside) is None and plan.run(outside)(0)
+        # no dep or _||_ atom, no masks
+        assert compile([parse("x = 0 | y <= x")], ("x", "y"), space).masks is None
+
     def test_shared_subformulas_are_one_node(self):
         plan = compile([parse("dep(x, y) & x _||_ y"), parse("x _||_ y | dep(x, y)")], ("x", "y"))
         conj, disj = plan.roots
@@ -93,14 +106,26 @@ class TestPlan:
         assert [verdict(i) for i in range(2)] == [eval_rel(team, f) for f in formulas]
 
     def test_runs_change_no_node(self):
-        # a plan is complete when compile returns: runs on several teams
-        # leave every field of every node as compile set it
+        # a plan is complete when compile returns: a sweep of runs, with
+        # splits and existentials among the formulas, leaves every field
+        # of every node, and the row masks, as compile set them, whether
+        # the plan is compiled over the swept space or not
+        for with_space in (False, True):
+            self._sweep_changes_no_node(with_space)
+
+    @staticmethod
+    def _sweep_changes_no_node(with_space):
         formulas = [
             parse("E q . dep(x, q) & (x = 0 | y _||_ q)"),
             parse("A r . E s . dep(r, s) | x <= y"),
             parse("E x . x _||_ y | E q . E r . dep(q, r) & y <= q"),
+            parse("dep(x, y) | x _||_ y"),
+            parse("x _||_ y & E q . dep(q, x) & dep(x, y)"),
         ]
-        plan = compile(formulas, ("x", "y"))
+        columns = [("x", [0, 1, 2]), ("y", [0, 1])]
+        space = assignment_space(columns)
+        plan = compile(formulas, ("x", "y"), space if with_space else None)
+        assert (plan.masks is not None) == with_space
 
         def snapshot():
             fields, stack = {}, list(plan.roots)
@@ -109,17 +134,20 @@ class TestPlan:
                 if node not in fields:
                     fields[node] = [getattr(node, f.name) for f in dataclasses.fields(node)]
                     stack.extend(c for c in (node.lhs, node.rhs, node.body) if c is not None)
-            return fields
+            masks = plan.masks and (plan.masks.rows.copy(), plan.masks.tests.copy())
+            return fields, plan.masks, masks
 
-        before = snapshot()
-        for rows in ([(0, 0)], [(0, 1), (1, 0)], [(0, 0), (0, 1), (1, 1)]):
-            verdict = plan.run(T(("x", "y"), rows, universe=(0, 1)))
-            for i in range(len(formulas)):
-                verdict(i)
-        after = snapshot()
+        (before, masks_object, masks) = snapshot()
+        verdicts = set()
+        for team in enumerate_teams(columns, 4, nonempty=False):
+            verdict = plan.run(team)
+            verdicts.update(verdict(i) for i in range(len(formulas)))
+        assert verdicts == {True, False}
+        (after, masks_object_after, masks_after) = snapshot()
         assert after.keys() == before.keys()
         for node, values in before.items():
             assert all(a is b for a, b in zip(values, after[node], strict=True)), node.formula
+        assert masks_object_after is masks_object and masks_after == masks
 
     def test_evaluation_keeps_no_formula_alive(self):
         # nothing outlives a call: neither the plan nor a cache of
