@@ -29,7 +29,7 @@ from .errors import BudgetExceededError, InvalidArgumentError, TeamLogicError
 from .eval_prob import eval_prob
 from .eval_rel import EvalBudget, eval_rel
 from .formulas import parse
-from .jsonio import dump_json, load_model, load_team, model_to_dict, value_to_json
+from .jsonio import dump_json, load_model, load_team, model_to_dict, value_to_json, write_path
 from .models import EmpiricalModel, HVModel
 from .properties import check_property, property_from_cli_name
 from .teams import ProbTeam, Team
@@ -44,9 +44,11 @@ SUITES = ("fig1", "appendix", "separations", "entailments", "ks", "hardy")
 def _resolve_team(spec: str) -> Team | ProbTeam:
     if spec.startswith("builtin:"):
         obj = load_bundled(spec[len("builtin:") :])
+        if isinstance(obj, (EmpiricalModel, HVModel)):
+            obj = obj.data
         if isinstance(obj, (Team, ProbTeam)):
             return obj
-        return obj.data
+        raise InvalidArgumentError(f"{spec} is not a team table")
     return load_team(spec)
 
 
@@ -128,12 +130,11 @@ def cmd_construct(args) -> int:
             result = constructions.localize_prob(model)
         else:
             result = constructions.localize_rel(model)
-    payload = model_to_dict(result)
+    payload = dump_json(model_to_dict(result))
     if args.out == "-":
-        sys.stdout.write(dump_json(payload))
+        sys.stdout.write(payload)
     else:
-        with open(args.out, "w") as fh:
-            fh.write(dump_json(payload))
+        write_path(args.out, payload)
     lam = result.lambda_values()
     return _emit(
         args,
@@ -223,8 +224,7 @@ def cmd_nogo(args) -> int:
         )
     payload = model_to_dict(witness)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(dump_json(payload))
+        write_path(args.out, dump_json(payload))
     return _emit(
         args,
         {
@@ -273,12 +273,11 @@ def cmd_verify(args) -> int:
         from .models import verify_fig1_commutes
         from .sampling import random_hv_prob_team
 
+        count = args.samples
+        if count < 1:
+            raise InvalidArgumentError(f"--samples must be at least 1, not {count}")
         rng = random.Random(args.seed)
-        count = args.samples or 1000
-        bad = 0
-        for _ in range(count):
-            if not verify_fig1_commutes(random_hv_prob_team(rng)):
-                bad += 1
+        bad = sum(not verify_fig1_commutes(random_hv_prob_team(rng)) for _ in range(count))
         ok = bad == 0
         lines = [
             f"collapse/projection commutativity on {count} random probabilistic "
@@ -351,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run a bundled verification suite")
     p.add_argument("--suite", required=True, choices=SUITES)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=int, default=1000)
     p.set_defaults(func=cmd_verify)
     return parser
 

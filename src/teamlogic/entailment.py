@@ -20,13 +20,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .datasets import load_bundled
 from .errors import BudgetExceededError, InvalidArgumentError
 from .eval_prob import eval_prob
-from .eval_rel import EvalBudget, compile, eval_rel
-from .formulas import Formula, is_downward_closed, parse
+from .eval_rel import EvalBudget, Plan, compile, eval_rel
+from .formulas import Formula, conjoin, is_downward_closed, parse
 from .models import hidden_domain
 from .properties import PropertyName, property_formula
 from .sampling import random_prob_team
@@ -86,24 +86,32 @@ def find_rel_counterexample(
         raise BudgetExceededError(
             f"assignment space {universe_size}^{len(variables)} exceeds cap {row_space_cap}"
         )
-    columns = [(v, list(range(universe_size))) for v in variables]
-    return _first_counterexample(columns, lhs, rhs, max_rows, budget)
-
-
-def _first_counterexample(
-    columns: list[tuple[str, list]],
-    lhs: Formula,
-    rhs: Formula,
-    max_rows: int,
-    budget: EvalBudget | None = None,
-) -> Team | None:
-    space = assignment_space(columns)
+    space = assignment_space([(v, list(range(universe_size))) for v in variables])
     plan = compile([lhs, rhs], space.domain, space)
-    for team in enumerate_teams(space, max_rows):
+    (team,), _ = _counterexamples(plan, enumerate_teams(space, max_rows), budget)
+    return team
+
+
+def _counterexamples(
+    plan: Plan, teams: Iterable[Team | ProbTeam], budget: EvalBudget | None = None, pairs: int | None = None
+) -> tuple[list, int]:
+    """The first of ``teams`` on which the lhs holds and the rhs fails, or
+    None, for each of the first ``pairs`` (all, by default) pairs of roots
+    2k and 2k + 1 of ``plan``; and the number of teams run.  A rhs is
+    decided only where its lhs holds, a pair only until it has a
+    counterexample, and the loop stops once every pair has one."""
+    pairs = len(plan.roots) // 2 if pairs is None else pairs
+    found: dict[int, Team | ProbTeam] = {}
+    count = 0
+    for team in teams:
+        count += 1
         verdict = plan.run(team, budget)
-        if verdict(0) and not verdict(1):
-            return team
-    return None
+        for k in range(pairs):
+            if k not in found and verdict(2 * k) and not verdict(2 * k + 1):
+                found[k] = team
+        if len(found) == pairs:
+            break
+    return [found.get(k) for k in range(pairs)], count
 
 
 def entailment_transfers(lhs: Formula, rhs: Formula) -> bool:
@@ -197,11 +205,12 @@ class EntailmentReport:
     teams_checked: int
     prob_samples: int
     counterexamples: dict = field(default_factory=dict)
+    prob_counterexamples: dict = field(default_factory=dict)
     non_implications: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        return not self.counterexamples and all(self.non_implications.values())
+        return not (self.counterexamples or self.prob_counterexamples) and all(self.non_implications.values())
 
     def lines(self) -> list[str]:
         out = [
@@ -211,15 +220,13 @@ class EntailmentReport:
             bad = self.counterexamples.get(name)
             out.append(f"{name}: {'counterexample ' + repr(bad.rows) if bad else 'holds'}")
         out.append(f"randomized probabilistic confirmation: {self.prob_samples} samples, "
-                   f"{'no violations' if not self.counterexamples else 'violations found'}")
+                   f"{'no violations' if not self.prob_counterexamples else 'violations found'}")
         for name, found in self.non_implications.items():
             out.append(f"{name}: {'witnessed' if found else 'NOT witnessed'}")
         return out
 
 
 def _formula_of(props: tuple[PropertyName, ...], arity: int) -> Formula:
-    from .formulas import conjoin
-
     return conjoin([property_formula(p, arity) for p in props])
 
 
@@ -241,46 +248,29 @@ def verify_property_entailments(
     """Exhaustive bounded relational check of the five property
     entailments, randomized probabilistic confirmation, plus the two
     expected non-implications (dropping a conjunct breaks each)."""
-    columns = _property_columns(arity, component_size)
-    pairs = [
-        (name, _formula_of(lhs, arity), _formula_of(rhs, arity))
-        for name, lhs, rhs in IMPLICATIONS
-    ]
-    # formula 2k is the k-th pair's lhs and 2k + 1 its rhs; the pairs share
-    # properties, and the plan decides each at most once per team
-    space = assignment_space(columns)
-    plan = compile([f for _, lhs, rhs in pairs for f in (lhs, rhs)], space.domain, space)
-    report = EntailmentReport(arity=arity, teams_checked=0, prob_samples=prob_samples)
-
-    def failing(team: Team | ProbTeam) -> Iterator[str]:
-        """The pairs whose lhs ``team`` satisfies and whose rhs it does not."""
-        verdict = plan.run(team)
-        return (name for k, (name, _, _) in enumerate(pairs) if verdict(2 * k) and not verdict(2 * k + 1))
-
-    for team in enumerate_teams(space, max_rows):
-        report.teams_checked += 1
-        for name in failing(team):
-            report.counterexamples.setdefault(name, team)
-
+    pairs = [(lhs, rhs) for _, lhs, rhs in IMPLICATIONS]
+    if arity >= 2:  # at arity 1 NoSig is a tautology
+        pairs.append(((PropertyName.PAR_INDEP_H,), (PropertyName.NO_SIG_E,)))
+    # the pairs share properties, so the last pair adds no node to the plan
+    space = assignment_space(_property_columns(arity, component_size))
+    plan = compile([_formula_of(side, arity) for pair in pairs for side in pair], space.domain, space)
+    found, checked = _counterexamples(plan, enumerate_teams(space, max_rows))
+    report = EntailmentReport(arity=arity, teams_checked=checked, prob_samples=prob_samples)
     rng = random.Random(seed)
-    for _ in range(prob_samples):
-        pt = random_prob_team(rng, hidden_domain(arity), universe_size=component_size, max_rows=max_rows + 2)
-        for name in failing(pt):
-            report.counterexamples.setdefault(f"{name} [probabilistic]", pt.team)
-
+    samples = (random_prob_team(rng, hidden_domain(arity), universe_size=component_size, max_rows=max_rows + 2)
+               for _ in range(prob_samples))
+    prob_found, _ = _counterexamples(plan, samples, pairs=len(IMPLICATIONS))
+    for (name, *_), team, pt in zip(IMPLICATIONS, found, prob_found):
+        if team is not None:
+            report.counterexamples[name] = team
+        if pt is not None:
+            report.prob_counterexamples[name] = pt
     # known non-implications: witnesses must exist within small bounds
-    # (both need two components; at arity 1 NoSig is a tautology)
+    # (both need two components)
     if arity >= 2:
         siglam = load_bundled("siglambda")
         report.non_implications["WeakDet does not entail StrongDet (siglambda witness)"] = eval_rel(
             siglam.team, _formula_of((PropertyName.WEAK_DET_H,), 2)
         ) and not eval_rel(siglam.team, _formula_of((PropertyName.STRONG_DET_H,), 2))
-        dropped = _first_counterexample(
-            columns,
-            _formula_of((PropertyName.PAR_INDEP_H,), arity),
-            _formula_of((PropertyName.NO_SIG_E,), arity),
-            max_rows,
-        )
-        report.non_implications["ParIndep alone does not entail NoSig"] = dropped is not None
+        report.non_implications["ParIndep alone does not entail NoSig"] = found[-1] is not None
     return report
-

@@ -142,6 +142,13 @@ def load_path(path: str | Path) -> dict:
     return payload
 
 
+def write_path(path: str | Path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot write {path}: {exc}") from None
+
+
 def load_team(path: str | Path) -> Team | ProbTeam:
     return team_from_dict(load_path(path))
 

@@ -461,8 +461,8 @@ class ProbTeam:
         Ratios of masses need no denominator: ``Fraction(a, b)``, or a
         cleared form compared on ints.  Conditional probabilities, the
         independence atom and the constructions all read their marginals
-        here; the Locality oracle in :mod:`teamlogic.properties` keeps its
-        own ``Fraction`` arithmetic so that it stays an independent check.
+        here; the Locality oracle in :mod:`teamlogic.properties` sums the
+        int numerators itself, so that it stays an independent check.
         """
         pos = positions(self.domain, variables)
         if not pos:

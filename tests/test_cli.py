@@ -235,6 +235,10 @@ CLI_REFUSALS = [
      "nogo exists needs an empirical model"),
     (["nogo", "exists", "--model", "prob-empirical", "--target", "strong-det+lambda"],
      "decision runs relationally"),
+    (["eval", "--team", "builtin:cabello18", "--formula", "dep(m1,o1)"],
+     "builtin:cabello18 is not a team table"),
+    (["verify", "--suite", "fig1", "--samples", "0"], "--samples must be at least 1, not 0"),
+    (["verify", "--suite", "fig1", "--samples", "-5"], "--samples must be at least 1, not -5"),
 ]
 
 
@@ -244,6 +248,16 @@ def test_cli_refusals_are_input_errors(argv, message, model_files, capsys):
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2 and err.startswith(f"error[invalid-input]: {message}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--model", "builtin:ex22", "--target", "single-valued"],
+    ["nogo", "exists", "--model", "builtin:ex22", "--target", "strong-det+lambda"],
+], ids=lambda argv: argv[0])
+def test_out_write_failure_is_input_error(argv, tmp_path, capsys):
+    code = main([*argv, "--out", str(tmp_path / "missing" / "x.json")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error[invalid-input]: cannot write")
 
 
 @pytest.mark.parametrize("bound", [("--universe", "0"), ("--universe", "-1"),

@@ -2,13 +2,14 @@ from itertools import combinations, product
 
 import pytest
 
+from teamlogic import entailment
 from teamlogic.entailment import (
     PHI1,
     PHI2,
     PSI1,
     PSI2,
+    IMPLICATIONS,
     EntailmentReport,
-    _first_counterexample,
     enumerate_teams,
     entailment_transfers,
     find_rel_counterexample,
@@ -103,7 +104,7 @@ class TestFindCounterexample:
             for team in enumerate_teams(columns, 7):
                 eval_rel(team, rhs, budget)
         lhs = parse("x = 0 & x != 0")
-        assert _first_counterexample(columns, lhs, rhs, 7, budget) is None
+        assert find_rel_counterexample(lhs, rhs, ("x", "y", "z"), 2, 7, budget=budget) is None
 
     def test_transfers_flag(self):
         assert entailment_transfers(parse("dep(x, y)"), parse("dep(y, x)"))
@@ -144,3 +145,32 @@ class TestPropertyEntailments:
         rep = verify_property_entailments(arity=1, component_size=2, max_rows=3,
                                           prob_samples=40, seed=2)
         assert rep.ok
+
+    def test_default_suite_runs_one_sweep(self, monkeypatch):
+        # the five implications and the dropped-conjunct non-implication
+        # share one enumeration of the assignment space
+        calls, yields = [], [0]
+        inner = entailment.enumerate_teams
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            for team in inner(*args, **kwargs):
+                yields[0] += 1
+                yield team
+
+        monkeypatch.setattr(entailment, "enumerate_teams", counted)
+        rep = verify_property_entailments()
+        assert rep.ok and rep.teams_checked == 41_448
+        assert len(calls) == 1 and yields[0] == 41_448
+
+    def test_probabilistic_line_reads_only_probabilistic_counterexamples(self):
+        team = Team(("x",), [(0,)])
+        rep = EntailmentReport(arity=2, teams_checked=1, prob_samples=5,
+                               counterexamples={IMPLICATIONS[0][0]: team})
+        assert not rep.ok
+        assert "randomized probabilistic confirmation: 5 samples, no violations" in rep.lines()
+        rep = EntailmentReport(arity=2, teams_checked=1, prob_samples=5,
+                               prob_counterexamples={IMPLICATIONS[0][0]: ProbTeam.uniform(team)})
+        assert not rep.ok
+        assert "randomized probabilistic confirmation: 5 samples, violations found" in rep.lines()
+        assert f"{IMPLICATIONS[0][0]}: holds" in rep.lines()

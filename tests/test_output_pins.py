@@ -10,6 +10,9 @@ pinned before their block layout, search driver, column binding and
 Skolem lookup were each moved into one kernel.  The single-valued and
 strong-determinism constructions are pinned on relational models too,
 from before each became one call on the model's data in both semantics.
+The entailment and separation suites' reports and two ``entail`` reports
+are pinned from before every entailment question ran through one
+counterexample loop.
 """
 
 import hashlib
@@ -18,6 +21,7 @@ from itertools import combinations
 
 import pytest
 
+from teamlogic.cli import main
 from teamlogic.constructions import (
     construct_single_valued,
     construct_strong_det,
@@ -194,3 +198,30 @@ def test_rebinding_extensions_json_pinned():
         pt = random_prob_team(rng, ("x", "y", "z"), universe_size=3, max_rows=6)
         payloads.append(team_to_dict(pt.uniform_extend("y", ("v", 1))))
     assert digest({"teams": payloads}) == "ff944770a28a56811eaa07425a1ed9102ba589a104dd34a7e256ed8ad3b05fe9"
+
+
+@pytest.mark.parametrize(
+    ("argv", "expected"),
+    [
+        (["verify", "--suite", "entailments"],
+         "68eb28d3b3955a0dd1c2c5a90f6437594b74e9cd6cced55c712aee30c56d1d67"),
+        (["verify", "--suite", "entailments", "--json"],
+         "dbffd686a6751d53c0584842cb4910ea6a87f737705e43617b1f186c53b7dbbc"),
+        (["verify", "--suite", "separations"],
+         "46c4eff3b49481cb2099e6f389a347da57d865c8be6902370d62a042e5191692"),
+        (["verify", "--suite", "separations", "--json"],
+         "d1a8459b28d44fd9b996499d615ef8b200c7b6eed33d725dc06b1b39baa36ee9"),
+        (["entail", "--lhs", "dep(m1 l, o1)", "--rhs", "dep(m1, o1)", "--vars", "m1", "o1", "l"],
+         "7217587fae4d086feeb665a4c295e9da0f3a9f200817390ea0a19de665b0955c"),
+        (["entail", "--lhs", "dep(m1 l, o1)", "--rhs", "dep(m1, o1)", "--vars", "m1", "o1", "l", "--json"],
+         "109c463d4bb0e2b4a38d5280d7c139f736ac1757cd1596cd21acc72512fdb881"),
+        (["entail", "--lhs", "dep(x, y)", "--rhs", "dep(x z, y)", "--vars", "x", "y", "z"],
+         "8ce925c83b5c24c4de8b3445351b52164bde48391e98fd091af7ca8474f76493"),
+        (["entail", "--lhs", "dep(x, y)", "--rhs", "dep(x z, y)", "--vars", "x", "y", "z", "--json"],
+         "e7fda1a8cef21528467047b34692fcf3cb0a6290eeafda34bd8a9c5c753973d3"),
+    ],
+    ids=" ".join,
+)
+def test_entailment_reports_pinned(argv, expected, capsys):
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
