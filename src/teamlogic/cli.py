@@ -130,11 +130,7 @@ def cmd_construct(args) -> int:
             result = constructions.localize_prob(model)
         else:
             result = constructions.localize_rel(model)
-    payload = dump_json(model_to_dict(result))
-    if args.out == "-":
-        sys.stdout.write(payload)
-    else:
-        write_path(args.out, payload)
+    write_path(args.out, dump_json(model_to_dict(result)))
     lam = result.lambda_values()
     return _emit(
         args,
@@ -241,6 +237,8 @@ def cmd_nogo(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples is not None and args.suite != "fig1":
+        raise InvalidArgumentError(f"--samples applies to the fig1 suite only, not {args.suite}")
     lines: list[str]
     payload: dict
     if args.suite == "separations":
@@ -273,7 +271,7 @@ def cmd_verify(args) -> int:
         from .models import verify_fig1_commutes
         from .sampling import random_hv_prob_team
 
-        count = args.samples
+        count = 1000 if args.samples is None else args.samples
         if count < 1:
             raise InvalidArgumentError(f"--samples must be at least 1, not {count}")
         rng = random.Random(args.seed)
@@ -350,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run a bundled verification suite")
     p.add_argument("--suite", required=True, choices=SUITES)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=int, default=None, help="random samples of the fig1 suite (default 1000)")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -17,15 +17,15 @@ existential, the static half of its search.  A plan is complete when
 for that team.  :func:`eval_rel` compiles its formula and runs it.
 
 A plan compiled over an assignment space (a sweep's plan) also holds one
-packed int per space row, in which each ``dep`` and ``_||_`` atom over
-the plan's domain has the row's class bits at its own offset
-(:mod:`teamlogic.masks`).  A run ORs its team's row ints once and decides each
-such atom on that team by one test of its field.  The atom kernels, which
-read the rows, decide everything else: a :class:`~teamlogic.teams.ProbTeam`,
-whose ``_||_`` is stochastic; the sub-teams and extensions that splits
-and quantifiers build; a team with a row outside the space; plans without
-a space; and spaces whose masks would exceed
-:data:`~teamlogic.masks.MASK_BITS`.
+packed int per space row, with the class bits of each ``dep`` and ``_||_``
+atom over the plan's domain (:mod:`teamlogic.masks`).  A run ORs its
+team's row ints once and decides such an atom, or a conjunction of them,
+on that team by one test, with no search state when it is a root.  The
+atom kernels, which read the rows, decide everything else: a
+:class:`~teamlogic.teams.ProbTeam`, whose ``_||_`` is stochastic; the
+sub-teams and extensions that splits and quantifiers build; a team with a
+row outside the space; plans without a space; and spaces whose masks
+would exceed :data:`~teamlogic.masks.MASK_BITS`.
 
 Generalized dependence and ``nc`` share one definition, the incremental
 constraint that an existential search keeps: ``nc(xs; y)`` is the
@@ -131,7 +131,9 @@ def compile(formulas: Iterable[Formula], domain: Sequence[str], space: Team | No
     on, if one is known: the plan then packs the class bits of its
     ``dep`` and ``_||_`` atoms over ``domain`` into one mask per space
     row (see :mod:`teamlogic.masks`), unless they would take more than
-    :data:`~teamlogic.masks.MASK_BITS` bits.
+    :data:`~teamlogic.masks.MASK_BITS` bits, with a test on an OR of
+    masks of each such atom, and of each root that is a conjunction of
+    them.
     """
     domain = tuple(domain)
     nodes: dict = {}
@@ -141,12 +143,18 @@ def compile(formulas: Iterable[Formula], domain: Sequence[str], space: Team | No
         if missing:
             raise DomainError(f"free variables {sorted(missing)} not bound by team domain {domain}")
         roots.append(_intern(formula, domain, nodes))
-    masks = None
+    masks, tests = None, {}
     if space is not None:
         if space.domain != domain:
             raise DomainError(f"space domain {space.domain} differs from plan domain {domain}")
-        masks = RowMasks.build(domain, space.rows, {node: f for (f, d), node in nodes.items() if d == domain})
-    return Plan(domain, tuple(roots), masks)
+        masks = RowMasks.build(domain, space.rows, (f for f, d in nodes if d == domain))
+        # runs read the tests of roots, and of atoms on the run's own team
+        masked = [node for (f, d), node in nodes.items() if d == domain and type(f) in (Dep, Indep)]
+        for node in (roots + masked) if masks else ():
+            atoms = [c.formula for c in _conjuncts(node)]
+            if all(type(atom) in (Dep, Indep) for atom in atoms):
+                tests[node] = masks.test(atoms)
+    return Plan(domain, tuple(roots), masks, tests)
 
 
 def eval_rel(team: Team, formula: Formula, budget: EvalBudget | None = None) -> bool:
@@ -171,19 +179,23 @@ def eval_atom_rel(team: Team, atom: Formula) -> bool:
 @dataclass(frozen=True)
 class Plan:
     """Formulas compiled by :func:`compile` for teams over one variable
-    domain: ``roots`` holds the node of each formula, in order, and
-    ``masks`` the row masks of the assignment space it was compiled over,
-    if any.  Runs on different teams may share a plan."""
+    domain: ``roots`` holds the node of each formula, in order, ``masks``
+    the row masks of the assignment space it was compiled over, if any,
+    and ``tests`` the test, on an OR of masks, of each masked atom and each
+    root that is a conjunction of them.  Runs on different teams may share a plan."""
 
     domain: tuple[str, ...]
     roots: tuple[_Node, ...]
-    masks: RowMasks | None = None
+    masks: RowMasks | None
+    tests: dict
 
     def run(self, team: Team | ProbTeam, budget: EvalBudget | None = None) -> Callable[[int], bool]:
         """The verdict of the ``i``-th formula on ``team``, as a function of ``i``.
 
         A :class:`~teamlogic.teams.ProbTeam` is decided probabilistically.
-        A verdict is decided when it is asked for, and each node at most
+        A verdict is decided when it is asked for: by its root's test, when
+        it has one and the team is relational and within the plan's space;
+        else by one search state per run, which decides each node at most
         once for the team.  ``budget`` bounds the work of each verdict
         afresh, as it bounds one :func:`eval_rel` call; a verdict does
         only the work that no earlier verdict on the team has done.
@@ -191,13 +203,23 @@ class Plan:
         if team.domain != self.domain:
             raise DomainError(f"team domain {team.domain} differs from plan domain {self.domain}")
         budget = budget or DEFAULT_BUDGET
-        masks = None
+        bits = None  # a ProbTeam's _||_ stays stochastic
         if isinstance(team, Team):  # probabilistic atoms decide on any universe
             budget.check_universe(len(team.universe))
-            masks = self.masks  # a ProbTeam's _||_ stays stochastic
-        evaluator = _Evaluator(budget, team, masks)
-        roots = self.roots
-        return lambda i: evaluator.root(roots[i])
+            bits = self.masks and self.masks.of(team)
+        roots, tests = self.roots, {} if bits is None else self.tests
+        evaluator = None
+
+        def verdict(i: int) -> bool:
+            nonlocal evaluator
+            test = tests.get(roots[i])
+            if test:
+                return test(bits)
+            if evaluator is None:
+                evaluator = _Evaluator(budget, team, tests, bits)
+            return evaluator.root(roots[i])
+
+        return verdict
 
 
 @dataclass(eq=False, slots=True)
@@ -430,17 +452,16 @@ def depth_first(depth: int, level: Callable[[int], Iterator[bool]]) -> Iterator[
 
 class _Evaluator:
     """The search state of one run on one team: the verdicts of the nodes
-    decided on that team itself, its row masks' OR with the field tests
-    that read it, when ``masks`` covers the team, and, for the verdict
-    being decided, the memo of verdicts on the subteams and extensions
-    that searches build and the node count that the budget bounds
-    together with the memo."""
+    decided on that team itself, the plan's ``tests`` and the team's OR of
+    row masks ``bits``, when the masks cover it, and, for the verdict being
+    decided, the memo of verdicts on the subteams and extensions that
+    searches build and the node count that the budget bounds with it."""
 
-    def __init__(self, budget: EvalBudget, team: Team | ProbTeam, masks: RowMasks | None = None):
+    def __init__(self, budget: EvalBudget, team: Team | ProbTeam, tests: dict | None = None, bits: int | None = None):
         self.budget = budget
         self.team = team
-        self.bits = None if masks is None else masks.of(team)
-        self.tests = {} if self.bits is None else masks.tests
+        self.tests = tests
+        self.bits = bits
         self.verdicts: dict = {}
         self.nodes = 0
         self.memo: dict = {}

@@ -143,6 +143,10 @@ def load_path(path: str | Path) -> dict:
 
 
 def write_path(path: str | Path, text: str) -> None:
+    """Write ``text`` to the file ``path``, or to stdout for ``-``."""
+    if path == "-":
+        print(text, end="")
+        return
     try:
         Path(path).write_text(text)
     except OSError as exc:

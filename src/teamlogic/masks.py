@@ -1,17 +1,26 @@
-"""Row masks: ``dep`` and ``_||_`` decided on the sub-teams of one
-assignment space by an OR of precomputed ints.
+"""Row masks: conjunctions of ``dep`` and ``_||_`` decided on the
+sub-teams of one assignment space by an OR of precomputed ints.
 
-Over a fixed space, each atom owns a bit field in one packed int per
-space row, at its own offset, and sets the row's class bits there:
+Over a fixed space, each atom sets the row's class bits in one packed int
+per space row.  The ``dep`` fields come first, then three aligned sections
+for the ``_||_`` atoms, each atom at the same offset in all three:
 
 * ``dep(xs, ys)``: the bit of the row's ``xs`` class, then the bit of its
-  ``xs ys`` class.  A team holds when both fields of its rows' OR have as
+  ``xs ys`` class.  A team holds when both parts of its rows' OR have as
   many bits set: no ``xs`` value comes with two ``ys`` values.
 * ``x _||_{z} y``, on the grid of the space's ``z``, ``x`` and ``y``
   classes: the row's ``(z, x, ·)`` cells, its ``(z, ·, y)`` cells and its
-  one ``(z, x, y)`` cell, in three fields.  A team holds when the first
-  two fields of its rows' OR meet in the third: every ``x`` and ``y``
-  value that occur with a ``z`` value occur together with it.
+  ``(z, x, y)`` cell, one section each.  A team holds when, on the atom's
+  cells, the first two sections of its rows' OR meet in the third: every
+  ``x`` and ``y`` value that occur with a ``z`` value occur together.
+
+A conjunction of such atoms is one test on the union of their bits, exact
+by two invariants of every team.  In each ``dep`` field it has at least as
+many pair classes as key classes, so the popcounts of the union agree
+exactly when those of each field do.  Each ``(z, x, y)`` cell it has lies
+in its ``(z, x, ·)`` and ``(z, ·, y)`` cells, so the meet of the first two
+sections contains the third, and equals it on the union exactly when on
+each atom's cells.
 
 Classes are equality classes of projections, as in the atom kernels that
 read a team's rows, so both decide alike.
@@ -19,8 +28,9 @@ read a team's rows, so both decide alike.
 
 from __future__ import annotations
 
-from operator import itemgetter, or_
-from typing import Callable, Hashable, Mapping, Sequence
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .formulas import Dep, Formula, Indep
 from .teams import Row, Team, positions
@@ -31,40 +41,70 @@ from .teams import Row, Team, positions
 MASK_BITS = 1 << 22
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class RowMasks:
     """The masks of some ``dep`` and ``_||_`` atoms over one space:
-    ``rows`` maps each space row to its mask, and ``tests`` each atom's
-    key to its test on an OR of masks.  Both are fixed when built."""
+    ``rows`` maps each space row to its mask, ``fields`` each atom to its
+    key, pair and first-section cell bits, and ``grid`` is the width of
+    each ``_||_`` section."""
 
-    __slots__ = ("rows", "tests")
-
-    def __init__(self, rows: dict[Row, int], tests: dict[Hashable, Callable[[int], bool]]):
-        self.rows = rows
-        self.tests = tests
+    rows: dict[Row, int]
+    fields: dict[Formula, tuple[int, int, int]]
+    grid: int
 
     @classmethod
-    def build(
-        cls, domain: tuple[str, ...], rows: Sequence[Row], formulas: Mapping[Hashable, Formula]
-    ) -> RowMasks | None:
+    def build(cls, domain: tuple[str, ...], rows: Sequence[Row], formulas: Iterable[Formula]) -> RowMasks | None:
         """The masks of the ``dep`` and ``_||_`` atoms among ``formulas``,
         over ``domain``, on the space ``rows``.  None when there is no such
         atom, or when the masks would take more than :data:`MASK_BITS`
         bits, which the class counts tell before any mask is built."""
-        atoms = [(key, f) for key, f in formulas.items() if type(f) in _FIELDS]
+        atoms = sorted((f for f in formulas if type(f) in (Dep, Indep)), key=lambda f: type(f) is Indep)
         if not atoms:
             return None
-        fields, width = [], 0
-        for _, atom in atoms:
-            fields.append(_FIELDS[type(atom)](atom, domain, rows))
-            width += fields[-1][0]
-            if width * len(rows) > MASK_BITS:
+        classes, fixed, grid = [], 0, 0
+        for atom in atoms:
+            if type(atom) is Dep:
+                (_, k), (_, p) = grids = [_classes(domain, v, rows) for v in (atom.xs, atom.xs + atom.ys)]
+                fixed += k + p
+            else:
+                (_, nz), (_, nx), (_, ny) = grids = [_classes(domain, v, rows) for v in (atom.cond, atom.xs, atom.ys)]
+                grid += nz * nx * ny
+            classes.append(grids)
+            if (fixed + 3 * grid) * len(rows) > MASK_BITS:
                 return None
-        masks, tests, offset = [0] * len(rows), {}, 0
-        for (key, _), (size, place) in zip(atoms, fields):
-            own, tests[key] = place(offset)
-            masks = list(map(or_, masks, own))
+        masks, fields, offset = [0] * len(rows), {}, 0
+        for atom, grids in zip(atoms, classes):
+            if type(atom) is Dep:
+                (keys, k), (pairs, p) = grids
+                fields[atom] = (((1 << k) - 1) << offset, ((1 << p) - 1) << offset + k, 0)
+                own = [1 << key | 1 << k + pair for key, pair in zip(keys, pairs)]
+                size = k + p
+            else:
+                (zs, nz), (xs, nx), (ys, ny) = grids
+                size = nz * nx * ny
+                fields[atom] = (0, 0, ((1 << size) - 1) << offset)
+                line = (1 << ny) - 1  # the (z, x, ·) cells at z = x = 0
+                column = sum(1 << i * ny for i in range(nx))  # the (z, ·, y) cells at z = y = 0
+                own = []
+                for z, x, y in zip(zs, xs, ys):
+                    zx = (z * nx + x) * ny
+                    own.append(line << zx | column << grid + z * nx * ny + y | 1 << 2 * grid + zx + y)
+            masks = [mask | bits << offset for mask, bits in zip(masks, own)]
             offset += size
-        return cls(dict(zip(rows, masks)), tests)
+        return cls(dict(zip(rows, masks)), fields, grid)
+
+    def test(self, atoms: Iterable[Formula]) -> Callable[[int], bool]:
+        """The test of the conjunction of ``atoms``, which must be among
+        the masks' atoms, on an OR of masks."""
+        keys = pairs = cells = 0
+        for atom in atoms:
+            k, p, c = self.fields[atom]
+            keys, pairs, cells = keys | k, pairs | p, cells | c
+        grid, third = self.grid, 2 * self.grid
+        return lambda bits: (
+            (bits & keys).bit_count() == (bits & pairs).bit_count()
+            and bits & bits >> grid & cells == bits >> third & cells
+        )
 
     def of(self, team: Team) -> int | None:
         """The OR of the masks of ``team``'s rows; None when a row lies
@@ -86,49 +126,3 @@ def _classes(domain: tuple[str, ...], variables: Sequence[str], rows: Sequence[R
     project = itemgetter(*pos) if pos else lambda row: ()
     index: dict = {}
     return [index.setdefault(key, len(index)) for key in map(project, rows)], len(index)
-
-
-def _dep_field(atom: Dep, domain: tuple[str, ...], rows: Sequence[Row]):
-    """The width of ``dep``'s field, and ``place(offset)``: the rows'
-    bits in the field at ``offset``, and the field's test."""
-    keys, k = _classes(domain, atom.xs, rows)
-    pairs, p = _classes(domain, atom.xs + atom.ys, rows)
-
-    def place(offset: int):
-        key_bits = ((1 << k) - 1) << offset
-        pair_bits = ((1 << p) - 1) << (offset + k)
-
-        def dep(bits: int) -> bool:
-            return (bits & key_bits).bit_count() == (bits & pair_bits).bit_count()
-
-        return [(1 << key | 1 << (k + pair)) << offset for key, pair in zip(keys, pairs)], dep
-
-    return k + p, place
-
-
-def _indep_field(atom: Indep, domain: tuple[str, ...], rows: Sequence[Row]):
-    """As :func:`_dep_field`, for ``_||_``: cell ``(z, x, y)`` of the
-    grid is bit ``(z * nx + x) * ny + y`` of each of the three fields."""
-    (zs, nz), (xs, nx), (ys, ny) = (_classes(domain, v, rows) for v in (atom.cond, atom.xs, atom.ys))
-    grid = nz * nx * ny
-    line = (1 << ny) - 1  # the (z, x, ·) cells at z = x = 0
-    column = sum(1 << i * ny for i in range(nx))  # the (z, ·, y) cells at z = y = 0
-
-    def place(offset: int):
-        cells = (1 << grid) - 1
-
-        def indep(bits: int) -> bool:
-            bits >>= offset
-            return bits & (bits >> grid) & cells == (bits >> 2 * grid) & cells
-
-        own = []
-        for z, x, y in zip(zs, xs, ys):
-            zx = (z * nx + x) * ny
-            own.append((line << zx | column << grid + z * nx * ny + y | 1 << 2 * grid + zx + y) << offset)
-        return own, indep
-
-    return 3 * grid, place
-
-
-#: The field of each atom that row masks decide.
-_FIELDS = {Dep: _dep_field, Indep: _indep_field}

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import teamlogic
+from teamlogic import nogo
 from teamlogic.cli import CONSTRUCT_TARGETS, main
+from teamlogic.datasets import load_bundled
 from teamlogic.jsonio import dump_json, load_model, model_to_dict
 from teamlogic.sampling import random_empirical_model, random_local_witness
 
@@ -239,6 +241,9 @@ CLI_REFUSALS = [
      "builtin:cabello18 is not a team table"),
     (["verify", "--suite", "fig1", "--samples", "0"], "--samples must be at least 1, not 0"),
     (["verify", "--suite", "fig1", "--samples", "-5"], "--samples must be at least 1, not -5"),
+] + [
+    (["verify", "--suite", suite, "--samples", "5"], f"--samples applies to the fig1 suite only, not {suite}")
+    for suite in ("separations", "entailments", "hardy", "ks", "appendix")
 ]
 
 
@@ -258,6 +263,17 @@ def test_out_write_failure_is_input_error(argv, tmp_path, capsys):
     code = main([*argv, "--out", str(tmp_path / "missing" / "x.json")])
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error[invalid-input]: cannot write")
+
+
+def test_nogo_exists_out_dash_writes_stdout(tmp_path, monkeypatch, capsys):
+    # as construct --out - does: the witness JSON, then the report line
+    monkeypatch.chdir(tmp_path)
+    code = main(["nogo", "exists", "--model", "builtin:ex22", "--target", "strong-det+lambda", "--out", "-"])
+    out = capsys.readouterr().out
+    assert code == 0 and not list(tmp_path.iterdir())
+    witness = nogo.exists_strongdet_lambdaindep(load_bundled("ex22"))
+    text = dump_json(model_to_dict(witness))
+    assert out == text + "strong-det+lambda model exists with 2 hidden values -> -\n"
 
 
 @pytest.mark.parametrize("bound", [("--universe", "0"), ("--universe", "-1"),

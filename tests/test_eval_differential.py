@@ -25,6 +25,7 @@ teams.
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
 
 import pytest
@@ -493,6 +494,34 @@ def test_masks_agree_on_degenerate_atoms(atom):
     assert not teams[0].rows
     for team in teams:
         assert _agree(masked, batch, team, 1) == [naive_eval(team, atom)], team.rows
+
+
+def test_combined_tests_agree_on_conjunctions():
+    # every conjunction of 1 to 4 distinct atoms, drawn from the degenerate
+    # dep and _||_ atoms and seeded random ones, is decided by one test on
+    # the masks; on every team of up to 3 rows, the empty team among them
+    rng = random.Random(1818)
+    atoms = [a for a in EMPTY_TUPLE_ATOMS + REPEATED_VARIABLE_ATOMS if isinstance(a, (Dep, Indep))]
+    for atom in iter(lambda: random_formula(rng, depth=0), None):
+        if isinstance(atom, (Dep, Indep)) and atom not in atoms:
+            atoms.append(atom)
+            if len(atoms) == 15:
+                break
+    picks = [picked for k in range(1, 5) for picked in combinations(atoms, k)]
+    conjunctions = [reduce(And, picked) for picked in picks]
+    columns = [(v, [0, 1]) for v in VARS]
+    masked, batch = _masked_and_batch(conjunctions, assignment_space(columns))
+    assert set(masked.roots) <= masked.tests.keys()
+    teams = list(enumerate_teams(columns, 3, nonempty=False))
+    assert not teams[0].rows
+    verdicts = set()
+    for team in teams:
+        got = _agree(masked, batch, team, len(conjunctions))
+        # a team satisfies a conjunction when it satisfies every conjunct
+        naive = {atom: naive_eval(team, atom) for atom in atoms}
+        assert got == [all(naive[atom] for atom in picked) for picked in picks], team.rows
+        verdicts.update(got)
+    assert verdicts == {True, False}
 
 
 #: Splits and existentials, whose whole-team checks run on the masks and

@@ -6,10 +6,12 @@ from itertools import combinations, product
 
 import pytest
 
-from teamlogic.entailment import assignment_space, enumerate_teams
+from teamlogic.datasets import load_bundled
+from teamlogic.entailment import assignment_space, enumerate_teams, verify_separations
 from teamlogic.errors import BudgetExceededError, DomainError
 from teamlogic.eval_rel import (
     _CONSTRAINTS,
+    _Evaluator,
     EvalBudget,
     compile,
     depth_first,
@@ -28,7 +30,7 @@ from teamlogic.formulas import (
     is_downward_closed,
     parse,
 )
-from teamlogic.teams import Team
+from teamlogic.teams import ProbTeam, Team
 
 
 def T(domain, rows, universe=None):
@@ -108,8 +110,9 @@ class TestPlan:
     def test_runs_change_no_node(self):
         # a plan is complete when compile returns: a sweep of runs, with
         # splits and existentials among the formulas, leaves every field
-        # of every node, and the row masks, as compile set them, whether
-        # the plan is compiled over the swept space or not
+        # of every node, the row masks and the tests of atoms and of
+        # conjunctive roots, as compile set them, whether the plan is compiled
+        # over the swept space or not
         for with_space in (False, True):
             self._sweep_changes_no_node(with_space)
 
@@ -121,11 +124,14 @@ class TestPlan:
             parse("E x . x _||_ y | E q . E r . dep(q, r) & y <= q"),
             parse("dep(x, y) | x _||_ y"),
             parse("x _||_ y & E q . dep(q, x) & dep(x, y)"),
+            parse("dep(y, x) & (x _||_ y & dep(x, y))"),
         ]
         columns = [("x", [0, 1, 2]), ("y", [0, 1])]
         space = assignment_space(columns)
         plan = compile(formulas, ("x", "y"), space if with_space else None)
         assert (plan.masks is not None) == with_space
+        # the last root is a conjunction with a test
+        assert (plan.roots[-1] in plan.tests) == with_space
 
         def snapshot():
             fields, stack = {}, list(plan.roots)
@@ -134,20 +140,62 @@ class TestPlan:
                 if node not in fields:
                     fields[node] = [getattr(node, f.name) for f in dataclasses.fields(node)]
                     stack.extend(c for c in (node.lhs, node.rhs, node.body) if c is not None)
-            masks = plan.masks and (plan.masks.rows.copy(), plan.masks.tests.copy())
-            return fields, plan.masks, masks
+            masks = plan.masks and (plan.masks.rows.copy(), plan.masks.fields.copy(), plan.masks.grid)
+            return fields, plan.masks, masks, plan.tests, plan.tests.copy()
 
-        (before, masks_object, masks) = snapshot()
+        (before, masks_object, masks, tests_object, tests) = snapshot()
         verdicts = set()
         for team in enumerate_teams(columns, 4, nonempty=False):
             verdict = plan.run(team)
             verdicts.update(verdict(i) for i in range(len(formulas)))
         assert verdicts == {True, False}
-        (after, masks_object_after, masks_after) = snapshot()
+        (after, masks_object_after, masks_after, tests_object_after, tests_after) = snapshot()
         assert after.keys() == before.keys()
         for node, values in before.items():
             assert all(a is b for a, b in zip(values, after[node], strict=True)), node.formula
         assert masks_object_after is masks_object and masks_after == masks
+        assert tests_object_after is tests_object and tests_after.keys() == tests.keys()
+        assert all(tests_after[node] is test for node, test in tests.items())
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The team of each search state built, in order."""
+        teams = []
+        init = _Evaluator.__init__
+
+        def counting(evaluator, budget, team, *args):
+            teams.append(team)
+            init(evaluator, budget, team, *args)
+
+        monkeypatch.setattr(_Evaluator, "__init__", counting)
+        return teams
+
+    def test_covered_sweep_builds_no_search_state(self, built):
+        assert verify_separations().ok
+        # only the bundled teams' checks, whose plans have no space, build one
+        assert built == [load_bundled("pt1")] * 2 + [load_bundled("rt2")] * 2
+
+    def test_the_input_selects_the_search_state(self, built):
+        # the first two roots have tests, the last two do not
+        space = assignment_space([("x", [0, 1]), ("y", [0, 1])])
+        formulas = [parse(text) for text in (
+            "dep(x, y) & x _||_ y", "x _||_ y", "dep(x, y) | x = 0", "E q . dep(q, x) & x _||_ y")]
+        plan = compile(formulas, space.domain, space)
+        assert plan.tests.keys() >= set(plan.roots[:2]) and not plan.tests.keys() & set(plan.roots[2:])
+        inside = space._sub(space.rows[:3])
+        outside = T(("x", "y"), [(0, 1), (2, 1)])
+        runs = [
+            (inside, 2, 0),  # covered: tests alone
+            (inside, 4, 1),  # a root with | or E
+            (outside, 2, 1),  # a row outside the space
+            (ProbTeam.uniform(inside), 2, 1),  # a probabilistic team
+        ]
+        for team, roots, searches in runs:
+            built.clear()
+            verdict = plan.run(team)
+            # each root asked twice, as a covered root is decided each time
+            assert [verdict(i) for i in range(roots)] == [verdict(i) for i in range(roots)]
+            assert built == [team] * searches
 
     def test_evaluation_keeps_no_formula_alive(self):
         # nothing outlives a call: neither the plan nor a cache of
