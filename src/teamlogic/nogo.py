@@ -1,22 +1,25 @@
 """The no-go searches: Bell/Hardy non-locality and Kochen-Specker.
 
 Classical explainability of an empirical model by a strongly
-deterministic, measurement-independent hidden-variable model reduces to a
-finite combinatorial question: every hidden value of such a model carves
-out a *global section*, a family of per-component outcome functions whose
-graph lies inside the model, and the model is explainable exactly when
-the consistent sections jointly cover it.  :func:`exists_strongdet_lambdaindep`
-decides this by exhaustive section enumeration with per-context
-propagation, on the driver :func:`~teamlogic.eval_rel.depth_first`; each
-section's graph is the model rows it picks, which the cover test reads
-and a covered model's witness takes in canonical row order, through
+deterministic, measurement-independent hidden-variable model is settled
+by entailment first: ``StrongDet |= WeakDet & ParIndep`` and
+``LambdaIndep & ParIndep |= NoSig`` chain, so a signalling model has no
+such explanation, and :func:`exists_strongdet_lambdaindep` answers it by
+one ``NoSigE`` check.  For the rest the question is combinatorial: every
+hidden value carves out a *global section*, a family of per-component
+outcome functions whose graph lies inside the model, and the model is
+explainable exactly when the consistent sections jointly cover it.  They
+are enumerated with per-context propagation on the driver
+:func:`~teamlogic.eval_rel.depth_first`; each section's graph is the
+model rows it picks, which the cover test reads and a covered model's
+witness takes in canonical row order, through
 :func:`~teamlogic.models.tag_rows`.  :func:`exists_local_lambdaindep`
 answers the Locality variant, which the localization normal form makes
 the same decision.  The same kernel serves that normal form:
 :func:`~teamlogic.constructions.localize_rel` takes its new hidden values
 from the consistent sections of each old hidden value's rows.
 
-The canonical Hardy empirical model has no such explanation.  The
+The bundled Hardy empirical model has no such explanation.  The
 bundled 18-vector configuration in 4-space drives three formulations of
 the Kochen-Specker theorem: no vector set meets every orthogonal basis
 exactly once, the 9-row measurement team falsifies the
@@ -42,11 +45,12 @@ from itertools import permutations
 from typing import Iterator
 
 from .errors import BudgetExceededError, InvalidArgumentError
-from .eval_rel import depth_first, eval_atom_rel, exact_transversal
+from .eval_rel import DEFAULT_BUDGET, EvalBudget, depth_first, eval_atom_rel, exact_transversal
 from .formulas import NCC
 from .jsonio import _fraction
 from .models import EmpiricalModel, HVModel, tag_rows
-from .teams import Team, Value, value_key
+from .properties import PropertyName, check_property
+from .teams import Team, Value, _sorted_values, value_key
 
 
 @dataclass(frozen=True)
@@ -68,32 +72,34 @@ def consistent_sections(model: EmpiricalModel, max_sections: int = 5_000_000) ->
     A section's graph is the tuple of the rows chosen.
     """
     n = model.arity
+    components = range(n)
+    rows = model.team.rows
     # a row's context is its prefix and the rows are canonical, so one
     # grouping pass meets the contexts, and each one's rows, in order
     groups: dict[tuple, list[tuple]] = {}
-    for row in model.team.rows:
+    for row in rows:
         groups.setdefault(row[:n], []).append(row)
     contexts = list(groups.items())
-    measured = [sorted({a[i] for a, _ in contexts}, key=value_key) for i in range(n)]
+    measured = [_sorted_values([a[i] for a in groups]) for i in components]
     space = 1
-    for i in range(n):
-        space *= len({row[n + i] for row in model.team.rows}) ** len(measured[i])
+    for i in components:
+        space *= len({row[n + i] for row in rows}) ** len(measured[i])
         if space > max_sections:
             raise BudgetExceededError(
                 f"section space exceeds {max_sections}; refusing blind enumeration"
             )
 
     sections: list[GlobalSection] = []
-    partial: list[dict] = [{} for _ in range(n)]
+    partial: list[dict] = [{} for _ in components]
     chosen: list[tuple] = [()] * len(contexts)
 
     def extensions(k: int) -> Iterator[bool]:
         """Extend ``partial`` by each compatible row of context ``k`` in
         turn, yielding while it holds; undone on resumption."""
-        a, rows = contexts[k]
-        for row in rows:
+        a, picks = contexts[k]
+        for row in picks:
             added = []
-            for i in range(n):
+            for i in components:
                 known = partial[i].get(a[i])
                 if known is None:
                     partial[i][a[i]] = row[n + i]
@@ -107,7 +113,7 @@ def consistent_sections(model: EmpiricalModel, max_sections: int = 5_000_000) ->
                 del partial[i][key]
 
     for _ in depth_first(len(contexts), extensions):
-        tables = tuple(tuple((m, partial[i][m]) for m in measured[i]) for i in range(n))
+        tables = tuple([tuple([(m, f[m]) for m in values]) for f, values in zip(partial, measured)])
         sections.append(GlobalSection(tables, tuple(chosen)))
     return sections
 
@@ -117,9 +123,13 @@ def exists_strongdet_lambdaindep(
 ) -> HVModel | None:
     """Decide whether an empirically equivalent hidden-variable model
     satisfying Strong Determinism and hidden-variable independence exists;
-    return one (hidden values are the consistent sections) or None.
+    return one, whose hidden values are the consistent sections tagged
+    ``("sec", tables)``, or None.
 
-    Soundness: in such a model each hidden value determines each
+    A signalling model has none, past ``max_sections`` too: such a model
+    is ParIndep, as StrongDet entails that, so with LambdaIndep it is
+    NoSig, and ``NoSigE`` of an empirically equivalent model is the
+    model's own.  Otherwise, soundness: each hidden value determines each
     component's outcome from its measurement, and independence makes every
     measurement tuple occur with every hidden value, so each hidden value
     yields a consistent total section and their graphs cover the model.
@@ -131,20 +141,20 @@ def exists_strongdet_lambdaindep(
             "decision runs on relational models; collapse probabilistic ones first "
             "(nonexistence transfers to the probabilistic side)"
         )
-    return _section_cover(model, consistent_sections(model, max_sections))
+    # NoSigE has no quantifier, so no cap on the value universe applies
+    size = len(model.team.universe)
+    budget = EvalBudget(max_universe=size) if size > DEFAULT_BUDGET.max_universe else None
+    if not check_property(model, PropertyName.NO_SIG_E, budget=budget):
+        return None
+    sections = consistent_sections(model, max_sections)
+    if not _covers(model, sections):
+        return None
+    return HVModel(tag_rows(model.team, {("sec", s.tables): s.graph for s in sections}), model.arity)
 
 
 def _covers(model: EmpiricalModel, sections: list[GlobalSection]) -> bool:
     """Whether the graphs of ``sections`` cover the model's rows."""
     return {row for section in sections for row in section.graph} == set(model.team.rows)
-
-
-def _section_cover(model: EmpiricalModel, sections: list[GlobalSection]) -> HVModel | None:
-    """The hidden-variable model whose hidden values are ``sections``,
-    tagged ``("sec", tables)``, or None when they do not cover the model."""
-    if not _covers(model, sections):
-        return None
-    return HVModel(tag_rows(model.team, {("sec", s.tables): s.graph for s in sections}), model.arity)
 
 
 def exists_local_lambdaindep(

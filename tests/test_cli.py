@@ -98,6 +98,24 @@ class TestNogo:
         code = main(["nogo", "exists", "--model", str(model), "--target", "strong-det+lambda"])
         assert code == 3 and "error[budget-error]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows, verdict", [
+        # o1 reads m2, so the model signals and has no such explanation,
+        # whatever the size of its section space
+        ([[f"a{j}", f"b{k}", f"x{(j + k) % 4}", f"y{t}"]
+          for j in range(12) for k in range(12) for t in range(4)],
+         "no strong-det+lambda model exists"),
+        # 132 values and one candidate section: the quantifier-free NoSigE
+        # check takes no cap on the value universe
+        ([[f"a{j}", f"b{j}", "x", "y"] for j in range(65)],
+         "strong-det+lambda model exists with 1 hidden values"),
+    ], ids=["signalling-past-section-budget", "past-universe-cap"])
+    def test_exists_is_decided(self, tmp_path, capsys, rows, verdict):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(
+            {"kind": "empirical", "domain": ["m1", "m2", "o1", "o2"], "rows": rows}))
+        code = main(["nogo", "exists", "--model", str(model), "--target", "strong-det+lambda"])
+        assert code == 0 and verdict in capsys.readouterr().out
+
     def test_ks_json(self):
         code, out, _ = run_cli("nogo", "ks", "--json")
         assert code == 0

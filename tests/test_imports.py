@@ -1,12 +1,16 @@
-"""Every import of a package module is used.
+"""Every import of a package module is used, and every module imports first.
 
 A static check on the source with the standard ``ast`` module: each name
 an import binds must be read somewhere in the module, in code or in a
 string annotation.  ``__init__.py`` is skipped, because its imports are
-re-exports, and so are ``__future__`` imports.
+re-exports, and so are ``__future__`` imports.  A fresh interpreter then
+imports each module as the first of the package, so that an import cycle
+fails here and not at a user's first import.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,3 +66,23 @@ def test_no_unused_imports(path):
 def test_check_sees_an_unused_import():
     tree = ast.parse("import json\nfrom os import path, sep\n\ndef f(x: 'sep') -> None:\n    return path\n")
     assert sorted(set(imported_names(tree)) - used_names(tree)) == ["json"]
+
+
+#: Imports each named module with no ``teamlogic`` module loaded before it.
+IMPORT_EACH_FIRST = """
+import importlib, sys
+for name in sys.argv[1:]:
+    for loaded in [m for m in sys.modules if m.split(".")[0] == "teamlogic"]:
+        del sys.modules[loaded]
+    print(name, flush=True)
+    importlib.import_module(name)
+"""
+
+
+def test_each_module_imports_first():
+    names = [f"teamlogic.{path.stem}" for path in MODULES]
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_EACH_FIRST, *names], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, f"importing {proc.stdout.split()[-1]} first fails:\n{proc.stderr}"
+    assert proc.stdout.split() == names

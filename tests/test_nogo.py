@@ -4,8 +4,9 @@ from itertools import combinations, product
 
 import pytest
 
+from teamlogic import nogo
 from teamlogic.errors import BudgetExceededError, InvalidArgumentError
-from teamlogic.eval_rel import eval_atom_rel, eval_rel
+from teamlogic.eval_rel import DEFAULT_BUDGET, EvalBudget, eval_atom_rel, eval_rel
 from teamlogic.formulas import NCC
 from teamlogic.jsonio import model_to_dict
 from teamlogic.models import empirical_domain, empirically_equivalent, from_team, induced_empirical
@@ -60,12 +61,34 @@ class TestSections:
             assert found == _brute_force_sections(rows, n)
 
     def test_section_space_guard(self):
-        # twelve measurements per component, each with four outcomes:
-        # 4**12 candidate functions for the first component alone
-        rows = [(f"a{j}", f"b{j}", f"x{t}", f"y{t}") for j in range(12) for t in range(4)]
-        model = from_team(Team(empirical_domain(2), rows), "empirical")
         with pytest.raises(BudgetExceededError, match="section space exceeds 5000000"):
-            consistent_sections(model)
+            consistent_sections(_wide_model(signalling=False))
+
+
+def _wide_model(signalling: bool):
+    """A model with twelve measurements per component, each with four
+    outcomes: 4**12 candidate functions for the first component alone.
+    The no-signalling one pairs ``a_j`` with ``b_j`` only and has 48 rows;
+    the signalling one pairs every ``a_j`` with every ``b_k`` and lets
+    ``o1`` follow ``(j + k) % 4``, so ``o1`` reads ``m2``: 576 rows."""
+    if signalling:
+        rows = [(f"a{j}", f"b{k}", f"x{(j + k) % 4}", f"y{t}")
+                for j in range(12) for k in range(12) for t in range(4)]
+    else:
+        rows = [(f"a{j}", f"b{j}", f"x{t}", f"y{t}") for j in range(12) for t in range(4)]
+    return from_team(Team(empirical_domain(2), rows), "empirical")
+
+
+#: The 16 rows over the 2x2 measurement grid with R/G outcomes.
+GRID = [(a, b, x, y) for a in ("a1", "a2") for b in ("b1", "b2")
+        for x in ("R", "G") for y in ("R", "G")]
+
+
+def _grid_models(max_rows: int):
+    """Every empirical model of at most ``max_rows`` rows of ``GRID``."""
+    for size in range(1, max_rows + 1):
+        for rows in combinations(GRID, size):
+            yield from_team(Team(empirical_domain(2), rows), "empirical")
 
 
 def _mixed_value_models():
@@ -166,6 +189,82 @@ class TestExistsStrongDetLambdaIndep:
             exists_strongdet_lambdaindep(pm)
 
 
+class _SearchReached(Exception):
+    pass
+
+
+class TestLogicRoute:
+    """StrongDetH entails ParIndepH, and LambdaIndepH & ParIndepH entail
+    NoSigE, so a signalling model has no StrongDet and lambda-independent
+    explanation: both decisions answer it without a section search."""
+
+    @pytest.fixture
+    def no_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise _SearchReached
+
+        monkeypatch.setattr(nogo, "consistent_sections", refuse)
+
+    def test_hardy_table_signals(self, hardy, no_search):
+        assert not check_property(hardy, P.NO_SIG_E)
+        assert exists_strongdet_lambdaindep(hardy) is None
+        assert exists_local_lambdaindep(hardy) is None
+
+    def test_signalling_grid_models_up_to_four_rows(self, no_search):
+        signalling = 0
+        for model in _grid_models(4):
+            if not check_property(model, P.NO_SIG_E):
+                signalling += 1
+                assert exists_strongdet_lambdaindep(model) is None
+                assert exists_local_lambdaindep(model) is None
+        assert signalling == 1912
+
+    def test_no_signalling_model_reaches_the_search(self, ex22, no_search):
+        assert check_property(ex22, P.NO_SIG_E)
+        for decide in (exists_strongdet_lambdaindep, exists_local_lambdaindep):
+            with pytest.raises(_SearchReached):
+                decide(ex22)
+
+
+class TestSectionBudget:
+    def test_signalling_model_past_the_guard_is_decided(self):
+        model = _wide_model(signalling=True)
+        with pytest.raises(BudgetExceededError, match="section space exceeds 5000000"):
+            consistent_sections(model)
+        assert exists_strongdet_lambdaindep(model) is None
+        assert exists_local_lambdaindep(model) is None
+
+    def test_no_signalling_model_past_the_guard_raises(self):
+        model = _wide_model(signalling=False)
+        for decide in (exists_strongdet_lambdaindep, exists_local_lambdaindep):
+            with pytest.raises(BudgetExceededError, match="section space exceeds 5000000"):
+                decide(model)
+
+    @pytest.mark.parametrize("signalling", [False, True])
+    def test_many_values_inside_the_guard(self, signalling):
+        # 132 values, past the evaluator's default universe cap, which
+        # bounds quantifiers and so not the quantifier-free NoSigE
+        model = _many_valued_model(signalling)
+        assert len(model.team.universe) > DEFAULT_BUDGET.max_universe
+        assert check_property(model, P.NO_SIG_E, budget=EvalBudget(max_universe=132)) != signalling
+        found = _covers(model, consistent_sections(model))
+        assert found != signalling
+        for decide in (exists_strongdet_lambdaindep, exists_local_lambdaindep):
+            assert (decide(model) is not None) == found
+
+
+def _many_valued_model(signalling: bool):
+    """A model over 132 values with a small section space.  The
+    no-signalling one is the diagonal ``(a_j, b_j, x, y)``, j < 65, with
+    one candidate section; in the signalling one ``a0`` meets ``b0`` with
+    outcomes ``x0..x63`` and ``b1`` with ``x64..x127``."""
+    if signalling:
+        rows = [("a0", f"b{t // 64}", f"x{t}", "y") for t in range(128)]
+    else:
+        rows = [(f"a{j}", f"b{j}", "x", "y") for j in range(65)]
+    return from_team(Team(empirical_domain(2), rows), "empirical")
+
+
 def _assert_validated_witness(model):
     """The witness of ``model``, stored without re-validation, equals the
     one ``from_team`` validates from its rows, or there is none."""
@@ -184,14 +283,19 @@ def _assert_validated_witness(model):
 
 class TestWitness:
     def test_grid_models_up_to_five_rows(self):
-        space = [(a, b, x, y) for a in ("a1", "a2") for b in ("b1", "b2")
-                 for x in ("R", "G") for y in ("R", "G")]
-        explained = 0
-        for size in range(1, 6):
-            for rows in combinations(space, size):
-                model = from_team(Team(empirical_domain(2), rows), "empirical")
-                explained += _assert_validated_witness(model) is not None
-        assert explained > 0
+        # covered is read off the section search, not off the verdict, so
+        # that no model both signals and is covered checks the entailment
+        # behind the verdict's NoSigE shortcut
+        models = signalling = covered = both = 0
+        for model in _grid_models(5):
+            signals = not check_property(model, P.NO_SIG_E)
+            found = _covers(model, consistent_sections(model))
+            assert (_assert_validated_witness(model) is not None) == found
+            models += 1
+            signalling += signals
+            covered += found
+            both += signals and found
+        assert (models, signalling, covered, both) == (6884, 5896, 988, 0)
 
     def test_mixed_value_models(self):
         explained = sum(
