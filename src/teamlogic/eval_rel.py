@@ -90,8 +90,10 @@ class EvalBudget:
     """Caps on the evaluator's search effort.
 
     ``max_rows`` bounds the size of any team built by quantification,
-    ``max_universe`` bounds the value universe, and ``memo_limit`` bounds
-    the combined number of memo entries and visited search states.
+    ``max_universe`` bounds the value universe that a quantifier ranges
+    over (a formula with no quantifier decides on any universe), and
+    ``memo_limit`` bounds the combined number of memo entries and visited
+    search states.
     Exceeding any cap aborts the evaluation with a budget error; the
     evaluator never approximates.
     """
@@ -167,8 +169,8 @@ def eval_atom_rel(team: Team, atom: Formula) -> bool:
 
     Only the ``ncc`` atom involves any search (over per-row selections),
     bounded by the default budget; everything else is a scan of the rows.
-    An atom does not quantify, so unlike :func:`eval_rel` this decides on
-    any value universe.
+    An atom does not quantify, so this decides on any value universe, as
+    :func:`eval_rel` does for every formula without a quantifier.
     """
     if not isinstance(atom, ATOM_TYPES):
         raise InvalidArgumentError(f"{atom!r} is not an atom")
@@ -204,8 +206,7 @@ class Plan:
             raise DomainError(f"team domain {team.domain} differs from plan domain {self.domain}")
         budget = budget or DEFAULT_BUDGET
         bits = None  # a ProbTeam's _||_ stays stochastic
-        if isinstance(team, Team):  # probabilistic atoms decide on any universe
-            budget.check_universe(len(team.universe))
+        if isinstance(team, Team):
             bits = self.masks and self.masks.of(team)
         roots, tests = self.roots, {} if bits is None else self.tests
         evaluator = None
@@ -572,6 +573,7 @@ class _Evaluator:
         _refuse_prob_search(team)
         if not team.rows:
             return True
+        self.budget.check_universe(len(team.universe))
         block = node.block
         values = team.universe
         if not values:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import cache
 
 from .errors import DomainError, InvalidArgumentError
-from .teams import ProbTeam, Team, value_key
+from .teams import ProbTeam, Team, _sorted_values, value_key
 
 LAMBDA_VAR = "l"
 
@@ -151,7 +151,7 @@ def from_team(data: Team | ProbTeam, kind: str) -> EmpiricalModel | HVModel:
             warnings = (
                 f"universe narrowed to active values; dropped {extra}",
             )
-            data = Team(team.domain, team.rows)
+            data = Team._canonical(team.domain, team.rows, tuple(_sorted_values(active)))
     cls = EmpiricalModel if kind == "empirical" else HVModel
     return cls(data, arity, warnings)
 

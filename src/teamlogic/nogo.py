@@ -45,7 +45,7 @@ from itertools import permutations
 from typing import Iterator
 
 from .errors import BudgetExceededError, InvalidArgumentError
-from .eval_rel import DEFAULT_BUDGET, EvalBudget, depth_first, eval_atom_rel, exact_transversal
+from .eval_rel import depth_first, eval_atom_rel, exact_transversal
 from .formulas import NCC
 from .jsonio import _fraction
 from .models import EmpiricalModel, HVModel, tag_rows
@@ -141,10 +141,7 @@ def exists_strongdet_lambdaindep(
             "decision runs on relational models; collapse probabilistic ones first "
             "(nonexistence transfers to the probabilistic side)"
         )
-    # NoSigE has no quantifier, so no cap on the value universe applies
-    size = len(model.team.universe)
-    budget = EvalBudget(max_universe=size) if size > DEFAULT_BUDGET.max_universe else None
-    if not check_property(model, PropertyName.NO_SIG_E, budget=budget):
+    if not check_property(model, PropertyName.NO_SIG_E):
         return None
     sections = consistent_sections(model, max_sections)
     if not _covers(model, sections):

@@ -18,9 +18,11 @@ tuples of these (tuples are used for vectors in 4-space and for structured
 hidden-variable tags).  They carry a content-based total order via
 :func:`value_key`, so every iteration and every serialized output is
 bit-deterministic regardless of construction order or hash seeds.  A
-team keys, sorts and checks the rows it is given once; a sub-team of it,
-whose rows are taken in row order, and a team whose rows a caller
-assembles in canonical order are stored without doing so again.
+team keys, sorts and checks the rows it is given once.  Rows whose order
+is already known are stored without doing so again: a sub-team's rows
+taken in row order, an extension's rows with a new column appended in
+the order of its values, a restriction onto a prefix of the domain, and
+rows that a caller assembles in canonical order.
 
 All objects are immutable after construction and all operations are pure
 functions; values and teams may be shared freely between threads.
@@ -207,14 +209,15 @@ class Team:
             raise InvalidArgumentError(
                 "universe must contain every value occurring in rows"
             )
-        self._store(dom, sorted_rows, frozenset(keyed), tuple(uni))
+        self._store(dom, sorted_rows, tuple(uni))
 
     @staticmethod
     def _canonical(domain: tuple[str, ...], rows: tuple, universe: tuple) -> "Team":
         """The team with canonical ``rows`` over the sorted ``universe``
-        holding their values, taken as given: nothing is keyed or checked."""
+        holding their values, taken as given: nothing is keyed, checked or
+        hashed."""
         team = object.__new__(Team)
-        team._store(domain, rows, frozenset(rows), universe)
+        team._store(domain, rows, universe)
         return team
 
     def _sub(self, rows: Sequence[Row]) -> "Team":
@@ -222,12 +225,14 @@ class Team:
         ``rows``: distinct rows of this team, in :attr:`rows` order."""
         return Team._canonical(self.domain, tuple(rows), self.universe)
 
-    def _store(self, domain: tuple[str, ...], rows: tuple, rowset: frozenset, universe: tuple):
+    def _store(self, domain: tuple[str, ...], rows: tuple, universe: tuple):
+        """Set the fields.  The row set and the hash are made on first use,
+        by ``in`` and :func:`hash`: most teams are only read row by row, and
+        two threads that race to make either make equal values."""
         self.domain = domain
         self.rows = rows
         self.universe = universe
-        self._rowset = rowset
-        self._hash = hash((domain, rows, universe))
+        self._rowset = self._hash = None
 
     # -- basic protocol ------------------------------------------------
 
@@ -235,6 +240,8 @@ class Team:
         return len(self.rows)
 
     def __contains__(self, row: Row) -> bool:
+        if self._rowset is None:
+            self._rowset = frozenset(self.rows)
         return tuple(row) in self._rowset
 
     def __eq__(self, other) -> bool:
@@ -246,6 +253,8 @@ class Team:
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.domain, self.rows, self.universe))
         return self._hash
 
     def __repr__(self) -> str:
@@ -280,9 +289,13 @@ class Team:
 
         The universe is unchanged: restriction never discards values.
         """
-        pos = self.positions(variables)
+        domain = tuple(variables)
+        if domain == self.domain[: len(domain)]:  # a prefix keeps the row order
+            rows = dict.fromkeys([row[: len(domain)] for row in self.rows])
+            return Team._canonical(domain, tuple(rows), self.universe)
+        pos = self.positions(domain)
         projected = {tuple(row[i] for i in pos) for row in self.rows}
-        return Team(tuple(variables), projected, self.universe)
+        return Team(domain, projected, self.universe)
 
     def generalize(self, var: str, values: Iterable[Value]) -> "Team":
         """Unrestricted generalisation: extend (or rebind) ``var`` to every
@@ -316,14 +329,15 @@ class Team:
         return self._extend(var, checked)
 
     def _extend(self, var: str, image_of: Callable[[Row], list]) -> "Team":
+        """Bind ``var`` in each row to each value of its image, a list in
+        canonical order."""
         domain, put = bind(self.domain, var)
-        new_universe = set(self.universe)
-        new_rows = set()
-        for row in self.rows:
-            for v in image_of(row):
-                new_rows.add(put(row, v))
-                new_universe.add(v)
-        return Team(domain, new_rows, new_universe)
+        images = list(map(image_of, self.rows))
+        rows = [put(row, v) for row, image in zip(self.rows, images) for v in image]
+        universe = {*self.universe, *(v for image in images for v in image)}
+        if var in self.domain:  # a column rebound in place needs sorting
+            return Team(domain, rows, universe)
+        return Team._canonical(domain, tuple(rows), tuple(_sorted_values(universe)))
 
     def add_values(self, values: Iterable[Value]) -> "Team":
         """The team X+A: identical rows, universe enlarged by ``values``.
@@ -331,7 +345,8 @@ class Team:
         Enlarging the universe changes no atomic formula; it only widens
         the range of quantifiers.
         """
-        return Team(self.domain, self.rows, (*self.universe, *values))
+        universe = _sorted_values((*self.universe, *values))
+        return Team._canonical(self.domain, self.rows, tuple(universe))
 
 
 class ProbTeam:
@@ -358,7 +373,7 @@ class ProbTeam:
             if row in table:
                 raise InvalidArgumentError(f"duplicate weight entry for row {row!r}")
             table[row] = _exact(w, f"weight of row {row!r}")
-        if table.keys() != team._rowset:
+        if table.keys() != set(team.rows):
             raise InvalidArgumentError("weights must cover exactly the team's rows")
         for row, weight in table.items():
             if weight <= 0:
@@ -390,7 +405,7 @@ class ProbTeam:
         self.team = team
         self.denominator = denominator // g
         self._numerators = {row: numerators[row] // g for row in team.rows}
-        self._hash = hash((team, self.denominator, tuple(self._numerators.values())))
+        self._hash = None  # made on first use, by hash()
 
     @property
     def domain(self) -> tuple[str, ...]:
@@ -433,6 +448,8 @@ class ProbTeam:
         return isinstance(other, ProbTeam) and self.team == other.team and self.same_weights(other)
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.team, self.denominator, tuple(self._numerators.values())))
         return self._hash
 
     def __repr__(self) -> str:
@@ -478,7 +495,11 @@ class ProbTeam:
     def restrict(self, variables: Sequence[str]) -> "ProbTeam":
         """Marginalize onto a variable list; weights of merged rows add exactly."""
         merged = self.masses(variables)
-        team = Team(tuple(variables), merged.keys(), self.universe)
+        domain = tuple(variables)
+        if domain == self.domain[: len(domain)]:  # a prefix keeps the row order
+            team = Team._canonical(domain, tuple(merged), self.universe)
+        else:
+            team = Team(domain, merged.keys(), self.universe)
         return ProbTeam._reduced(team, merged, self.denominator)
 
     def skolem_extend(self, var: str, function) -> "ProbTeam":
@@ -499,15 +520,16 @@ class ProbTeam:
         for row in self._numerators:
             dist = []
             for v, p in dict(dist_of(row)).items():
-                value_key(v)
+                key = value_key(v)
                 p = _exact(p, f"probability of value {v!r}")
                 n = p.numerator
                 if n < 0:
                     raise InvalidArgumentError(f"negative probability {p} for value {v!r}")
                 if n:
-                    dist.append((v, n, p.denominator))
-            row_scale = lcm(*(d for _, _, d in dist))
-            total = sum(n * (row_scale // d) for _, n, d in dist)
+                    dist.append((key, v, n, p.denominator))
+            dist.sort(key=itemgetter(0))
+            row_scale = lcm(*(d for *_, d in dist))
+            total = sum(n * (row_scale // d) for _, _, n, d in dist)
             if total != row_scale:
                 total = Fraction(total, row_scale)
                 raise InvalidArgumentError(
@@ -515,7 +537,7 @@ class ProbTeam:
                 )
             scale = lcm(scale, row_scale)
             dists.append(dist)
-        shares = ([(v, n * (scale // d)) for v, n, d in dist] for dist in dists)
+        shares = ([(v, n * (scale // d)) for _, v, n, d in dist] for dist in dists)
         return self._split(var, shares, scale)
 
     def uniform_extend(self, var: str, values: Iterable[Value]) -> "ProbTeam":
@@ -530,7 +552,8 @@ class ProbTeam:
 
     def _split(self, var: str, shares: Iterable[list], scale: int) -> "ProbTeam":
         """Extend (or rebind) ``var``: row i's numerator times each share of
-        the i-th list of (value, share) pairs, over ``denominator * scale``."""
+        the i-th list of (value, share) pairs, in canonical value order,
+        over ``denominator * scale``."""
         domain, put = bind(self.domain, var)
         out: dict[Row, int] = {}
         for (row, w), split in zip(self._numerators.items(), shares):
@@ -538,8 +561,11 @@ class ProbTeam:
                 new_row = put(row, v)
                 out[new_row] = out.get(new_row, 0) + w * share
         column = domain.index(var)
-        universe = set(self.universe) | {row[column] for row in out}
-        team = Team(domain, out.keys(), universe)
+        universe = {*self.universe, *(row[column] for row in out)}
+        if var in self.domain:  # a column rebound in place needs sorting
+            team = Team(domain, out.keys(), universe)
+        else:
+            team = Team._canonical(domain, tuple(out), tuple(_sorted_values(universe)))
         return ProbTeam._reduced(team, out, self.denominator * scale)
 
 

@@ -78,6 +78,21 @@ class TestEval:
             "--budget", "50")
         assert code == 3 and "budget" in err.lower()
 
+    @pytest.mark.parametrize("argv, code", [
+        (["eval", "--formula", "dep(m1, o1) & o1 _||_ m2"], 0),
+        (["check", "--property", "no-sig"], 0),
+        (["eval", "--formula", "E z . dep(m1, z)"], 3),
+    ])
+    def test_universe_cap_bounds_only_quantifiers(self, tmp_path, capsys, argv, code):
+        # 132 values, past the default cap of 128
+        rows = [[f"a{j}", f"b{j}", "x", "y"] for j in range(65)]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(
+            {"kind": "empirical", "domain": ["m1", "m2", "o1", "o2"], "rows": rows}))
+        flag = "--team" if argv[0] == "eval" else "--model"
+        assert main([*argv, flag, str(model)]) == code
+        assert ("error[budget-error]" in capsys.readouterr().err) == (code == 3)
+
 
 class TestNogo:
     def test_hardy_verdict(self):

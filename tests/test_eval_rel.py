@@ -69,9 +69,12 @@ class TestPlan:
             plan.run(T(("y", "x"), [(0, 1)]))
 
     def test_run_checks_the_universe(self):
-        plan = compile([parse("dep(x, y)")], ("x", "y"))
+        # the cap bounds quantifiers: the quantifier-free formula decides
+        plan = compile([parse("dep(x, y)"), parse("E z . dep(x, z)")], ("x", "y"))
+        verdict = plan.run(T(("x", "y"), [(0, 1)], universe=range(9)), EvalBudget(max_universe=8))
+        assert verdict(0)
         with pytest.raises(BudgetExceededError):
-            plan.run(T(("x", "y"), [(0, 1)], universe=range(9)), EvalBudget(max_universe=8))
+            verdict(1)
 
     def test_space_masks_cover_only_the_space(self):
         space = assignment_space([("x", [0, 1]), ("y", [0, 1])])
@@ -459,7 +462,21 @@ class TestBudget:
     def test_universe_budget(self):
         t = T(("x",), [(0,)], universe=range(30))
         with pytest.raises(BudgetExceededError):
-            eval_rel(t, parse("dep(x, x)"), EvalBudget(max_universe=8))
+            eval_rel(t, parse("A a . dep(x, a)"), EvalBudget(max_universe=8))
+
+    @pytest.mark.parametrize("text, verdict", [
+        ("dep(x, y)", False), ("x _||_ y", True), ("x = 0 | x = 1", True), ("x = y & y = y", False),
+    ])
+    def test_quantifier_free_formula_decides_past_the_universe_cap(self, text, verdict):
+        t = T(("x", "y"), [(i, j) for i in range(2) for j in range(100, 230)])
+        assert len(t.universe) > EvalBudget().max_universe
+        assert eval_rel(t, parse(text)) == verdict
+
+    @pytest.mark.parametrize("text", ["E z . dep(x, z)", "dep(x, y) & E z . x = z"])
+    def test_existential_past_the_universe_cap_raises(self, text):
+        t = T(("x", "y"), [(i, 0) for i in range(129)])
+        with pytest.raises(BudgetExceededError, match="universe of size 129 exceeds budget 128"):
+            eval_rel(t, parse(text))
 
     @pytest.mark.parametrize("text, count, limit", [
         ("x _||_ y | x <= y", 9, 64),

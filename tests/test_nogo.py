@@ -6,7 +6,7 @@ import pytest
 
 from teamlogic import nogo
 from teamlogic.errors import BudgetExceededError, InvalidArgumentError
-from teamlogic.eval_rel import DEFAULT_BUDGET, EvalBudget, eval_atom_rel, eval_rel
+from teamlogic.eval_rel import DEFAULT_BUDGET, eval_atom_rel, eval_rel
 from teamlogic.formulas import NCC
 from teamlogic.jsonio import model_to_dict
 from teamlogic.models import empirical_domain, empirically_equivalent, from_team, induced_empirical
@@ -246,7 +246,7 @@ class TestSectionBudget:
         # bounds quantifiers and so not the quantifier-free NoSigE
         model = _many_valued_model(signalling)
         assert len(model.team.universe) > DEFAULT_BUDGET.max_universe
-        assert check_property(model, P.NO_SIG_E, budget=EvalBudget(max_universe=132)) != signalling
+        assert check_property(model, P.NO_SIG_E) != signalling
         found = _covers(model, consistent_sections(model))
         assert found != signalling
         for decide in (exists_strongdet_lambdaindep, exists_local_lambdaindep):

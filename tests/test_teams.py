@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from teamlogic.errors import DomainError, InvalidArgumentError
 from teamlogic.eval_rel import DEFAULT_BUDGET, _Evaluator, compile
 from teamlogic.formulas import parse
+from teamlogic.models import from_team
 from teamlogic.sampling import random_prob_team, random_team
 from teamlogic.teams import Assignment, ProbTeam, Team, value_key
 
@@ -493,3 +494,202 @@ def test_sub_team_agrees_with_validated_team(seed):
             verdict = evaluator.memo_eval(first, node)
             assert evaluator.memo_eval(second, node) == verdict
             assert list(evaluator.memo) == [(node, first)]
+
+
+# -- the stored fast paths against the validated constructor -------------------
+
+#: ``Fraction(2)`` and ``Fraction(0)`` equal the ints beside them: a row or
+#: universe holds whichever it met first, and both routes must keep that one.
+TWIN_VALUES = MIXED_VALUES + [Fraction(2), Fraction(0)]
+
+
+def typed(value):
+    """``value`` with the type of each member spelled out, so that ``2`` and
+    ``Fraction(2)`` differ."""
+    if type(value) is tuple:
+        return tuple(map(typed, value))
+    return (type(value).__name__, value)
+
+
+def assert_same_team(fast, ref, probes):
+    assert fast == ref and ref == fast and hash(fast) == hash(ref)
+    assert typed(fast.rows) == typed(ref.rows)
+    assert typed(fast.universe) == typed(ref.universe)
+    for row in (*ref.rows, *probes):
+        assert (row in fast) == (row in ref)
+
+
+def assert_same_prob(fast, ref, probes):
+    assert_same_team(fast.team, ref.team, probes)
+    assert fast == ref and hash(fast) == hash(ref)
+    assert fast.denominator == ref.denominator
+    assert list(fast.numerators().items()) == list(ref.numerators().items())
+
+
+def bound_domain(domain, var):
+    return domain if var in domain else domain + (var,)
+
+
+def put_row(domain, var, row, value):
+    """``row`` over ``domain`` with ``var`` bound to ``value``: rebound in
+    place, or appended."""
+    if var not in domain:
+        return row + (value,)
+    pos = domain.index(var)
+    return row[:pos] + (value,) + row[pos + 1:]
+
+
+def reference_extend(t, var, images):
+    """The validated team of ``t`` with row i bound to each value of
+    ``images[i]``, built as a set and sorted by ``Team``."""
+    rows, universe = set(), set(t.universe)
+    for row, image in zip(t.rows, images):
+        for v in image:
+            rows.add(put_row(t.domain, var, row, v))
+            universe.add(v)
+    return Team(bound_domain(t.domain, var), rows, universe)
+
+
+def reference_prob_extend(p, var, dists):
+    """The checked probabilistic team of ``p`` with row i's weight split
+    over ``dists[i]``, a value -> ``Fraction`` map, summed in ``Fraction``s."""
+    domain = bound_domain(p.domain, var)
+    column = domain.index(var)
+    out = {}
+    for row, dist in zip(p.rows, dists):
+        for v, q in dist.items():
+            if q:
+                new = put_row(p.domain, var, row, v)
+                out[new] = out.get(new, 0) + p.weight(row) * q
+    universe = set(p.universe) | {row[column] for row in out}
+    return ProbTeam(Team(domain, out, universe), out)
+
+
+def reference_marginal(p, variables):
+    pos = [p.domain.index(v) for v in variables]
+    out = {}
+    for row, w in p.weights().items():
+        key = tuple(row[i] for i in pos)
+        out[key] = out.get(key, 0) + w
+    return ProbTeam(Team(variables, out, p.universe), out)
+
+
+def random_values(rng, low=1):
+    """A few values, out of canonical order, with repeats and int twins."""
+    return [rng.choice(TWIN_VALUES) for _ in range(rng.randint(low, 5))]
+
+
+def random_dist(rng):
+    """A distribution as (value, probability) pairs, out of canonical order,
+    with a zero entry, an exact repeat or an int's ``Fraction`` twin."""
+    values = list(dict.fromkeys(random_values(rng)))
+    weights = [rng.randint(0, 3) for _ in values]
+    if not any(weights):
+        weights[0] = 1
+    pairs = [(v, Fraction(w, sum(weights))) for v, w in zip(values, weights)]
+    v, q = rng.choice(pairs)
+    pairs.append((Fraction(v) if type(v) is int else v, q))
+    rng.shuffle(pairs)
+    return pairs
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fast_paths_agree_with_validated_team(seed):
+    rng = random.Random(seed)
+    for _ in range(500):
+        domain = ("x", "y", "z")[: rng.randint(0, 3)]
+        rows = [tuple(rng.choice(TWIN_VALUES) for _ in domain) for _ in range(rng.randint(0, 6))]
+        t = Team(domain, rows, [*rng.sample(TWIN_VALUES, 2), *(v for row in rows for v in row)])
+        probes = [tuple(rng.choice(TWIN_VALUES) for _ in range(k)) for k in range(5)]
+        var = rng.choice(("x", "y", "z", "w"))
+
+        values = random_values(rng)
+        assert_same_team(t.generalize(var, values), reference_extend(t, var, [values] * len(t)), probes)
+        images = {row: random_values(rng) for row in t.rows}
+        expected = reference_extend(t, var, list(images.values()))
+        assert_same_team(t.skolem_extend(var, lambda a: images[a.row]), expected, probes)
+        table = {Assignment(t.domain, row): image for row, image in images.items()}
+        assert_same_team(t.skolem_extend(var, table), expected, probes)
+
+        k = rng.randint(0, len(domain))
+        for variables in (domain[:k], tuple(rng.sample(domain, k))):
+            projected = {tuple(row[domain.index(v)] for v in variables) for row in t.rows}
+            assert_same_team(t.restrict(variables), Team(variables, projected, t.universe), probes)
+        extra = random_values(rng, low=0)
+        assert_same_team(t.add_values(extra), Team(domain, t.rows, (*t.universe, *extra)), probes)
+
+        if not t.rows:
+            continue
+        p = ProbTeam(t, {row: Fraction(w, 4 * len(t)) for row, w in zip(t.rows, [3, 5] * len(t))}
+                     if len(t) % 2 == 0 else {row: Fraction(1, len(t)) for row in t.rows})
+        dists = {row: random_dist(rng) for row in t.rows}
+        expected = reference_prob_extend(p, var, [dict(d) for d in dists.values()])
+        assert_same_prob(p.skolem_extend(var, lambda a: dists[a.row]), expected, probes)
+        table = {Assignment(t.domain, row): dict(d) for row, d in dists.items()}
+        assert_same_prob(p.skolem_extend(var, table), expected, probes)
+        uniform = dict.fromkeys(values, Fraction(1, len(set(values))))
+        expected = reference_prob_extend(p, var, [uniform] * len(t))
+        assert_same_prob(p.uniform_extend(var, values), expected, probes)
+        assert_same_prob(p.generalize(var, values), expected, probes)
+        for variables in (domain[:k], tuple(rng.sample(domain, k))):
+            assert_same_prob(p.restrict(variables), reference_marginal(p, variables), probes)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_narrowed_model_agrees_with_validated_team(seed):
+    rng = random.Random(seed)
+    for _ in range(200):
+        rows = [(rng.choice(TWIN_VALUES), rng.choice(TWIN_VALUES)) for _ in range(rng.randint(1, 6))]
+        t = Team(("m1", "o1"), rows, [*rng.sample(TWIN_VALUES, 3), *(v for row in rows for v in row)])
+        narrowed = set(t.universe) != {v for row in t.rows for v in row}
+        model = from_team(t, "empirical")
+        assert_same_team(model.data, Team(t.domain, t.rows) if narrowed else t, [(0, 0), ("a", 2)])
+        assert bool(model.warnings) == narrowed
+
+
+def test_rebound_column_comes_out_sorted():
+    t = Team(("x", "y"), [(0, "b"), (1, "a"), (2, "c")])
+    for rebound in (t.generalize("x", ["z", 5]), t.skolem_extend("x", lambda a: [a["y"], 9 - a.row[0]])):
+        assert list(rebound.rows) == sorted(rebound.rows, key=lambda row: tuple(map(value_key, row)))
+    p = ProbTeam.uniform(t).skolem_extend("x", lambda a: {(3, a["y"]): Fraction(1, 2), -a.row[0]: Fraction(1, 2)})
+    assert p.rows == ((-2, "c"), (-1, "a"), (0, "b"), ((3, "a"), "a"), ((3, "b"), "b"), ((3, "c"), "c"))
+
+
+class TestFastPathValidation:
+    """The stored paths skip keying the rows, never checking the values
+    that a caller hands in."""
+
+    T = Team(("x",), [(0,), (1,)])
+
+    @pytest.mark.parametrize("bad", [[True], [1, True], [True, 1], [0, 1.0], [1.5], [(0, False)]])
+    def test_bool_or_float_in_an_image_raises(self, bad):
+        for extend in (
+            lambda: self.T.skolem_extend("y", lambda a: bad),
+            lambda: self.T.skolem_extend("x", lambda a: bad),
+            lambda: self.T.generalize("y", bad),
+            lambda: ProbTeam.uniform(self.T).uniform_extend("y", bad),
+            lambda: self.T.add_values(bad),
+        ):
+            with pytest.raises(InvalidArgumentError):
+                extend()
+
+    @pytest.mark.parametrize("bad", [True, 1.0, (0, True)])
+    def test_bool_or_float_in_a_distribution_raises(self, bad):
+        with pytest.raises(InvalidArgumentError):
+            ProbTeam.uniform(self.T).skolem_extend("y", lambda a: {bad: 1})
+
+    def test_weights_must_cover_a_stored_team(self):
+        whole = Team(("x",), [(0,), (1,), (2,)])
+        for t in (whole._sub(whole.rows[:2]), whole.restrict(("x",)), self.T.generalize("y", [5])):
+            share = Fraction(1, len(t))
+            with pytest.raises(InvalidArgumentError, match="cover exactly"):
+                ProbTeam(t, {t.rows[0]: 1})
+            with pytest.raises(InvalidArgumentError, match="cover exactly"):
+                ProbTeam(t, {**dict.fromkeys(t.rows, share), (7,) * len(t.domain): 0})
+            assert ProbTeam(t, dict.fromkeys(t.rows, share)).rows == t.rows
+
+    def test_unhashed_sub_team_answers_membership(self):
+        whole = Team(("x", "y"), [(i, j) for i in range(3) for j in range(3)])
+        sub = whole._sub(whole.rows[2:5])
+        assert [row in sub for row in whole.rows] == [False, False, True, True, True, False, False, False, False]
+        assert [0, 2] in sub and (2, 2) not in sub
