@@ -33,7 +33,7 @@ generalized dependence whose side-1 key is the set of a row's ``xs``
 values.  Their atom kernel adds a team's rows to a fresh constraint.
 
 The clauses for disjunction and existential quantification are genuinely
-exponential, so the evaluator leans on three exact reductions:
+exponential, so the evaluator leans on four exact reductions:
 
 * classical (literal-only) subformulas are flat and get decided pointwise,
   one row at a time;
@@ -44,7 +44,10 @@ exponential, so the evaluator leans on three exact reductions:
 * inside an existential block, conjuncts are compiled into per-row filters
   (classical parts, inclusion atoms with stable right side) and incremental
   consistency structures (dependence-family atoms) driving a backtracking
-  search over canonically ordered rows.
+  search over canonically ordered rows;
+* that search tries the values of a block variable read only by ``dep``
+  and ``_||_`` atoms in value-precedence order (:class:`_Precedence`),
+  which skips relabellings of witnesses it has already tried.
 
 Searches that outgrow the :class:`EvalBudget` raise
 :class:`~teamlogic.errors.BudgetExceededError`, a third outcome that is
@@ -608,11 +611,19 @@ class _Evaluator:
             partial = Team(block.ext_domain, (r for group in chosen for r in group), team.universe)
             return all(self.memo_eval(partial, c) for c in residual)
 
+        # one precedence state over the whole search order: a solved
+        # component's values stay used for the components after it
+        precedence = _Precedence(block.symmetric, values) if block.symmetric else None
+
         def groups(i: int) -> Iterator[bool]:
             """Add each admissible choice group of row ``i`` to the
             constraints and ``chosen`` in turn, yielding while it holds;
             undone on resumption."""
             for group in _choices(candidates[i], 1, block.closed):
+                # a closed block's group is one row; a relabelling of a
+                # symmetric column is skipped before it ticks
+                if precedence is not None and not precedence.admit(group[0]):
+                    continue
                 self.tick()
                 progress = []
                 ok = True
@@ -632,6 +643,8 @@ class _Evaluator:
                     chosen.pop()
                 for c in reversed(progress):
                     c.undo()
+                if precedence is not None:
+                    precedence.undo()
 
         def solve(order: list[int]) -> bool:
             # a solved component stops its search at the solution, so its
@@ -770,13 +783,27 @@ def _refuse_prob_search(team: Team | ProbTeam):
 class _Block:
     """The static half of an existential search: the block of variables
     it quantifies together, how a row is extended by a choice of their
-    values, whether the matrix is downward closed, and the matrix's
+    values, whether the matrix is downward closed, the matrix's
     conjuncts sorted into row filters, inclusion filters, incremental
-    constraints and residual nodes."""
+    constraints and residual nodes, and the positions in the extended
+    domain of the value-symmetric variables.
+
+    A variable is value-symmetric when the block is closed (each row
+    takes one value tuple), it does not rebind a bound column, and the
+    variable occurs free in the matrix only inside ``dep`` and ``_||_``
+    atoms, also under ``|``, ``A`` or a nested ``E``.  Those atoms compare
+    a column only with itself, so permuting the universe on that column
+    alone maps witnesses to witnesses, and the search tries its values in
+    precedence order (:class:`_Precedence`).  Any other occurrence breaks
+    the symmetry: ``=``, ``!=``, ``<=`` and ``ncc`` compare the column with
+    other columns or constants, ``nc(xs; y)`` compares ``y`` with the
+    ``xs`` values, and generalized dependence compares ``x1`` keys with
+    ``x2`` keys."""
 
     __slots__ = (
         "variables", "ext_domain", "block_positions", "extend", "filters",
         "incl_filters", "constraints", "residual", "residual_dc", "closed",
+        "symmetric",
     )
 
     def __init__(self, var: str, body: _Node, domain: tuple[str, ...]):
@@ -814,6 +841,59 @@ class _Block:
             else:
                 self.residual.append(conj)
         self.residual_dc = all(c.closed for c in self.residual)
+        self.symmetric = () if var in domain or not self.closed else positions(self.ext_domain, tuple(
+            v for v in variables if _value_symmetric(matrix.formula, v)
+        ))
+
+
+def _value_symmetric(formula: Formula, var: str) -> bool:
+    """Whether ``var`` occurs free in ``formula`` only inside ``dep`` and
+    ``_||_`` atoms."""
+    match formula:
+        case Dep() | Indep():
+            return True
+        case And(lhs, rhs) | Or(lhs, rhs):
+            return _value_symmetric(lhs, var) and _value_symmetric(rhs, var)
+        case Exists(bound, body) | Forall(bound, body):
+            return bound == var or _value_symmetric(body, var)
+    return var not in free_vars(formula)
+
+
+class _Precedence:
+    """Value precedence on a block's value-symmetric columns (Law and
+    Lee, *CP* 2004): going down the search, a row takes in each such
+    column a value already used there, or else the least unused value
+    in universe order.  Permuting each such column maps every witness to
+    one that keeps precedence in the search order, so the search loses
+    no verdict.  The used values of a column are always a prefix of the
+    universe, so their count is the column's whole state."""
+
+    __slots__ = ("positions", "rank", "used", "trail")
+
+    def __init__(self, positions: tuple[int, ...], values: Sequence):
+        self.positions = positions
+        self.rank = {v: i for i, v in enumerate(values)}
+        self.used = [0] * len(positions)
+        self.trail: list = []
+
+    def admit(self, row: Row) -> bool:
+        """Whether ``row`` keeps precedence; if it does, its first uses
+        count as used until :meth:`undo`."""
+        fresh = []
+        for k, p in enumerate(self.positions):
+            r = self.rank[row[p]]
+            if r > self.used[k]:
+                return False
+            if r == self.used[k]:
+                fresh.append(k)
+        for k in fresh:
+            self.used[k] += 1
+        self.trail.append(fresh)
+        return True
+
+    def undo(self):
+        for k in self.trail.pop():
+            self.used[k] -= 1
 
 
 def _conjuncts(node: _Node) -> Iterator[_Node]:

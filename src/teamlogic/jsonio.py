@@ -90,10 +90,14 @@ def team_from_dict(payload: dict) -> Team | ProbTeam:
         raw_rows = _list_field(payload, "rows", list)
     except KeyError as exc:
         raise InvalidArgumentError(f"team JSON is missing field {exc.args[0]!r}") from None
-    rows = [tuple(value_from_json(v) for v in row) for row in raw_rows]
-    universe = None
-    if "universe" in payload:
-        universe = [value_from_json(v) for v in _list_field(payload, "universe")]
+    try:
+        # value_from_json recurses once per nesting level of a value
+        rows = [tuple(value_from_json(v) for v in row) for row in raw_rows]
+        universe = None
+        if "universe" in payload:
+            universe = [value_from_json(v) for v in _list_field(payload, "universe")]
+    except RecursionError:
+        raise InvalidArgumentError("team JSON holds a value nested too deeply to decode") from None
     team = Team(domain, rows, universe)
     if "weights" not in payload:
         return team
@@ -137,6 +141,9 @@ def load_path(path: str | Path) -> dict:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidArgumentError(f"malformed JSON in {path}: {exc}") from None
+    except RecursionError:
+        # the decoder recurses once per nesting level
+        raise InvalidArgumentError(f"JSON in {path} is nested too deeply to decode") from None
     if not isinstance(payload, dict):
         raise InvalidArgumentError(f"expected a JSON object in {path}")
     return payload

@@ -505,23 +505,38 @@ class ProbTeam:
     def skolem_extend(self, var: str, function) -> "ProbTeam":
         """Probabilistic Skolem extension.
 
-        ``function`` maps each assignment to an exact-rational distribution
-        (a mapping value -> ``int`` or ``Fraction`` weight summing to 1).
-        The probability mass of a row is split over its extensions in those
-        proportions; zero-weight extensions are dropped so full support is
-        preserved.
+        ``function`` maps each assignment to an exact-rational distribution:
+        a mapping value -> ``int`` or ``Fraction`` weight, or an iterable of
+        (value, weight) pairs, with weights summing to 1.  A value given
+        twice, also as an equal value of another type, must come with the
+        same weight both times, and counts once.  The probability mass of a
+        row is split over its extensions in those proportions; zero-weight
+        extensions are dropped so full support is preserved.
         """
         dist_of = _per_row(self.domain, function, "family")
 
         # every distribution is checked before any row is split: each over
-        # the lcm of its own denominators, and all over the lcm of those
+        # the lcm of its own denominators, and all over the lcm of those;
+        # each pair is keyed and checked before it counts, so a bool value,
+        # or a repeat with another weight, is refused, not merged
         dists = []
         scale = 1
         for row in self._numerators:
             dist = []
-            for v, p in dict(dist_of(row)).items():
+            family = dist_of(row)
+            # a mapping gives each value once; pairs may repeat one
+            seen = None if isinstance(family, Mapping) else {}
+            for v, p in family.items() if seen is None else family:
                 key = value_key(v)
                 p = _exact(p, f"probability of value {v!r}")
+                if seen is not None:
+                    if key in seen:
+                        if seen[key] != p:
+                            raise InvalidArgumentError(
+                                f"value {v!r} is given probabilities {seen[key]} and {p} for row {row!r}"
+                            )
+                        continue
+                    seen[key] = p
                 n = p.numerator
                 if n < 0:
                     raise InvalidArgumentError(f"negative probability {p} for value {v!r}")

@@ -45,6 +45,16 @@ class TestEval:
         code, _, err = run_cli("eval", "--team", str(bad), "--formula", "dep(x, y)")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("depth", [600, 1_000])
+    def test_deeply_nested_value_is_input_error(self, tmp_path, depth):
+        # at 1,000 levels the JSON decoder recurses too deeply, at 600 the
+        # value decoder; neither may end in a traceback
+        team = tmp_path / "deep.json"
+        value = "[" * depth + "0" + "]" * depth
+        team.write_text(f'{{"domain": ["x"], "rows": [[{value}]]}}')
+        code, _, err = run_cli("eval", "--team", str(team), "--formula", "dep(,x)")
+        assert code == 2 and err.startswith("error[invalid-input]") and "Traceback" not in err
+
     def test_parse_error_is_input_error(self):
         code, _, err = run_cli("eval", "--team", "builtin:rt2", "--formula", "dep(")
         assert code == 2

@@ -416,6 +416,61 @@ def test_differential_tuple_valued_single_columns(formula):
         assert eval_rel(team, formula) == naive_eval(team, formula), team.rows
 
 
+#: Existential blocks, each with the variables that its search tries in
+#: value-precedence order: closed blocks whose variables occur only in
+#: ``dep`` and ``_||_`` atoms, also under ``|``, ``A`` and a nested ``E``
+#: that rebinds them; then blocks where no pruning may happen, because the
+#: variable meets ``=``, ``!=``, a constant, ``<=``, ``ncc``, ``nc`` or
+#: generalized dependence, because ``_||_`` or ``<=`` leaves the block
+#: non-closed (its choices are value sets), or because it rebinds a bound
+#: column.
+PRECEDENCE_BLOCKS = (
+    ("E l . dep(x, l) & dep(y l, z)", ("l",)),
+    ("E l . dep(x, l) & dep(l, y) & (dep(l, z) | dep(z, y))", ("l",)),
+    ("E l . dep(x, l) & A w . dep(w l, y)", ("l",)),
+    ("E l . dep(y, l) & dep(l, z) & E l . l = x & dep(l y, z)", ("l",)),
+    ("E l . E k . dep(x, l) & dep(y, k) & dep(l k, z)", ("l", "k")),
+    ("E l . E k . dep(x, l) & dep(l, y) & dep(y, k) & (dep(l, z) | dep(k, z))", ("l", "k")),
+    ("E l . E k . dep(x, l) & dep(y, k) & A w . dep(w l k, z)", ("l", "k")),
+    ("E l . E k . dep(x, l) & dep(l, k) & k = y", ("l",)),
+    ("E l . dep(x, l) & l _||_ y", ()),
+    ("E l . E k . dep(x, l) & dep(y, k) & l _||_ k", ()),
+    ("E l . dep(x, l) & l = y", ()),
+    ("E l . dep(x, l) & l != y", ()),
+    ("E l . dep(x, l) & (l = 1 | z = 0) & (l = 0 | y = 0)", ()),
+    ("E l . dep(x, l) & l != 0", ()),
+    ("E l . dep(x, l) & dep(l, y) & l <= z", ()),
+    ("E l . dep(y, l) & ncc(x l) & dep(l, z)", ()),
+    ("E l . dep(x, l) & nc(l; y)", ()),
+    ("E l . dep(x, l) & nc(y l; z)", ()),
+    ("E l . dep(x, l) & dep((l; x), (y; y))", ()),
+    ("E l . dep(x, l) & dep((y; l), (z; z))", ()),
+    ("E l . dep(x, l) & dep((x; y), (l; z))", ()),
+    ("E x . dep(y, x) & dep(x, z)", ()),
+)
+
+
+@pytest.mark.parametrize("text, symmetric", PRECEDENCE_BLOCKS, ids=[t for t, _ in PRECEDENCE_BLOCKS])
+def test_value_precedence_flags(text, symmetric):
+    block = compile([parse(text)], VARS).roots[0].block
+    assert tuple(block.ext_domain[p] for p in block.symmetric) == symmetric
+
+
+@pytest.mark.parametrize("text", [t for t, _ in PRECEDENCE_BLOCKS])
+def test_value_precedence_agrees_with_naive(text):
+    # teams of at most 3 rows over 2 and 3 values; a block of two
+    # variables over 2 values only, and fewer, which keeps the naive
+    # search small
+    formula = parse(text)
+    one = len(compile([formula], VARS).roots[0].block.variables) == 1
+    rng = random.Random(text)
+    for universe in ((0, 1), (0, 1, 2)) if one else ((0, 1),):
+        space = list(product(universe, repeat=3))
+        for _ in range(30 if one else 12):
+            team = Team(VARS, rng.sample(space, rng.randint(1, 3)), universe=universe)
+            assert eval_rel(team, formula) == naive_eval(team, formula), team.rows
+
+
 def _masked_and_batch(formulas, space):
     """The formulas compiled over ``space``, with its row masks, and
     compiled without a space."""

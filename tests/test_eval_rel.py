@@ -11,6 +11,7 @@ from teamlogic.entailment import assignment_space, enumerate_teams, verify_separ
 from teamlogic.errors import BudgetExceededError, DomainError
 from teamlogic.eval_rel import (
     _CONSTRAINTS,
+    DEFAULT_BUDGET,
     _Evaluator,
     EvalBudget,
     compile,
@@ -500,6 +501,44 @@ class TestBudget:
         # same query under a generous budget evaluates fine
         t = T(("x",), [(i,) for i in range(6)], universe=range(6))
         assert eval_rel(t, parse("A a . dep(a x, a)"))
+
+
+#: The hidden-variable query of the search benchmark, whose block
+#: variable occurs only in dep atoms, so its search uses value precedence.
+HIDDEN_QUERY = "E l . dep(m1 l, o1) & dep(m2 l, o2)"
+
+
+class TestValuePrecedenceBudget:
+    # a team on which the query fails: its search without value
+    # precedence visits 5,388 nodes, so it exceeds a budget of 1,000
+    ROWS = (
+        (0, 0, 1, 2), (0, 0, 2, 0), (0, 1, 2, 0), (1, 2, 2, 0), (1, 2, 2, 2),
+        (2, 1, 0, 0), (2, 1, 1, 0), (2, 2, 0, 0), (2, 2, 0, 2), (2, 2, 2, 2),
+    )
+    #: (rows, search nodes without value precedence) of seeded teams
+    SEEDED = ((6, 27), (6, 29), (12, 84), (12, 534), (12, 84), (24, 120), (24, 174), (24, 120))
+
+    @staticmethod
+    def nodes(team):
+        evaluator = _Evaluator(DEFAULT_BUDGET, team)
+        verdict = evaluator.root(compile([parse(HIDDEN_QUERY)], team.domain).roots[0])
+        return verdict, evaluator.nodes
+
+    def test_fixed_failing_team_decides_within_a_smaller_budget(self):
+        team = T(("m1", "m2", "o1", "o2"), self.ROWS, universe=range(3))
+        assert self.nodes(team) == (False, 924)
+        assert not eval_rel(team, parse(HIDDEN_QUERY), EvalBudget(memo_limit=1_000))
+
+    def test_search_visits_no_more_nodes_than_without_precedence(self):
+        rng = random.Random(2021)
+        space = list(product(range(3), repeat=4))
+        counts = []
+        for size, before in self.SEEDED:
+            team = T(("m1", "m2", "o1", "o2"), rng.sample(space, size), universe=range(3))
+            verdict, nodes = self.nodes(team)
+            assert nodes <= before, team.rows
+            counts.append(nodes)
+        assert sum(counts) < sum(before for _, before in self.SEEDED)
 
 
 class TestKSAtom:

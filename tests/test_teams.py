@@ -228,6 +228,24 @@ class TestProbSkolemExtend:
         with pytest.raises(InvalidArgumentError, match=r"Skolem family is undefined on row \(1,\)"):
             pt.skolem_extend("y", family)
 
+    @pytest.mark.parametrize("pairs, message", [
+        # merged by a dict, each of these was weight 1 on (0, 1)
+        ([(1, Fraction(1, 2)), (True, Fraction(1))], "booleans are not valid team values"),
+        ([(1, Fraction(1, 2)), (Fraction(1), Fraction(1))], r"value Fraction\(1, 1\) is given probabilities 1/2 and 1"),
+        ([(1, Fraction(1, 2)), (1, 1)], "value 1 is given probabilities 1/2 and 1"),
+    ])
+    def test_pairs_are_keyed_before_they_merge(self, pairs, message):
+        pt = ProbTeam.uniform(Team(("x",), [(0,)]))
+        with pytest.raises(InvalidArgumentError, match=message):
+            pt.skolem_extend("y", lambda s: pairs)
+
+    def test_a_repeated_pair_counts_once(self):
+        pt = ProbTeam.uniform(Team(("x",), [(0,)]))
+        pairs = [(1, Fraction(1, 2)), (Fraction(1), Fraction(1, 2)), (2, Fraction(1, 2))]
+        e = pt.skolem_extend("y", lambda s: pairs)
+        assert e.weights() == {(0, 1): Fraction(1, 2), (0, 2): Fraction(1, 2)}
+        assert type(e.team.rows[0][1]) is int
+
     def test_zero_mass_values_dropped(self):
         t = Team(("x",), [(0,)])
         pt = ProbTeam(t, {(0,): Fraction(1)})
