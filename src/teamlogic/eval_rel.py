@@ -41,10 +41,12 @@ exponential, so the evaluator leans on four exact reductions:
   operand needs only a minimal choice (one rule, :func:`_choices`): a
   cover whose right side is closed is a partition, and a Skolem function
   for a closed matrix is single-valued;
-* inside an existential block, conjuncts are compiled into per-row filters
-  (classical parts, inclusion atoms with stable right side) and incremental
-  consistency structures (dependence-family atoms) driving a backtracking
-  search over canonically ordered rows;
+* an existential block is compiled once into row tests (flat conjuncts,
+  and inclusions whose right side reads no block variable), incremental
+  constraints (dependence-family atoms) and the grouping of rows into
+  independent components; a run takes each row's candidates from one
+  table, the smallest inclusion covering the block or else the value
+  product, and searches them by backtracking over canonically ordered rows;
 * that search tries the values of a block variable read only by ``dep``
   and ``_||_`` atoms in value-precedence order (:class:`_Precedence`),
   which skips relabellings of witnesses it has already tried.
@@ -177,8 +179,7 @@ def eval_atom_rel(team: Team, atom: Formula) -> bool:
     """
     if not isinstance(atom, ATOM_TYPES):
         raise InvalidArgumentError(f"{atom!r} is not an atom")
-    (node,) = compile([atom], team.domain).roots
-    return _Evaluator(DEFAULT_BUDGET, team).eval(team, node)
+    return compile([atom], team.domain).run(team)(0)
 
 
 @dataclass(frozen=True)
@@ -304,6 +305,11 @@ def _project(pos: tuple[int, ...]) -> Callable[[Row], object]:
 
 def _empty(row: Row) -> tuple:
     return ()
+
+
+def _tuples(pos: tuple[int, ...]) -> Callable[[Row], tuple]:
+    """Row -> the tuple of its values at ``pos``, also for one position."""
+    return _project(pos) if len(pos) != 1 else lambda row, p=pos[0]: (row[p],)
 
 
 def _decide_atom(evaluator: _Evaluator, team: Team | ProbTeam, node: _Node) -> bool:
@@ -581,29 +587,39 @@ class _Evaluator:
         values = team.universe
         if not values:
             raise InvalidArgumentError("cannot quantify over an empty universe")
-        width = len(block.variables)
-        extend, filters, residual = block.extend, block.filters, block.residual
-        incl_filters = [(pos, x, set(map(y, team.rows))) for pos, x, y in block.incl_filters]
-        constraints = [make() for make in block.constraints]
-        residual_dc = block.residual_dc
-
-        choice_source = self._choice_source(values, width, block.block_positions, incl_filters)
+        extend, residual, inclusions = block.extend, block.residual, block.inclusions
+        allowed = [set(map(right, team.rows)) for _, right, _ in inclusions]
+        # the smallest covering inclusion (the first of equals) generates
+        # the choices, and so needs no test of its own
+        covering = [j for j, (_, _, cover) in enumerate(inclusions) if cover]
+        source = min(covering, key=lambda j: len(allowed[j])) if covering else None
+        if source is None:
+            reads, table = (), {(): list(product(values, repeat=len(block.variables)))}
+        else:
+            reads, *layout = inclusions[source][2]
+            table = _candidate_table(allowed[source], *layout)
+        tests = block.filters + [
+            lambda ext, left=left, allowed=allowed[j]: left(ext) in allowed
+            for j, (left, _, _) in enumerate(inclusions) if j != source
+        ]
         candidates: list[list[Row]] = []
         for row in team.rows:
-            cands = []
-            for choice in choice_source(row):
-                self.tick()
-                ext = extend(row, choice)
-                if all(f(ext) for f in filters) and all(x(ext) in allowed for _, x, allowed in incl_filters):
-                    cands.append(ext)
+            choices = table.get(tuple(row[p] for p in reads), ())
+            self.tick(len(choices))
+            cands = [extend(row, choice) for choice in choices]
+            if tests:
+                cands = [ext for ext in cands if all(test(ext) for test in tests)]
             if not cands:
                 return False
             candidates.append(cands)
 
-        if not constraints and not residual:
+        if not block.constraints and not residual:
             return True
 
-        components = self._components(team, candidates, constraints, residual, set(block.block_positions))
+        constraints = [make() for make in block.constraints]
+        rank = {v: i for i, v in enumerate(values)}
+        components = self._components(team, candidates, constraints, block, rank)
+        residual_dc = block.residual_dc
 
         chosen: list[tuple[Row, ...]] = []
 
@@ -613,7 +629,7 @@ class _Evaluator:
 
         # one precedence state over the whole search order: a solved
         # component's values stay used for the components after it
-        precedence = _Precedence(block.symmetric, values) if block.symmetric else None
+        precedence = _Precedence(block.symmetric, rank) if block.symmetric else None
 
         def groups(i: int) -> Iterator[bool]:
             """Add each admissible choice group of row ``i`` to the
@@ -660,30 +676,24 @@ class _Evaluator:
         # shared across components, so solved components never interfere.
         return all(solve(component) for component in components)
 
-    def _components(self, team: Team, candidates, constraints, residual, dynamic) -> list[list[int]]:
-        """Partition row indices into independent search components.
+    @staticmethod
+    def _components(team: Team, candidates, constraints, block: _Block, rank: dict) -> list[list[int]]:
+        """Partition row indices into independent search components, each
+        in the order of the rows' signature values (by their ``rank`` in
+        the universe), then of their candidate counts.
 
         Rows belong together when some constraint can relate them (shared
-        dependence key, shared nc value).  Residual conjuncts see the whole
-        team, and constraints keyed on dynamic positions (quantified or
-        rebound columns, whose values change during the search) have
-        unknown interaction, so either forces a single component.
+        dependence key, shared nc value); ``block.whole`` forces a single
+        component (see :class:`_Block`).
         """
-        n = len(team.rows)
-        sig_positions = sorted(
-            {p for c in constraints for p in c.grouping_positions} - set(dynamic)
-        )
+        rows = team.rows
+        n = len(rows)
+        signature = block.signature
         order_all = sorted(
             range(n),
-            key=lambda i: (
-                row_key(tuple(team.rows[i][p] for p in sig_positions)),
-                len(candidates[i]),
-                i,  # the rows are distinct and in row_key order
-            ),
+            key=lambda i: (tuple(rank[rows[i][p]] for p in signature), len(candidates[i]), i),
         )
-        if residual or any(
-            set(c.grouping_positions) & dynamic for c in constraints
-        ):
+        if block.whole:
             return [order_all]
         parent = list(range(n))
 
@@ -701,7 +711,7 @@ class _Evaluator:
         anchors: dict = {}
         for ci, c in enumerate(constraints):
             for i in range(n):
-                for node in c.interaction_nodes(team.rows[i]):
+                for node in c.interaction_nodes(rows[i]):
                     key = (ci, node)
                     if key in anchors:
                         union(anchors[key], i)
@@ -710,53 +720,22 @@ class _Evaluator:
         buckets: dict[int, list[int]] = {}
         for i in order_all:
             buckets.setdefault(find(i), []).append(i)
-        groups = sorted(buckets.values(), key=lambda g: g[0])
-        return groups
+        return sorted(buckets.values(), key=lambda g: g[0])
 
-    def _choice_source(self, values, width: int, block_positions, incl_filters):
-        """Per-row generator of quantified value tuples.
 
-        An inclusion filter whose left side covers every quantified
-        position enumerates only tuples the atom can accept, which is
-        usually far smaller than the full value product; without one, the
-        product is scanned blindly (budget-ticked per combination).
-        """
-        block_index = {p: k for k, p in enumerate(block_positions)}
-        generator = None
-        for pos, _, allowed in incl_filters:
-            if set(block_positions) <= set(pos):
-                if generator is None or len(allowed) < len(generator[1]):
-                    generator = (pos, allowed)
-        if generator is None:
-            base = list(product(values, repeat=width))
-            return lambda row: base
-        pos, allowed = generator
-        # a one-column projection is the bare value
-        allowed = sorted(allowed if len(pos) != 1 else [(v,) for v in allowed], key=row_key)
+def _candidate_table(allowed: set, outer, slots, same) -> dict:
+    """The choices a covering inclusion allows, keyed by the values that
+    a row must have at the positions it reads outside the block.
 
-        def source(row: Row):
-            seen = set()
-            for entry in allowed:
-                choice: list = [None] * width
-                ok = True
-                for val, p in zip(entry, pos):
-                    k = block_index.get(p)
-                    if k is None:
-                        if row[p] != val:
-                            ok = False
-                            break
-                    elif choice[k] is None:
-                        choice[k] = val
-                    elif choice[k] != val:
-                        ok = False
-                        break
-                if ok:
-                    out = tuple(choice)
-                    if out not in seen:
-                        seen.add(out)
-                        yield out
-
-        return source
+    Each allowed tuple whose values agree at each ``same`` pair of indices
+    gives the choice of its values at ``slots``, under the key of its
+    values at ``outer``.  Tuples are taken in ``row_key`` order, and each
+    key keeps a choice at its first occurrence."""
+    table: dict = {}
+    for entry in sorted(allowed, key=row_key):
+        if all(entry[i] == entry[j] for i, j in same):
+            table.setdefault(tuple(entry[i] for i in outer), {})[tuple(entry[k] for k in slots)] = None
+    return table
 
 
 def _choices(items: Sequence, least: int, closed: bool) -> Iterable[tuple]:
@@ -781,29 +760,39 @@ def _refuse_prob_search(team: Team | ProbTeam):
 
 
 class _Block:
-    """The static half of an existential search: the block of variables
-    it quantifies together, how a row is extended by a choice of their
-    values, whether the matrix is downward closed, the matrix's
-    conjuncts sorted into row filters, inclusion filters, incremental
-    constraints and residual nodes, and the positions in the extended
-    domain of the value-symmetric variables.
+    """The static half of an existential search, compiled once: the block
+    of variables it quantifies together, how a row is extended by a choice
+    of their values, whether the matrix is downward closed, and the
+    matrix's conjuncts sorted into row tests (``filters``), inclusions,
+    incremental constraints and residual nodes.
 
-    A variable is value-symmetric when the block is closed (each row
-    takes one value tuple), it does not rebind a bound column, and the
-    variable occurs free in the matrix only inside ``dep`` and ``_||_``
-    atoms, also under ``|``, ``A`` or a nested ``E``.  Those atoms compare
-    a column only with itself, so permuting the universe on that column
-    alone maps witnesses to witnesses, and the search tries its values in
-    precedence order (:class:`_Precedence`).  Any other occurrence breaks
-    the symmetry: ``=``, ``!=``, ``<=`` and ``ncc`` compare the column with
+    An inclusion's right side reads no block variable, so it has one value
+    set on a team.  When its left side reads every block position, its
+    ``cover`` lays out the table of the choices it allows
+    (:func:`_candidate_table`): the row positions the left side reads
+    outside the block, their indices in it, the index of each block
+    variable's first position, and the index pairs of a repeated one.
+    ``signature`` holds the positions outside the block that constraints
+    group rows by, and ``whole`` forces one search component: a residual
+    conjunct sees the whole team, and a constraint grouping on a block
+    position relates rows by values that the search changes.
+
+    ``symmetric`` holds the positions of the value-symmetric variables: a
+    variable is value-symmetric when the block is closed (each row takes
+    one value tuple), it does not rebind a bound column, and it occurs
+    free in the matrix only inside ``dep`` and ``_||_`` atoms, also under
+    ``|``, ``A`` or a nested ``E``.  Those atoms compare a column only
+    with itself, so permuting the universe on that column alone maps
+    witnesses to witnesses, and the search tries its values in precedence
+    order (:class:`_Precedence`).  Any other occurrence breaks the
+    symmetry: ``=``, ``!=``, ``<=`` and ``ncc`` compare the column with
     other columns or constants, ``nc(xs; y)`` compares ``y`` with the
     ``xs`` values, and generalized dependence compares ``x1`` keys with
     ``x2`` keys."""
 
     __slots__ = (
-        "variables", "ext_domain", "block_positions", "extend", "filters",
-        "incl_filters", "constraints", "residual", "residual_dc", "closed",
-        "symmetric",
+        "variables", "ext_domain", "extend", "filters", "inclusions", "constraints",
+        "residual", "residual_dc", "closed", "symmetric", "signature", "whole",
     )
 
     def __init__(self, var: str, body: _Node, domain: tuple[str, ...]):
@@ -811,31 +800,30 @@ class _Block:
         if var in domain:
             # re-quantification of a bound column
             self.ext_domain, put = bind(domain, var)
-            self.block_positions = positions(domain, variables)
+            block = positions(domain, variables)
             self.extend = lambda row, choice: put(row, choice[0])
         else:
             while isinstance(matrix.formula, Exists) and matrix.var not in domain and matrix.var not in variables:
                 variables.append(matrix.var)
                 matrix = matrix.body
             self.ext_domain = domain + tuple(variables)
-            self.block_positions = tuple(range(len(domain), len(self.ext_domain)))
+            block = tuple(range(len(domain), len(self.ext_domain)))
             self.extend = lambda row, choice: row + choice
         self.variables = tuple(variables)
         self.closed = matrix.closed
-        self.filters: list = []
-        self.incl_filters: list = []
-        self.constraints: list = []
-        self.residual: list[_Node] = []
+        self.filters, self.inclusions, self.constraints, self.residual = [], [], [], []
         for conj in _conjuncts(matrix):
             atom = conj.formula
             if conj.check:
                 self.filters.append(conj.check)
             elif isinstance(atom, Incl) and not set(atom.ys) & set(variables):
-                # The right side never mentions quantified variables, and
-                # every original row keeps at least one extension, so its
-                # value set is fixed; the atom becomes a per-row filter.
                 xpos = positions(self.ext_domain, atom.xs)
-                self.incl_filters.append((xpos, _project(xpos), _project(positions(domain, atom.ys))))
+                cover = None
+                if set(block) <= set(xpos):
+                    outer = tuple(i for i, p in enumerate(xpos) if p not in block)
+                    same = tuple((i, xpos.index(p)) for i, p in enumerate(xpos) if p in block and xpos.index(p) < i)
+                    cover = (tuple(xpos[i] for i in outer), outer, tuple(map(xpos.index, block)), same)
+                self.inclusions.append((_tuples(xpos), _tuples(positions(domain, atom.ys)), cover))
             elif type(atom) in _CONSTRAINTS:
                 self.constraints.append(partial(_CONSTRAINTS[type(atom)], self.ext_domain, atom))
             else:
@@ -844,6 +832,9 @@ class _Block:
         self.symmetric = () if var in domain or not self.closed else positions(self.ext_domain, tuple(
             v for v in variables if _value_symmetric(matrix.formula, v)
         ))
+        grouping = {p for make in self.constraints for p in make().grouping_positions}
+        self.signature = tuple(sorted(grouping - set(block)))
+        self.whole = bool(self.residual or grouping & set(block))
 
 
 def _value_symmetric(formula: Formula, var: str) -> bool:
@@ -870,9 +861,9 @@ class _Precedence:
 
     __slots__ = ("positions", "rank", "used", "trail")
 
-    def __init__(self, positions: tuple[int, ...], values: Sequence):
+    def __init__(self, positions: tuple[int, ...], rank: dict):
         self.positions = positions
-        self.rank = {v: i for i, v in enumerate(values)}
+        self.rank = rank
         self.used = [0] * len(positions)
         self.trail: list = []
 

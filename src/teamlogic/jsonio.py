@@ -104,7 +104,13 @@ def team_from_dict(payload: dict) -> Team | ProbTeam:
     weights = _list_field(payload, "weights")
     if len(weights) != len(rows):
         raise InvalidArgumentError("weights must be parallel to rows")
-    return ProbTeam(team, {row: _fraction(w) for row, w in zip(rows, weights)})
+    # a repeated row would merge its weights before ProbTeam could see it
+    table: dict = {}
+    for row, w in zip(rows, weights):
+        if row in table:
+            raise InvalidArgumentError(f"duplicate weight entry for row {row!r}")
+        table[row] = _fraction(w)
+    return ProbTeam(team, table)
 
 
 def model_to_dict(model: EmpiricalModel | HVModel) -> dict:

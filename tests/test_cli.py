@@ -76,6 +76,25 @@ class TestEval:
         code = main(["eval", "--team", str(team), "--formula", "dep(,x)"])
         assert code == 2 and "error[invalid-input]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows, weights, row", [
+        ([[0], [0]], ["1/3", "1"], "(0,)"),
+        ([[0], [0], [1]], ["1/2", "1/4", "1/4"], "(0,)"),
+    ])
+    def test_repeated_weighted_row_is_input_error(self, tmp_path, capsys, rows, weights, row):
+        # the first file would otherwise decide with weight 1 on its one
+        # row, and the second fail with weights summing to 1/2
+        team = tmp_path / "t.json"
+        team.write_text(json.dumps({"domain": ["x"], "rows": rows, "weights": weights}))
+        code = main(["eval", "--team", str(team), "--formula", "dep(,x)", "--prob"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith(f"error[invalid-input]: duplicate weight entry for row {row}")
+
+    def test_repeated_relational_row_is_one_row(self, tmp_path, capsys):
+        team = tmp_path / "t.json"
+        team.write_text(json.dumps({"domain": ["x"], "rows": [[0], [0], [1]]}))
+        assert main(["eval", "--team", str(team), "--formula", "dep(,x)"]) == 0
+        assert "false" in capsys.readouterr().out
+
     def test_budget_error_exit_code(self, tmp_path):
         team = tmp_path / "t.json"
         team.write_text(json.dumps({

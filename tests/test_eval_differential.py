@@ -471,6 +471,36 @@ def test_value_precedence_agrees_with_naive(text):
             assert eval_rel(team, formula) == naive_eval(team, formula), team.rows
 
 
+#: Existential blocks whose choices come from an inclusion whose left
+#: side reads every block variable: beside columns outside the block,
+#: with a block variable repeated, with an outside column repeated, over
+#: two block variables (also with a flat conjunct), with two covering
+#: inclusions of one column, rebinding a bound column, and with a
+#: one-column left side and a flat conjunct.
+CANDIDATE_TABLE_BLOCKS = (
+    "E q . x q <= y z",
+    "E q . q q <= x y",
+    "E q . x x q <= y z x",
+    "E q . E r . q r <= x y & dep(q, r)",
+    "E q . E r . q r <= x y & dep(q, r) & r != z",
+    "E q . q <= x & q <= y & dep(x, q)",
+    "E x . x <= y & dep(x, z)",
+    "E q . q <= z & q != x",
+)
+
+
+@pytest.mark.parametrize("text", CANDIDATE_TABLE_BLOCKS)
+def test_candidate_tables_agree_with_naive(text):
+    formula = parse(text)
+    one = len(compile([formula], VARS).roots[0].block.variables) == 1
+    rng = random.Random(text)
+    for universe in ((0, 1), (0, 1, 2)) if one else ((0, 1),):
+        space = list(product(universe, repeat=3))
+        for _ in range(30 if one else 12):
+            team = Team(VARS, rng.sample(space, rng.randint(1, 3)), universe=universe)
+            assert eval_rel(team, formula) == naive_eval(team, formula), team.rows
+
+
 def _masked_and_batch(formulas, space):
     """The formulas compiled over ``space``, with its row masks, and
     compiled without a space."""

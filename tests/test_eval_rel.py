@@ -541,6 +541,27 @@ class TestValuePrecedenceBudget:
         assert sum(counts) < sum(before for _, before in self.SEEDED)
 
 
+class TestCandidateBudget:
+    """The least ``memo_limit`` that decides a block, on a fixed team: the
+    budget counts each row's candidates, so how they are built must not
+    move it."""
+
+    ROWS = ((0, 0, 1), (0, 0, 2), (0, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 2, 2), (2, 0, 2))
+
+    @pytest.mark.parametrize("text, least", [
+        # no inclusion covers the block: each row tries the value product
+        ("E q . dep(x, q) & dep(q z, y) & q != y", 32),
+        # each row tries the pairs that ``q r <= y x`` allows it
+        ("E q . E r . q r <= y x & dep(z, q r) & dep(q, x)", 489),
+    ])
+    def test_least_deciding_budget(self, text, least):
+        team = T(("x", "y", "z"), self.ROWS, universe=range(3))
+        formula = parse(text)
+        assert not eval_rel(team, formula, EvalBudget(memo_limit=least))
+        with pytest.raises(BudgetExceededError):
+            eval_rel(team, formula, EvalBudget(memo_limit=least - 1))
+
+
 class TestKSAtom:
     def test_ks9_team_fails_ncc(self):
         from teamlogic.nogo import cabello_config, ks_team
