@@ -71,10 +71,9 @@ def _emit(args, report: dict, text_lines: list[str]) -> int:
     return 0
 
 
-def _budget(args) -> EvalBudget:
-    if args.budget is None:
-        return EvalBudget()
-    return EvalBudget(max_rows=args.budget, memo_limit=args.budget)
+def _budget(args) -> EvalBudget | None:
+    b = args.budget
+    return None if b is None else EvalBudget(max_rows=b, memo_limit=b)
 
 
 def cmd_eval(args) -> int:
@@ -117,19 +116,21 @@ def cmd_construct(args) -> int:
     from . import constructions
 
     model = _resolve_model(args.model)
-    if args.target == "single-valued":
+    if args.target == "localize" and not isinstance(model, HVModel):
+        raise InvalidArgumentError("localize needs a hidden-variable model as input")
+    if args.target == "localize" and not model.probabilistic:
+        result = constructions.localize_rel(model, _budget(args))
+    elif args.budget is not None:
+        what = "probabilistic localization" if args.target == "localize" else args.target
+        raise InvalidArgumentError(f"--budget applies to relational localization only, not {what}")
+    elif args.target == "single-valued":
         result = constructions.construct_single_valued(model)
     elif args.target == "strong-det":
         result = constructions.construct_strong_det(model)
     elif args.target == "weakdet-lambda-indep":
         result = constructions.construct_weakdet_lambdaindep(model)
     else:
-        if not isinstance(model, HVModel):
-            raise InvalidArgumentError("localize needs a hidden-variable model as input")
-        if model.probabilistic:
-            result = constructions.localize_prob(model)
-        else:
-            result = constructions.localize_rel(model)
+        result = constructions.localize_prob(model)
     write_path(args.out, dump_json(model_to_dict(result)))
     lam = result.lambda_values()
     return _emit(
@@ -185,7 +186,7 @@ def cmd_nogo(args) -> int:
         )
     if args.what == "ks":
         cfg = nogo.load_ks(args.config) if args.config else nogo.cabello_config()
-        rep = nogo.verify_ks(cfg)
+        rep = nogo.verify_ks(cfg, budget=_budget(args))
         return _emit(
             args,
             {
@@ -207,11 +208,8 @@ def cmd_nogo(args) -> int:
             "decision runs relationally; pass the support model "
             "(nonexistence transfers to the probabilistic side)"
         )
-    witness = (
-        nogo.exists_strongdet_lambdaindep(model)
-        if args.target == "strong-det+lambda"
-        else nogo.exists_local_lambdaindep(model)
-    )
+    exists = nogo.exists_local_lambdaindep if args.target == "local+lambda" else nogo.exists_strongdet_lambdaindep
+    witness = exists(model, _budget(args))
     if witness is None:
         return _emit(
             args,
@@ -239,6 +237,9 @@ def cmd_nogo(args) -> int:
 def cmd_verify(args) -> int:
     if args.samples is not None and args.suite != "fig1":
         raise InvalidArgumentError(f"--samples applies to the fig1 suite only, not {args.suite}")
+    if args.seed is not None and args.suite not in ("fig1", "entailments"):
+        raise InvalidArgumentError(f"--seed applies to the fig1 and entailments suites only, not {args.suite}")
+    seed = args.seed or 0
     lines: list[str]
     payload: dict
     if args.suite == "separations":
@@ -250,7 +251,7 @@ def cmd_verify(args) -> int:
     elif args.suite == "entailments":
         from .entailment import verify_property_entailments
 
-        rep = verify_property_entailments(seed=args.seed)
+        rep = verify_property_entailments(seed=seed)
         lines, ok = rep.lines(), rep.ok
         payload = {"suite": "entailments", "ok": ok, "teams": rep.teams_checked}
     elif args.suite == "hardy":
@@ -274,12 +275,12 @@ def cmd_verify(args) -> int:
         count = 1000 if args.samples is None else args.samples
         if count < 1:
             raise InvalidArgumentError(f"--samples must be at least 1, not {count}")
-        rng = random.Random(args.seed)
+        rng = random.Random(seed)
         bad = sum(not verify_fig1_commutes(random_hv_prob_team(rng)) for _ in range(count))
         ok = bad == 0
         lines = [
             f"collapse/projection commutativity on {count} random probabilistic "
-            f"hidden-variable teams (seed {args.seed}): {count - bad} ok, {bad} failures"
+            f"hidden-variable teams (seed {seed}): {count - bad} ok, {bad} failures"
         ]
         payload = {"suite": "fig1", "ok": ok, "samples": count}
     else:  # appendix
@@ -298,8 +299,8 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    common.add_argument("--budget", type=int, default=None, help="search budget (rows and states)")
+    budgeted = argparse.ArgumentParser(add_help=False, parents=[common])
+    budgeted.add_argument("--budget", type=int, default=None, help="search budget (rows and states)")
 
     parser = argparse.ArgumentParser(
         prog="teamlogic",
@@ -308,25 +309,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate a formula on a team")
+    p = sub.add_parser("eval", parents=[budgeted], help="evaluate a formula on a team")
     p.add_argument("--team", required=True, help="team JSON file or builtin:NAME")
     p.add_argument("--formula", required=True)
     p.add_argument("--prob", action="store_true", help="probabilistic semantics")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("check", parents=[common], help="check a named property of a model")
+    p = sub.add_parser("check", parents=[budgeted], help="check a named property of a model")
     p.add_argument("--model", required=True, help="model JSON file or builtin:NAME")
     p.add_argument("--property", required=True)
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("construct", parents=[common], help="build an equivalent hidden-variable model")
+    p = sub.add_parser("construct", parents=[budgeted], help="build an equivalent hidden-variable model")
     p.add_argument("--model", required=True)
     p.add_argument("--target", required=True, choices=CONSTRUCT_TARGETS)
     p.add_argument("--out", required=True, help="output file, or - for stdout")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("entail", parents=[common], help="bounded relational counterexample search")
+    p = sub.add_parser("entail", parents=[budgeted], help="bounded relational counterexample search")
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
     p.add_argument("--vars", required=True, nargs="+")
@@ -337,10 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nogo", help="no-go searches")
     nogo_sub = p.add_subparsers(dest="what", required=True)
     nogo_sub.add_parser("hardy", parents=[common]).set_defaults(func=cmd_nogo)
-    ks = nogo_sub.add_parser("ks", parents=[common])
+    ks = nogo_sub.add_parser("ks", parents=[budgeted])
     ks.add_argument("--config", default=None)
     ks.set_defaults(func=cmd_nogo)
-    ex = nogo_sub.add_parser("exists", parents=[common])
+    ex = nogo_sub.add_parser("exists", parents=[budgeted])
     ex.add_argument("--model", required=True)
     ex.add_argument("--target", required=True, choices=EXISTS_TARGETS)
     ex.add_argument("--out", default=None)
@@ -348,6 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run a bundled verification suite")
     p.add_argument("--suite", required=True, choices=SUITES)
+    p.add_argument("--seed", type=int, default=None, help="seed of the fig1 and entailments suites (default 0)")
     p.add_argument("--samples", type=int, default=None, help="random samples of the fig1 suite (default 1000)")
     p.set_defaults(func=cmd_verify)
     return parser

@@ -32,6 +32,7 @@ from itertools import product
 from math import gcd, lcm, prod
 
 from .errors import InvalidArgumentError, PreconditionError
+from .eval_rel import EvalBudget
 from .models import (
     LAMBDA_VAR,
     EmpiricalModel,
@@ -128,14 +129,14 @@ def _partition(groups: dict) -> dict:
     return blocks
 
 
-def _require(model: HVModel):
+def _require(model: HVModel, budget: EvalBudget | None = None):
     failing = [
         name
         for name, prop in (
             ("Locality", PropertyName.LOC_H),
             ("lambda-independence", PropertyName.LAMBDA_INDEP_H),
         )
-        if not check_property(model, prop)
+        if not check_property(model, prop, budget=budget)
     ]
     if failing:
         raise PreconditionError(
@@ -144,7 +145,7 @@ def _require(model: HVModel):
         )
 
 
-def localize_rel(model: HVModel, max_selectors: int = 1_000_000) -> HVModel:
+def localize_rel(model: HVModel, budget: EvalBudget | None = None) -> HVModel:
     """Relational localization: from Locality and hidden-variable
     independence to Strong Determinism and hidden-variable independence.
 
@@ -153,13 +154,13 @@ def localize_rel(model: HVModel, max_selectors: int = 1_000_000) -> HVModel:
     read as an empirical model; each row is tagged with the pairs whose
     section picks it.  Under Locality and independence these sections are
     exactly the families of per-component selectors of outcomes witnessed
-    under c.  ``max_selectors`` bounds each slice's section space, an
-    upper bound on its selector families, as in
-    :func:`~teamlogic.nogo.consistent_sections`.
+    under c.  ``budget`` bounds the precondition checks and, by its
+    ``memo_limit``, each slice's section space, an upper bound on its
+    selector families, as in :func:`~teamlogic.nogo.consistent_sections`.
     """
     if model.probabilistic:
         raise InvalidArgumentError("localize_rel needs a relational model")
-    _require(model)
+    _require(model, budget)
     n = model.arity
     empirical = induced_empirical(model).team
     # the rows of a hidden value, less that value, are canonical rows of
@@ -170,7 +171,7 @@ def localize_rel(model: HVModel, max_selectors: int = 1_000_000) -> HVModel:
     graphs = {
         (c, s.tables): s.graph
         for c, rows in slices.items()
-        for s in consistent_sections(EmpiricalModel(empirical._sub(rows), n), max_selectors)
+        for s in consistent_sections(EmpiricalModel(empirical._sub(rows), n), budget)
     }
     # under Loc every row lies on some section; tag_rows asserts it
     return HVModel(tag_rows(empirical, graphs), n)

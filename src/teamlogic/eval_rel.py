@@ -92,15 +92,16 @@ from .teams import ProbTeam, Row, Team, bind, positions, row_key, value_key
 
 @dataclass(frozen=True)
 class EvalBudget:
-    """Caps on the evaluator's search effort.
+    """Caps on the effort of every search.
 
     ``max_rows`` bounds the size of any team built by quantification,
     ``max_universe`` bounds the value universe that a quantifier ranges
     over (a formula with no quantifier decides on any universe), and
     ``memo_limit`` bounds the combined number of memo entries and visited
-    search states.
-    Exceeding any cap aborts the evaluation with a budget error; the
-    evaluator never approximates.
+    search states: the nodes of a Kochen-Specker search, and the section
+    space of a no-go or localization search, which bounds its leaves.
+    Exceeding any cap aborts the search with a budget error; no search
+    approximates.
     """
 
     max_rows: int = 200_000
@@ -169,17 +170,23 @@ def eval_rel(team: Team, formula: Formula, budget: EvalBudget | None = None) -> 
     return compile([formula], team.domain).run(team, budget)(0)
 
 
-def eval_atom_rel(team: Team, atom: Formula) -> bool:
+def eval_atom_rel(team: Team, atom: Formula, budget: EvalBudget | None = None) -> bool:
     """Evaluate a single atom (or literal) by its direct definition.
 
     Only the ``ncc`` atom involves any search (over per-row selections),
-    bounded by the default budget; everything else is a scan of the rows.
+    bounded by ``budget``; everything else is a scan of the rows.
     An atom does not quantify, so this decides on any value universe, as
     :func:`eval_rel` does for every formula without a quantifier.
     """
     if not isinstance(atom, ATOM_TYPES):
         raise InvalidArgumentError(f"{atom!r} is not an atom")
-    return compile([atom], team.domain).run(team)(0)
+    return compile([atom], team.domain).run(team, budget)(0)
+
+
+def search_tick(budget: EvalBudget | None) -> Callable[[], None]:
+    """A node count for a search run outside a plan: each call ticks one
+    node against ``budget.memo_limit`` and raises as the evaluator does."""
+    return _Evaluator(budget or DEFAULT_BUDGET, None).tick
 
 
 @dataclass(frozen=True)
@@ -404,15 +411,15 @@ def _stochastic_indep(prob_team: ProbTeam, xs, cond, ys) -> bool:
     return True
 
 
-def exact_transversal(blocks: Sequence[Sequence], tick: Callable[[], None] = lambda: None) -> set | None:
+def exact_transversal(blocks: Sequence[Sequence], tick: Callable[[], None]) -> set | None:
     """A value set meeting every block exactly once, or None.
 
     Depth-first choice with propagation: blocks are taken fewest options
     first (ties in input order) and their options in input order, with
     duplicates dropped.  Choosing a value excludes its block siblings
     everywhere, and a block already holding a chosen value is forced.
-    ``tick`` is called once per search node, so a caller can bound the
-    search.  The result is the first transversal found in that order.
+    ``tick`` is called once per search node, which bounds the search.
+    The result is the first transversal found in that order.
     """
     options = [list(dict.fromkeys(block)) for block in blocks]
     order = sorted(range(len(options)), key=lambda j: (len(options[j]), j))

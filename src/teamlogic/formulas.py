@@ -592,8 +592,13 @@ class _Parser:
 
 def parse(text: str) -> Formula:
     """Parse formula text into an AST.  Raises :class:`ParseError` with a
-    line/column position on malformed input."""
-    return _Parser(text).formula()
+    line/column position on malformed input, also on input nested too
+    deeply to parse."""
+    parser = _Parser(text)
+    try:
+        return parser.formula()
+    except RecursionError:
+        raise parser.fail("formula nested too deeply to parse") from None
 
 
 # ---------------------------------------------------------------------------

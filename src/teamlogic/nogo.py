@@ -45,7 +45,7 @@ from itertools import permutations
 from typing import Iterator
 
 from .errors import BudgetExceededError, InvalidArgumentError
-from .eval_rel import depth_first, eval_atom_rel, exact_transversal
+from .eval_rel import DEFAULT_BUDGET, EvalBudget, depth_first, eval_atom_rel, exact_transversal, search_tick
 from .formulas import NCC
 from .jsonio import _fraction
 from .models import EmpiricalModel, HVModel, tag_rows
@@ -63,14 +63,16 @@ class GlobalSection:
     graph: tuple[tuple, ...]
 
 
-def consistent_sections(model: EmpiricalModel, max_sections: int = 5_000_000) -> list[GlobalSection]:
+def consistent_sections(model: EmpiricalModel, budget: EvalBudget | None = None) -> list[GlobalSection]:
     """All global sections whose graph is contained in the model.
 
     Enumerated by per-context propagation: contexts are processed in
     canonical order, each choosing a compatible model row and extending
     the partial per-component functions, with contradictions pruned early.
-    A section's graph is the tuple of the rows chosen.
+    A section's graph is the tuple of the rows chosen.  A section space
+    past ``budget.memo_limit`` is refused up front.
     """
+    limit = (budget or DEFAULT_BUDGET).memo_limit
     n = model.arity
     components = range(n)
     rows = model.team.rows
@@ -84,10 +86,8 @@ def consistent_sections(model: EmpiricalModel, max_sections: int = 5_000_000) ->
     space = 1
     for i in components:
         space *= len({row[n + i] for row in rows}) ** len(measured[i])
-        if space > max_sections:
-            raise BudgetExceededError(
-                f"section space exceeds {max_sections}; refusing blind enumeration"
-            )
+        if space > limit:
+            raise BudgetExceededError(f"section space exceeds {limit}; refusing blind enumeration")
 
     sections: list[GlobalSection] = []
     partial: list[dict] = [{} for _ in components]
@@ -118,17 +118,15 @@ def consistent_sections(model: EmpiricalModel, max_sections: int = 5_000_000) ->
     return sections
 
 
-def exists_strongdet_lambdaindep(
-    model: EmpiricalModel, max_sections: int = 5_000_000
-) -> HVModel | None:
+def exists_strongdet_lambdaindep(model: EmpiricalModel, budget: EvalBudget | None = None) -> HVModel | None:
     """Decide whether an empirically equivalent hidden-variable model
     satisfying Strong Determinism and hidden-variable independence exists;
     return one, whose hidden values are the consistent sections tagged
     ``("sec", tables)``, or None.
 
-    A signalling model has none, past ``max_sections`` too: such a model
-    is ParIndep, as StrongDet entails that, so with LambdaIndep it is
-    NoSig, and ``NoSigE`` of an empirically equivalent model is the
+    A signalling model has none, past ``budget.memo_limit`` too: such a
+    model is ParIndep, as StrongDet entails that, so with LambdaIndep it
+    is NoSig, and ``NoSigE`` of an empirically equivalent model is the
     model's own.  Otherwise, soundness: each hidden value determines each
     component's outcome from its measurement, and independence makes every
     measurement tuple occur with every hidden value, so each hidden value
@@ -141,9 +139,9 @@ def exists_strongdet_lambdaindep(
             "decision runs on relational models; collapse probabilistic ones first "
             "(nonexistence transfers to the probabilistic side)"
         )
-    if not check_property(model, PropertyName.NO_SIG_E):
+    if not check_property(model, PropertyName.NO_SIG_E, budget=budget):
         return None
-    sections = consistent_sections(model, max_sections)
+    sections = consistent_sections(model, budget)
     if not _covers(model, sections):
         return None
     return HVModel(tag_rows(model.team, {("sec", s.tables): s.graph for s in sections}), model.arity)
@@ -154,9 +152,7 @@ def _covers(model: EmpiricalModel, sections: list[GlobalSection]) -> bool:
     return {row for section in sections for row in section.graph} == set(model.team.rows)
 
 
-def exists_local_lambdaindep(
-    model: EmpiricalModel, max_sections: int = 5_000_000
-) -> HVModel | None:
+def exists_local_lambdaindep(model: EmpiricalModel, budget: EvalBudget | None = None) -> HVModel | None:
     """Decide existence of an equivalent Loc and hidden-variable
     independent model.
 
@@ -165,7 +161,7 @@ def exists_local_lambdaindep(
     Loc witness to a strongly deterministic one the other way.  The
     returned witness is the strongly deterministic one.
     """
-    return exists_strongdet_lambdaindep(model, max_sections)
+    return exists_strongdet_lambdaindep(model, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -357,16 +353,17 @@ def _incidences(bases) -> Counter:
     return Counter(i for basis in bases for i in set(basis))
 
 
-def ks_colorable(cfg: KSConfiguration) -> tuple[int, ...] | None:
+def ks_colorable(cfg: KSConfiguration, budget: EvalBudget | None = None) -> tuple[int, ...] | None:
     """Search for a vector set meeting every basis exactly once.
 
     Runs :func:`~teamlogic.eval_rel.exact_transversal` on the bases and
     returns the first transversal it finds, in basis order, as sorted
-    vector indices, or None.  The kernel it shares with the ``ncc`` atom
+    vector indices, or None; past ``budget.memo_limit`` search nodes it
+    raises a budget error.  The kernel it shares with the ``ncc`` atom
     and :func:`noncontextual_extension` is cross-checked independently by
     :func:`parity_obstruction` and, in the tests, by brute force.
     """
-    chosen = exact_transversal(cfg.bases)
+    chosen = exact_transversal(cfg.bases, search_tick(budget))
     return None if chosen is None else tuple(sorted(chosen))
 
 
@@ -379,12 +376,13 @@ def ks_team(cfg: KSConfiguration) -> Team:
     return Team(("m1", "m2", "m3", "m4"), rows)
 
 
-def noncontextual_extension(cfg: KSConfiguration) -> Team | None:
+def noncontextual_extension(cfg: KSConfiguration, budget: EvalBudget | None = None) -> Team | None:
     """Search the measurement team's rows for a global vector valuation
-    selecting exactly one ray per row; on success, return the witnessing
-    extension of the team by one-hot outcome columns."""
+    selecting exactly one ray per row, within ``budget.memo_limit`` search
+    nodes; on success, return the witnessing extension of the team by
+    one-hot outcome columns."""
     rows = ks_team(cfg).rows
-    chosen = exact_transversal(rows)
+    chosen = exact_transversal(rows, search_tick(budget))
     if chosen is None:
         return None
     extended = [row + tuple(1 if v in chosen else 0 for v in row) for row in rows]
@@ -421,15 +419,17 @@ class KSReport:
         ]
 
 
-def verify_ks(cfg: KSConfiguration | None = None, require_double_cover: bool = True) -> KSReport:
-    """Run all three Kochen-Specker formulations and cross-check them."""
+def verify_ks(cfg: KSConfiguration | None = None, require_double_cover: bool = True,
+              budget: EvalBudget | None = None) -> KSReport:
+    """Run all three Kochen-Specker formulations, each search within
+    ``budget``, and cross-check them."""
     cfg = cfg or cabello_config()
     problems = cfg.validate(require_double_cover=require_double_cover)
     team = ks_team(cfg)
     return KSReport(
         validation_problems=problems,
         parity_forbids=parity_obstruction(cfg),
-        coloring=ks_colorable(cfg),
-        ncc_holds=eval_atom_rel(team, NCC(("m1", "m2", "m3", "m4"))),
-        extension=noncontextual_extension(cfg),
+        coloring=ks_colorable(cfg, budget),
+        ncc_holds=eval_atom_rel(team, NCC(("m1", "m2", "m3", "m4")), budget),
+        extension=noncontextual_extension(cfg, budget),
     )

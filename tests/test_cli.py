@@ -2,6 +2,7 @@ import json
 import random
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -9,9 +10,12 @@ import pytest
 import teamlogic
 from teamlogic import nogo
 from teamlogic.cli import CONSTRUCT_TARGETS, main
+from teamlogic.constructions import construct_single_valued
 from teamlogic.datasets import load_bundled
 from teamlogic.jsonio import dump_json, load_model, model_to_dict
+from teamlogic.models import from_team
 from teamlogic.sampling import random_empirical_model, random_local_witness
+from teamlogic.teams import Team
 
 
 def run_cli(*argv):
@@ -58,6 +62,13 @@ class TestEval:
     def test_parse_error_is_input_error(self):
         code, _, err = run_cli("eval", "--team", "builtin:rt2", "--formula", "dep(")
         assert code == 2
+
+    def test_deep_parentheses_are_a_parse_error(self, tmp_path):
+        team = tmp_path / "t.json"
+        team.write_text('{"domain": ["x", "y"], "rows": [[0, 0]]}')
+        formula = "(" * 400 + "x = y" + ")" * 400
+        code, _, err = run_cli("eval", "--team", str(team), "--formula", formula)
+        assert code == 2 and err.startswith("error[parse-error]") and "Traceback" not in err
 
     @pytest.mark.parametrize("payload", [
         {"domain": ["x"], "rows": [[1]], "weights": ["1/0"]},
@@ -160,6 +171,21 @@ class TestNogo:
         code = main(["nogo", "exists", "--model", str(model), "--target", "strong-det+lambda"])
         assert code == 0 and verdict in capsys.readouterr().out
 
+    def test_exists_budget_caps_the_section_space(self, capsys):
+        # ex22's section space is 8
+        argv = ["nogo", "exists", "--model", "builtin:ex22", "--target", "strong-det+lambda"]
+        assert main([*argv, "--budget", "8"]) == 0
+        assert main([*argv, "--budget", "4"]) == 3
+        assert "error[budget-error]: section space exceeds 4;" in capsys.readouterr().err
+
+    def test_ks_budget_bounds_the_transversal_search(self, padded_cabello, tmp_path, capsys):
+        config = tmp_path / "ks.json"
+        config.write_text(json.dumps(asdict(padded_cabello)))
+        assert main(["nogo", "ks", "--config", str(config)]) == 0
+        assert "configuration valid: True" in capsys.readouterr().out
+        assert main(["nogo", "ks", "--config", str(config), "--budget", "1000"]) == 3
+        assert "error[budget-error]: search exceeded budget of 1000 states" in capsys.readouterr().err
+
     def test_ks_json(self):
         code, out, _ = run_cli("nogo", "ks", "--json")
         assert code == 0
@@ -234,6 +260,20 @@ class TestConstruct:
         assert check_property(model, PropertyName.WEAK_DET_H)
         assert check_property(model, PropertyName.LAMBDA_INDEP_H)
 
+    def test_localize_budget_caps_the_section_space(self, tmp_path, capsys):
+        # the single-valued 3x3x3x3 grid: a section space of 3**3 * 3**3
+        grid = Team(
+            ("m1", "m2", "o1", "o2"),
+            [(a, b, x, y) for a in ("a1", "a2", "a3") for b in ("b1", "b2", "b3")
+             for x in (0, 1, 2) for y in (0, 1, 2)],
+        )
+        model = tmp_path / "grid.json"
+        model.write_text(dump_json(model_to_dict(construct_single_valued(from_team(grid, "empirical")))))
+        argv = ["construct", "--model", str(model), "--target", "localize", "--out", str(tmp_path / "z.json")]
+        assert main([*argv, "--budget", "729"]) == 0
+        assert main([*argv, "--budget", "100"]) == 3
+        assert "error[budget-error]: section space exceeds 100;" in capsys.readouterr().err
+
     def test_localize_requires_hidden(self):
         code, _, err = run_cli(
             "construct", "--model", "builtin:ex22", "--target", "localize", "--out", "-")
@@ -286,8 +326,8 @@ def test_construct_exits_0_or_2(spec, target, model_files, capsys):
     assert code == 0 and not err or code == 2 and err.startswith("error[")
 
 
-#: The CLI's own input refusals, each with the message it prints; the
-#: file name ``prob-empirical`` stands for that generated model file.
+#: The CLI's own input refusals, each with the message it prints; a
+#: name in ``GENERATED_MODELS`` stands for that generated model file.
 CLI_REFUSALS = [
     (["check", "--model", "builtin:pt1", "--property", "weak-det"],
      "builtin:pt1 is not a model table"),
@@ -306,6 +346,17 @@ CLI_REFUSALS = [
 ] + [
     (["verify", "--suite", suite, "--samples", "5"], f"--samples applies to the fig1 suite only, not {suite}")
     for suite in ("separations", "entailments", "hardy", "ks", "appendix")
+] + [
+    (["verify", "--suite", suite, "--seed", "1"],
+     f"--seed applies to the fig1 and entailments suites only, not {suite}")
+    for suite in ("separations", "hardy", "ks", "appendix")
+] + [
+    (["construct", "--model", "builtin:ex22", "--target", target, "--out", "-", "--budget", "5"],
+     f"--budget applies to relational localization only, not {target}")
+    for target in ("single-valued", "strong-det", "weakdet-lambda-indep")
+] + [
+    (["construct", "--model", "prob-hidden", "--target", "localize", "--out", "-", "--budget", "5"],
+     "--budget applies to relational localization only, not probabilistic localization"),
 ]
 
 
@@ -315,6 +366,19 @@ def test_cli_refusals_are_input_errors(argv, message, model_files, capsys):
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2 and err.startswith(f"error[invalid-input]: {message}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "hardy", "--budget", "5"],
+    ["nogo", "hardy", "--budget", "5"],
+    ["eval", "--team", "builtin:rt2", "--formula", "dep(x, y)", "--seed", "1"],
+    ["nogo", "ks", "--seed", "1"],
+], ids=" ".join)
+def test_flags_are_offered_only_where_read(argv, capsys):
+    # an option a command would ignore is an argument error
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

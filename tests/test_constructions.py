@@ -12,6 +12,7 @@ from teamlogic.constructions import (
     localize_rel,
 )
 from teamlogic.errors import PreconditionError
+from teamlogic.eval_rel import EvalBudget
 from teamlogic.eval_prob import CondProbQuery, cond_prob
 from teamlogic.jsonio import model_to_dict
 from teamlogic.models import LAMBDA_VAR, empirically_equivalent, from_team, induced_empirical
@@ -157,8 +158,8 @@ class TestLocalize:
              for x in (0, 1, 2) for y in (0, 1, 2)],
         )
         h = construct_single_valued(from_team(grid, "empirical"))
-        with pytest.raises(BudgetExceededError):
-            localize_rel(h, max_selectors=100)
+        with pytest.raises(BudgetExceededError, match="section space exceeds 100;"):
+            localize_rel(h, EvalBudget(memo_limit=100))
 
     def test_random_relational_witnesses(self):
         rng = random.Random(73)

@@ -592,7 +592,7 @@ class TestKSAtom:
                 for picks in product(*blocks)
                 if all(len(set(picks).intersection(b)) == 1 for b in blocks)
             }
-            chosen = exact_transversal(blocks)
+            chosen = exact_transversal(blocks, lambda: None)
             assert (chosen is not None) == bool(found), blocks
             assert chosen is None or frozenset(chosen) in found, blocks
 

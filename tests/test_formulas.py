@@ -87,6 +87,11 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("dep(x, y) dep(y, z)")
 
+    def test_deep_parentheses(self):
+        assert parse("(" * 150 + "x = y" + ")" * 150) == Eq(Var("x"), Var("y"))
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse("(" * 400 + "x = y" + ")" * 400)
+
 
 class TestFreeVars:
     def test_atom(self):

@@ -6,7 +6,7 @@ import pytest
 
 from teamlogic import nogo
 from teamlogic.errors import BudgetExceededError, InvalidArgumentError
-from teamlogic.eval_rel import DEFAULT_BUDGET, eval_atom_rel, eval_rel
+from teamlogic.eval_rel import DEFAULT_BUDGET, EvalBudget, eval_atom_rel, eval_rel
 from teamlogic.formulas import NCC
 from teamlogic.jsonio import model_to_dict
 from teamlogic.models import empirical_domain, empirically_equivalent, from_team, induced_empirical
@@ -63,6 +63,13 @@ class TestSections:
     def test_section_space_guard(self):
         with pytest.raises(BudgetExceededError, match="section space exceeds 5000000"):
             consistent_sections(_wide_model(signalling=False))
+
+    def test_budget_caps_the_section_space(self, ex22):
+        # ex22's section space is 8
+        assert len(consistent_sections(ex22, EvalBudget(memo_limit=8))) == 2
+        for decide in (consistent_sections, exists_strongdet_lambdaindep, exists_local_lambdaindep):
+            with pytest.raises(BudgetExceededError, match="section space exceeds 7;"):
+                decide(ex22, EvalBudget(memo_limit=7))
 
 
 def _wide_model(signalling: bool):
@@ -443,6 +450,22 @@ class TestColoring:
     def test_deterministic_least_coloring(self):
         cfg = _toy_two_bases()
         assert ks_colorable(cfg) == ks_colorable(cfg) == (0, 4)
+
+
+class TestKSBudget:
+    def test_transversal_search_is_bounded(self, padded_cabello):
+        cfg = padded_cabello
+        assert cfg.validate() == [] and ks_colorable(cfg) is None
+        with pytest.raises(BudgetExceededError, match="search exceeded budget of 1000 states"):
+            ks_colorable(cfg, EvalBudget(memo_limit=1000))
+
+    def test_every_formulation_is_bounded(self):
+        cabello, tight = cabello_config(), EvalBudget(memo_limit=5)
+        for search in (ks_colorable, noncontextual_extension, lambda cfg, b: verify_ks(cfg, budget=b)):
+            with pytest.raises(BudgetExceededError, match="search exceeded budget of 5 states"):
+                search(cabello, tight)
+        with pytest.raises(BudgetExceededError, match="search exceeded budget of 5 states"):
+            eval_atom_rel(ks_team(cabello), NCC(("m1", "m2", "m3", "m4")), tight)
 
 
 class TestKSTeamAndTheorems:
