@@ -11,20 +11,24 @@ Subcommands::
     teamlogic nogo ks [--config FILE]
     teamlogic nogo exists --model FILE --target {strong-det+lambda|local+lambda}
     teamlogic verify --suite {fig1|appendix|separations|entailments|ks|hardy}
+                     [--samples N] [--seed S]
 
-File arguments accept ``builtin:NAME`` for the bundled tables (ex22, sig,
-siglambda, loc6, pt1, rt2, hardy, cabello18).  Verdicts go into the
-report, never the exit code: 0 means a verdict was computed, 2 an input
-problem, 3 a budget was exceeded.  Output is byte-deterministic for fixed
-inputs and seed; ``--json`` emits a versioned machine-readable report.
+Every file argument accepts ``builtin:NAME`` for the bundled tables (ex22,
+sig, siglambda, loc6, pt1, rt2, hardy, cabello18), through the one reader
+:func:`teamlogic.jsonio.load`; ``--config`` defaults to ``builtin:cabello18``.
+The suites and constructions are the library's, looked up in :data:`SUITES`
+and :data:`CONSTRUCT_TARGETS`.  Verdicts go into the report, never the exit
+code: 0 means a verdict was computed, 2 an input problem, 3 a budget was
+exceeded.  Output is byte-deterministic for fixed inputs and seed;
+``--json`` emits a versioned machine-readable report.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
 
-from .datasets import load_bundled
 from .errors import BudgetExceededError, InvalidArgumentError, TeamLogicError
 from .eval_prob import eval_prob
 from .eval_rel import EvalBudget, eval_rel
@@ -32,42 +36,36 @@ from .formulas import parse
 from .jsonio import dump_json, load_model, load_team, model_to_dict, value_to_json, write_path
 from .models import EmpiricalModel, HVModel
 from .properties import check_property, property_from_cli_name
-from .teams import ProbTeam, Team
+from .teams import ProbTeam
 
 REPORT_SCHEMA = "teamlogic-report/1"
 
-CONSTRUCT_TARGETS = ("single-valued", "strong-det", "weakdet-lambda-indep", "localize")
+#: Each construction target's builder in :mod:`teamlogic.constructions`;
+#: a relational model's ``localize`` runs ``localize_rel`` instead.
+CONSTRUCT_TARGETS = {
+    "single-valued": "construct_single_valued",
+    "strong-det": "construct_strong_det",
+    "weakdet-lambda-indep": "construct_weakdet_lambdaindep",
+    "localize": "localize_prob",
+}
 EXISTS_TARGETS = ("strong-det+lambda", "local+lambda")
-SUITES = ("fig1", "appendix", "separations", "entailments", "ks", "hardy")
 
-
-def _resolve_team(spec: str) -> Team | ProbTeam:
-    if spec.startswith("builtin:"):
-        obj = load_bundled(spec[len("builtin:") :])
-        if isinstance(obj, (EmpiricalModel, HVModel)):
-            obj = obj.data
-        if isinstance(obj, (Team, ProbTeam)):
-            return obj
-        raise InvalidArgumentError(f"{spec} is not a team table")
-    return load_team(spec)
-
-
-def _resolve_model(spec: str) -> EmpiricalModel | HVModel:
-    if spec.startswith("builtin:"):
-        obj = load_bundled(spec[len("builtin:") :])
-        if isinstance(obj, (EmpiricalModel, HVModel)):
-            return obj
-        raise InvalidArgumentError(f"{spec} is not a model table")
-    return load_model(spec)
+#: Each suite's runner (module and function, imported when the suite
+#: runs), the ``verify`` flags it reads, each passed on as the keyword of
+#: its name, and its report's extra JSON fields, by report attribute.
+SUITES = {
+    "fig1": ("models", "verify_fig1", ("samples", "seed"), {"samples": "samples"}),
+    "appendix": ("verify_appendix", "verify_appendix", (), {}),
+    "separations": ("entailment", "verify_separations", (), {}),
+    "entailments": ("entailment", "verify_property_entailments", ("seed",), {"teams": "teams_checked"}),
+    "ks": ("nogo", "verify_ks", (), {}),
+    "hardy": ("nogo", "verify_hardy", (), {}),
+}
 
 
 def _emit(args, report: dict, text_lines: list[str]) -> int:
     report["schema"] = REPORT_SCHEMA
-    if args.json:
-        sys.stdout.write(dump_json(report))
-    else:
-        for line in text_lines:
-            print(line)
+    sys.stdout.write(dump_json(report) if args.json else "".join(f"{line}\n" for line in text_lines))
     return 0
 
 
@@ -77,7 +75,7 @@ def _budget(args) -> EvalBudget | None:
 
 
 def cmd_eval(args) -> int:
-    data = _resolve_team(args.team)
+    data = load_team(args.team)
     formula = parse(args.formula)
     budget = _budget(args)
     if args.prob:
@@ -96,7 +94,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_check(args) -> int:
-    model = _resolve_model(args.model)
+    model = load_model(args.model)
     prop = property_from_cli_name(args.property, model.kind)
     verdict = check_property(model, prop, strict=args.strict, budget=_budget(args))
     return _emit(
@@ -115,7 +113,7 @@ def cmd_check(args) -> int:
 def cmd_construct(args) -> int:
     from . import constructions
 
-    model = _resolve_model(args.model)
+    model = load_model(args.model)
     if args.target == "localize" and not isinstance(model, HVModel):
         raise InvalidArgumentError("localize needs a hidden-variable model as input")
     if args.target == "localize" and not model.probabilistic:
@@ -123,14 +121,8 @@ def cmd_construct(args) -> int:
     elif args.budget is not None:
         what = "probabilistic localization" if args.target == "localize" else args.target
         raise InvalidArgumentError(f"--budget applies to relational localization only, not {what}")
-    elif args.target == "single-valued":
-        result = constructions.construct_single_valued(model)
-    elif args.target == "strong-det":
-        result = constructions.construct_strong_det(model)
-    elif args.target == "weakdet-lambda-indep":
-        result = constructions.construct_weakdet_lambdaindep(model)
     else:
-        result = constructions.localize_prob(model)
+        result = getattr(constructions, CONSTRUCT_TARGETS[args.target])(model)
     write_path(args.out, dump_json(model_to_dict(result)))
     lam = result.lambda_values()
     return _emit(
@@ -153,19 +145,17 @@ def cmd_entail(args) -> int:
         budget=_budget(args),
     )
     transfers = entailment_transfers(lhs, rhs)
-    if team is None:
+    rows = None if team is None else [list(map(value_to_json, row)) for row in team.rows]
+    if rows is None:
         lines = [
             f"no counterexample within universe {args.universe}, <= {args.max_rows} rows",
             "verdict transfers to probabilistic semantics (dependence-only formulas)"
             if transfers
             else "bounded relational verdict only; not a proof",
         ]
-        payload = {"command": "entail", "counterexample": None, "transfers": transfers}
     else:
-        rows = [list(map(value_to_json, row)) for row in team.rows]
-        lines = [f"counterexample with {len(team)} rows:"] + [f"  {r}" for r in rows]
-        payload = {"command": "entail", "counterexample": rows, "transfers": transfers}
-    return _emit(args, payload, lines)
+        lines = [f"counterexample with {len(rows)} rows:"] + [f"  {r}" for r in rows]
+    return _emit(args, {"command": "entail", "counterexample": rows, "transfers": transfers}, lines)
 
 
 def cmd_nogo(args) -> int:
@@ -185,8 +175,7 @@ def cmd_nogo(args) -> int:
             rep.lines(),
         )
     if args.what == "ks":
-        cfg = nogo.load_ks(args.config) if args.config else nogo.cabello_config()
-        rep = nogo.verify_ks(cfg, budget=_budget(args))
+        rep = nogo.verify_ks(nogo.load_ks(args.config), budget=_budget(args))
         return _emit(
             args,
             {
@@ -200,7 +189,7 @@ def cmd_nogo(args) -> int:
             rep.lines(),
         )
     # exists
-    model = _resolve_model(args.model)
+    model = load_model(args.model)
     if not isinstance(model, EmpiricalModel):
         raise InvalidArgumentError("nogo exists needs an empirical model")
     if model.probabilistic:
@@ -235,64 +224,18 @@ def cmd_nogo(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.samples is not None and args.suite != "fig1":
-        raise InvalidArgumentError(f"--samples applies to the fig1 suite only, not {args.suite}")
-    if args.seed is not None and args.suite not in ("fig1", "entailments"):
-        raise InvalidArgumentError(f"--seed applies to the fig1 and entailments suites only, not {args.suite}")
-    seed = args.seed or 0
-    lines: list[str]
-    payload: dict
-    if args.suite == "separations":
-        from .entailment import verify_separations
-
-        rep = verify_separations()
-        lines, ok = rep.lines(), rep.ok
-        payload = {"suite": "separations", "ok": ok}
-    elif args.suite == "entailments":
-        from .entailment import verify_property_entailments
-
-        rep = verify_property_entailments(seed=seed)
-        lines, ok = rep.lines(), rep.ok
-        payload = {"suite": "entailments", "ok": ok, "teams": rep.teams_checked}
-    elif args.suite == "hardy":
-        from .nogo import verify_hardy
-
-        rep = verify_hardy()
-        lines, ok = rep.lines(), rep.ok
-        payload = {"suite": "hardy", "ok": ok}
-    elif args.suite == "ks":
-        from .nogo import verify_ks
-
-        rep = verify_ks()
-        lines, ok = rep.lines(), rep.ok
-        payload = {"suite": "ks", "ok": ok}
-    elif args.suite == "fig1":
-        import random
-
-        from .models import verify_fig1_commutes
-        from .sampling import random_hv_prob_team
-
-        count = 1000 if args.samples is None else args.samples
-        if count < 1:
-            raise InvalidArgumentError(f"--samples must be at least 1, not {count}")
-        rng = random.Random(seed)
-        bad = sum(not verify_fig1_commutes(random_hv_prob_team(rng)) for _ in range(count))
-        ok = bad == 0
-        lines = [
-            f"collapse/projection commutativity on {count} random probabilistic "
-            f"hidden-variable teams (seed {seed}): {count - bad} ok, {bad} failures"
-        ]
-        payload = {"suite": "fig1", "ok": ok, "samples": count}
-    else:  # appendix
-        from .verify_appendix import verify_appendix
-
-        rep = verify_appendix()
-        lines, ok = rep.lines(), rep.ok
-        payload = {"suite": "appendix", "ok": ok}
+    module, runner, flags, fields = SUITES[args.suite]
+    given = {flag: getattr(args, flag) for flag in ("samples", "seed") if getattr(args, flag) is not None}
+    for flag in (flag for flag in given if flag not in flags):
+        readers = [name for name, (_, _, reads, _) in SUITES.items() if flag in reads]
+        suites = "suites" if len(readers) > 1 else "suite"
+        raise InvalidArgumentError(f"--{flag} applies to the {' and '.join(readers)} {suites} only, not {args.suite}")
+    rep = getattr(import_module(f".{module}", __package__), runner)(**given)
     # a FAIL outcome is still a computed verdict: it goes in the report,
     # and the exit code stays 0
-    lines.append(f"suite {args.suite}: {'PASS' if ok else 'FAIL'}")
-    payload["command"] = "verify"
+    lines = rep.lines() + [f"suite {args.suite}: {'PASS' if rep.ok else 'FAIL'}"]
+    payload = {"command": "verify", "suite": args.suite, "ok": rep.ok}
+    payload.update((key, getattr(rep, attr)) for key, attr in fields.items())
     return _emit(args, payload, lines)
 
 
@@ -339,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     nogo_sub = p.add_subparsers(dest="what", required=True)
     nogo_sub.add_parser("hardy", parents=[common]).set_defaults(func=cmd_nogo)
     ks = nogo_sub.add_parser("ks", parents=[budgeted])
-    ks.add_argument("--config", default=None)
+    ks.add_argument("--config", default="builtin:cabello18", help="KS configuration JSON file or builtin:NAME")
     ks.set_defaults(func=cmd_nogo)
     ex = nogo_sub.add_parser("exists", parents=[budgeted])
     ex.add_argument("--model", required=True)

@@ -24,6 +24,9 @@ JSON package data:
     conditions.
 ``cabello18``
     The 18-vector, 9-basis Kochen-Specker configuration in 4-space.
+
+Every file argument of :func:`teamlogic.jsonio.load`'s callers, the
+command line's included, also takes ``builtin:NAME`` for one of these.
 """
 
 from __future__ import annotations
@@ -44,12 +47,11 @@ def bundled_text(name: str) -> str:
 
 
 def load_bundled(name: str):
-    """Load a bundled table as a Team/ProbTeam, model, or KS configuration."""
-    import json
+    """Load a bundled table as a Team/ProbTeam, model, or KS configuration,
+    by the shape of its JSON."""
+    from .jsonio import load, model_from_dict, team_from_dict
 
-    from .jsonio import model_from_dict, team_from_dict
-
-    payload = json.loads(bundled_text(name))
+    payload = load(f"builtin:{name}")
     if "vectors" in payload:
         from .nogo import ks_config_from_dict
 

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 from .datasets import load_bundled
 from .errors import BudgetExceededError, InvalidArgumentError
 from .eval_prob import eval_prob
-from .eval_rel import EvalBudget, Plan, compile, eval_rel
+from .eval_rel import DEFAULT_BUDGET, EvalBudget, Plan, compile, eval_rel
 from .formulas import Formula, conjoin, is_downward_closed, parse
 from .models import hidden_domain
 from .properties import PropertyName, property_formula
@@ -75,17 +75,18 @@ def find_rel_counterexample(
     variables: tuple[str, ...],
     universe_size: int = 2,
     max_rows: int = 4,
-    row_space_cap: int = 1_000_000,
     budget: EvalBudget | None = None,
 ) -> Team | None:
     """First team (canonical order) satisfying ``lhs`` but not ``rhs``,
-    or None when no counterexample exists within the bounds."""
+    or None when no counterexample exists within the bounds.  The
+    assignment space is a team the sweep builds, so it counts against
+    ``budget.max_rows``; the budget also caps each team's verdict, but
+    not the number of teams, which the bounds fix."""
     if universe_size < 1 or max_rows < 1:
         raise InvalidArgumentError("universe size and row bound must be at least 1")
-    if universe_size ** len(variables) > row_space_cap:
-        raise BudgetExceededError(
-            f"assignment space {universe_size}^{len(variables)} exceeds cap {row_space_cap}"
-        )
+    cap = (budget or DEFAULT_BUDGET).max_rows
+    if universe_size ** len(variables) > cap:
+        raise BudgetExceededError(f"assignment space {universe_size}^{len(variables)} exceeds budget {cap}")
     space = assignment_space([(v, list(range(universe_size))) for v in variables])
     plan = compile([lhs, rhs], space.domain, space)
     (team,), _ = _counterexamples(plan, enumerate_teams(space, max_rows), budget)

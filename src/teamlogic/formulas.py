@@ -24,9 +24,11 @@ which are whitespace-separated)::
 
 Quantifier bodies extend as far right as possible, so
 ``E l . dep(m1 l, o1) & dep(m2 l, o2)`` binds the whole conjunction.
-``E`` and ``A`` are reserved words and cannot name variables.  Quoted
-constants are symbols, bare numerals are integer values; ``dep(, l)`` is
-the constancy atom with empty antecedent.
+``E`` and ``A`` are reserved words and cannot name variables.  A name
+ends before a ``_`` that begins ``_||_``, so ``x_||_y`` reads as
+``x _||_ y``.  Quoted constants are symbols, bare numerals are integer
+values; ``dep(, l)`` is the constancy atom with empty antecedent.
+Parentheses and quantifier bodies nest at most :data:`MAX_NESTING` deep.
 """
 
 from __future__ import annotations
@@ -370,7 +372,7 @@ _TOKEN_RE = re.compile(
   | (?P<leq><=)
   | (?P<sym>[(),;.{}=|&])
   | (?P<int>-?\d+)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
+  | (?P<name>[A-Za-z_](?:[A-Za-z0-9']|_(?!\|\|_))*)
   | (?P<str>"[^"]*")
     """,
     re.VERBOSE,
@@ -410,10 +412,18 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+#: The deepest nesting of parentheses and quantifier bodies the parser
+#: takes, counted by the parser so that the error's position does not
+#: depend on the caller's stack.  At three frames a level, a parse at the
+#: limit fits the default recursion limit from a caller 200 frames deep.
+MAX_NESTING = 200
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -459,18 +469,22 @@ class _Parser:
 
     def unit(self) -> Formula:
         tok = self.peek()
-        if tok.text in _RESERVED:
-            self.next()
+        if tok.text not in _RESERVED and tok.text != "(":
+            return self.atom()
+        self.next()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError("formula nested too deeply to parse", tok.line, tok.column)
+        if tok.text == "(":
+            inner = self.disj()
+            self.expect(")")
+        else:
             var = self.variable()
             self.expect(".")
             body = self.disj()
-            return Exists(var, body) if tok.text == "E" else Forall(var, body)
-        if tok.text == "(":
-            self.next()
-            inner = self.disj()
-            self.expect(")")
-            return inner
-        return self.atom()
+            inner = Exists(var, body) if tok.text == "E" else Forall(var, body)
+        self.depth -= 1
+        return inner
 
     def variable(self) -> str:
         tok = self.next()
@@ -592,8 +606,9 @@ class _Parser:
 
 def parse(text: str) -> Formula:
     """Parse formula text into an AST.  Raises :class:`ParseError` with a
-    line/column position on malformed input, also on input nested too
-    deeply to parse."""
+    line/column position on malformed input, also on input nested more
+    than :data:`MAX_NESTING` deep, or too deep for what is left of the
+    caller's stack."""
     parser = _Parser(text)
     try:
         return parser.formula()

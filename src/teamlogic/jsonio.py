@@ -12,6 +12,8 @@ Weights are strings ``"p/q"`` in lowest terms (or ``"1"``), parallel to
 "arity": n}``.  Values encode as JSON scalars (strings, integers) or
 nested lists for tuple values; rationals inside values encode as "p/q"
 strings prefixed with ``"frac:"`` to keep them apart from symbols.
+Every reader takes a file path or ``builtin:NAME`` for a bundled table
+(:mod:`teamlogic.datasets`), both read by :func:`load`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+from .datasets import bundled_text
 from .errors import InvalidArgumentError
 from .models import EmpiricalModel, HVModel, from_team
 from .teams import ProbTeam, Team, Value
@@ -138,20 +141,25 @@ def dump_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def load_path(path: str | Path) -> dict:
+def load(spec: str | Path) -> dict:
+    """The JSON object of the bundled table ``builtin:NAME`` or of the
+    file ``spec``; every team, model and KS reader reads through here."""
     try:
-        text = Path(path).read_text()
+        if isinstance(spec, str) and spec.startswith("builtin:"):
+            text = bundled_text(spec[len("builtin:") :])
+        else:
+            text = Path(spec).read_text()
     except OSError as exc:
-        raise InvalidArgumentError(f"cannot read {path}: {exc}") from None
+        raise InvalidArgumentError(f"cannot read {spec}: {exc}") from None
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InvalidArgumentError(f"malformed JSON in {path}: {exc}") from None
+        raise InvalidArgumentError(f"malformed JSON in {spec}: {exc}") from None
     except RecursionError:
         # the decoder recurses once per nesting level
-        raise InvalidArgumentError(f"JSON in {path} is nested too deeply to decode") from None
+        raise InvalidArgumentError(f"JSON in {spec} is nested too deeply to decode") from None
     if not isinstance(payload, dict):
-        raise InvalidArgumentError(f"expected a JSON object in {path}")
+        raise InvalidArgumentError(f"expected a JSON object in {spec}")
     return payload
 
 
@@ -166,9 +174,9 @@ def write_path(path: str | Path, text: str) -> None:
         raise InvalidArgumentError(f"cannot write {path}: {exc}") from None
 
 
-def load_team(path: str | Path) -> Team | ProbTeam:
-    return team_from_dict(load_path(path))
+def load_team(spec: str | Path) -> Team | ProbTeam:
+    return team_from_dict(load(spec))
 
 
-def load_model(path: str | Path) -> EmpiricalModel | HVModel:
-    return model_from_dict(load_path(path))
+def load_model(spec: str | Path) -> EmpiricalModel | HVModel:
+    return model_from_dict(load(spec))

@@ -15,7 +15,8 @@ operation that is the same in both semantics runs once on the data.
 The layer also provides the structural moves between the two worlds:
 projecting a hidden-variable model to its induced empirical model,
 possibilistic collapse of probabilistic models, exact empirical
-equivalence, and the commutativity check tying all of these together.
+equivalence, and the commutativity check tying all of these together,
+run on random teams as the fig1 suite (:func:`verify_fig1`).
 :func:`tag_rows` adds a hidden column of tags, each given by the rows it
 holds, in canonical order; the no-go witness and relational localization
 are both assembled by it.
@@ -23,6 +24,7 @@ are both assembled by it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cache
 
 from .errors import DomainError, InvalidArgumentError
@@ -249,3 +251,37 @@ def verify_fig1_commutes(prob_hv_team: ProbTeam) -> bool:
     for row, w in prob_hv_team.weights().items():
         marginal[row[:-1]] = marginal.get(row[:-1], 0) + w
     return e_prob.prob_team.weights() == marginal
+
+
+@dataclass
+class Fig1Report:
+    samples: int
+    seed: int
+    failures: int
+
+    @property
+    def ok(self) -> bool:
+        return self.failures == 0
+
+    def lines(self) -> list[str]:
+        return [
+            f"collapse/projection commutativity on {self.samples} random probabilistic "
+            f"hidden-variable teams (seed {self.seed}): "
+            f"{self.samples - self.failures} ok, {self.failures} failures"
+        ]
+
+
+def verify_fig1(samples: int = 1000, seed: int = 0) -> Fig1Report:
+    """The fig1 suite: :func:`verify_fig1_commutes` on ``samples`` random
+    probabilistic hidden-variable teams, drawn in turn from one
+    ``random.Random(seed)``, so a seed fixes the report."""
+    import random
+
+    # sampling builds its teams through this module
+    from .sampling import random_hv_prob_team
+
+    if samples < 1:
+        raise InvalidArgumentError(f"--samples must be at least 1, not {samples}")
+    rng = random.Random(seed)
+    failures = sum(not verify_fig1_commutes(random_hv_prob_team(rng)) for _ in range(samples))
+    return Fig1Report(samples, seed, failures)

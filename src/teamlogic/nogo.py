@@ -47,7 +47,7 @@ from typing import Iterator
 from .errors import BudgetExceededError, InvalidArgumentError
 from .eval_rel import DEFAULT_BUDGET, EvalBudget, depth_first, eval_atom_rel, exact_transversal, search_tick
 from .formulas import NCC
-from .jsonio import _fraction
+from .jsonio import _fraction, load
 from .models import EmpiricalModel, HVModel, tag_rows
 from .properties import PropertyName, check_property
 from .teams import Team, Value, _sorted_values, value_key
@@ -319,20 +319,13 @@ def _coord(x) -> Value:
 def cabello_config() -> KSConfiguration:
     """The bundled 18-vector, 9-basis configuration (exact integer rays,
     each vector in exactly two bases)."""
-    from .datasets import load_bundled
-
-    cfg = load_bundled("cabello18")
-    assert isinstance(cfg, KSConfiguration)
-    problems = cfg.validate()
-    if problems:
-        raise InvalidArgumentError("bundled configuration invalid: " + "; ".join(problems))
-    return cfg
+    return load_ks("builtin:cabello18")
 
 
-def load_ks(path) -> KSConfiguration:
-    from .jsonio import load_path
-
-    cfg = ks_config_from_dict(load_path(path))
+def load_ks(spec) -> KSConfiguration:
+    """The valid KS configuration in the file or ``builtin:NAME`` table
+    ``spec``."""
+    cfg = ks_config_from_dict(load(spec))
     problems = cfg.validate()
     if problems:
         raise InvalidArgumentError("; ".join(problems))

@@ -330,7 +330,7 @@ def test_construct_exits_0_or_2(spec, target, model_files, capsys):
 #: name in ``GENERATED_MODELS`` stands for that generated model file.
 CLI_REFUSALS = [
     (["check", "--model", "builtin:pt1", "--property", "weak-det"],
-     "builtin:pt1 is not a model table"),
+     "model JSON needs kind empirical|hidden, got None"),
     (["eval", "--team", "builtin:rt2", "--formula", "dep(x, y)", "--prob"],
      "--prob needs a team with weights"),
     (["construct", "--model", "builtin:ex22", "--target", "localize", "--out", "-"],
@@ -340,7 +340,7 @@ CLI_REFUSALS = [
     (["nogo", "exists", "--model", "prob-empirical", "--target", "strong-det+lambda"],
      "decision runs relationally"),
     (["eval", "--team", "builtin:cabello18", "--formula", "dep(m1,o1)"],
-     "builtin:cabello18 is not a team table"),
+     "team JSON is missing field 'domain'"),
     (["verify", "--suite", "fig1", "--samples", "0"], "--samples must be at least 1, not 0"),
     (["verify", "--suite", "fig1", "--samples", "-5"], "--samples must be at least 1, not -5"),
 ] + [

@@ -91,7 +91,7 @@ class TestFindCounterexample:
         with pytest.raises(BudgetExceededError):
             find_rel_counterexample(
                 f, f, tuple("abcdefghij"), universe_size=10, max_rows=2,
-                row_space_cap=1000,
+                budget=EvalBudget(max_rows=1000),
             )
 
     def test_rhs_is_decided_only_where_lhs_holds(self):

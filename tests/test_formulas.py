@@ -1,9 +1,13 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teamlogic.errors import ParseError
 from teamlogic.formulas import (
+    MAX_NESTING,
     NC,
     NCC,
     And,
@@ -91,6 +95,45 @@ class TestParse:
         assert parse("(" * 150 + "x = y" + ")" * 150) == Eq(Var("x"), Var("y"))
         with pytest.raises(ParseError, match="nested too deeply"):
             parse("(" * 400 + "x = y" + ")" * 400)
+
+    def test_nesting_error_is_one_column_from_any_stack(self):
+        # the parser counts its own nesting, so neither the caller's stack
+        # nor the process it runs in moves the error
+        deep = "(" * 400 + "x = y" + ")" * 400
+        expected = f"formula nested too deeply to parse (line 1, column {MAX_NESTING + 1})"
+
+        def message(frames):
+            if frames:
+                return message(frames - 1)
+            with pytest.raises(ParseError) as info:
+                parse(deep)
+            return str(info.value)
+
+        assert message(0) == message(200) == expected
+        proc = subprocess.run(
+            [sys.executable, "-m", "teamlogic.cli", "eval", "--team", "builtin:rt2", "--formula", deep],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2 and proc.stderr == f"error[parse-error]: {expected}\n"
+        with pytest.raises(ParseError, match=f"column {6 * MAX_NESTING + 1}\\)"):
+            parse("E a . " * (MAX_NESTING + 1) + "x = y")
+
+    def test_nesting_limit_parses_from_a_deep_caller(self):
+        at_limit = "(" * MAX_NESTING + "x = y" + ")" * MAX_NESTING
+
+        def parse_from(frames):
+            return parse_from(frames - 1) if frames else parse(at_limit)
+
+        assert parse_from(200) == Eq(Var("x"), Var("y"))
+
+    def test_indep_needs_no_spaces(self):
+        assert parse("x_||_{z}y") == parse("x _||_{z} y") == Indep(("x",), ("z",), ("y",))
+        assert parse("dep(x,y)&x_||_y") == parse("dep(x, y) & x _||_ y")
+        # an underscore that does not begin _||_ stays in the name
+        assert parse("x_1 = y") == Eq(Var("x_1"), Var("y"))
+        assert parse("a_b <= c") == Incl(("a_b",), ("c",))
+        assert parse("x_ _||_ y") == Indep(("x_",), (), ("y",))
 
 
 class TestFreeVars:
