@@ -24,7 +24,8 @@ Semantics:
   fact that probabilistic truth implies relational truth on the support;
 * ``A x . phi`` splits each row's mass uniformly over the universe.
 
-Only the universal quantifier checks the universe against the budget.
+The universal quantifier counts the rows it builds (support rows times
+universe) against the budget's ``max_rows``; no other clause reads it.
 All arithmetic is exact rational; no tolerance appears anywhere.
 """
 

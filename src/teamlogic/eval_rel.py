@@ -84,7 +84,6 @@ from .formulas import (
     Term,
     Var,
     free_vars,
-    is_downward_closed,
 )
 from .masks import RowMasks
 from .teams import ProbTeam, Row, Team, bind, positions, row_key, value_key
@@ -94,27 +93,22 @@ from .teams import ProbTeam, Row, Team, bind, positions, row_key, value_key
 class EvalBudget:
     """Caps on the effort of every search.
 
-    ``max_rows`` bounds the size of any team built by quantification,
-    ``max_universe`` bounds the value universe that a quantifier ranges
-    over (a formula with no quantifier decides on any universe), and
-    ``memo_limit`` bounds the combined number of memo entries and visited
-    search states: the nodes of a Kochen-Specker search, and the section
-    space of a no-go or localization search, which bounds its leaves.
-    Exceeding any cap aborts the search with a budget error; no search
-    approximates.
+    ``max_rows`` bounds the size of any team built by quantification
+    (a universal's rows times its universe), and ``memo_limit`` the
+    combined number of memo entries and visited search states: an
+    existential's candidates (a value product is refused before it is
+    built), the nodes of a Kochen-Specker search, and the section space
+    of a no-go or localization search, which bounds its leaves.  No cap
+    bounds the universe itself.  Exceeding any cap aborts the search
+    with a budget error; no search approximates.
     """
 
     max_rows: int = 200_000
-    max_universe: int = 128
     memo_limit: int = 5_000_000
 
     def __post_init__(self):
-        if self.max_rows <= 0 or self.max_universe <= 0 or self.memo_limit <= 0:
+        if self.max_rows <= 0 or self.memo_limit <= 0:
             raise InvalidArgumentError("budget limits must be positive")
-
-    def check_universe(self, size: int):
-        if size > self.max_universe:
-            raise BudgetExceededError(f"universe of size {size} exceeds budget {self.max_universe}")
 
     def check_rows(self, count: int):
         if count > self.max_rows:
@@ -174,9 +168,8 @@ def eval_atom_rel(team: Team, atom: Formula, budget: EvalBudget | None = None) -
     """Evaluate a single atom (or literal) by its direct definition.
 
     Only the ``ncc`` atom involves any search (over per-row selections),
-    bounded by ``budget``; everything else is a scan of the rows.
-    An atom does not quantify, so this decides on any value universe, as
-    :func:`eval_rel` does for every formula without a quantifier.
+    bounded by ``budget``; everything else is a scan of the rows, and
+    decides on any value universe.
     """
     if not isinstance(atom, ATOM_TYPES):
         raise InvalidArgumentError(f"{atom!r} is not an atom")
@@ -268,19 +261,21 @@ def _intern(formula: Formula, domain: tuple[str, ...], nodes: dict) -> _Node:
 
 
 def _build(formula: Formula, domain: tuple[str, ...], nodes: dict) -> _Node:
-    closed = is_downward_closed(formula)
+    # ``closed`` is is_downward_closed(formula), read off the operand nodes
     match formula:
         case Eq(lhs, rhs):
             a, b = _term(lhs, domain), _term(rhs, domain)
-            return _Node(formula, _Evaluator.pointwise, closed, check=lambda row: a(row) == b(row))
+            return _Node(formula, _Evaluator.pointwise, True, check=lambda row: a(row) == b(row))
         case Neq(lhs, rhs):
             a, b = _term(lhs, domain), _term(rhs, domain)
-            return _Node(formula, _Evaluator.pointwise, closed, check=lambda row: a(row) != b(row))
+            return _Node(formula, _Evaluator.pointwise, True, check=lambda row: a(row) != b(row))
         case Dep() | GenDep() | Indep() | Incl() | NC() | NCC():
+            closed = not isinstance(formula, (Indep, Incl))
             return _Node(formula, _decide_atom, closed, kernel=_kernel(formula, domain))
         case And(lhs, rhs) | Or(lhs, rhs):
             a, b = _intern(lhs, domain, nodes), _intern(rhs, domain, nodes)
             both = isinstance(formula, And)
+            closed = a.closed and b.closed
             if a.check and b.check:
                 ca, cb = a.check, b.check
                 check = (lambda row: ca(row) and cb(row)) if both else (lambda row: ca(row) or cb(row))
@@ -290,9 +285,9 @@ def _build(formula: Formula, domain: tuple[str, ...], nodes: dict) -> _Node:
         case Forall(var, body) | Exists(var, body):
             inner = _intern(body, bind(domain, var)[0], nodes)
             if isinstance(formula, Forall):
-                return _Node(formula, _Evaluator.forall, closed, var=var, body=inner)
+                return _Node(formula, _Evaluator.forall, inner.closed, var=var, body=inner)
             block = _Block(var, inner, domain)
-            return _Node(formula, _Evaluator.exists, closed, var=var, body=inner, block=block)
+            return _Node(formula, _Evaluator.exists, inner.closed, var=var, body=inner, block=block)
     raise InvalidArgumentError(f"unknown formula node {formula!r}")
 
 
@@ -487,10 +482,11 @@ class _Evaluator:
 
     def tick(self, n: int = 1):
         self.nodes += n
-        if self.nodes + len(self.memo) > self.budget.memo_limit:
-            raise BudgetExceededError(
-                f"search exceeded budget of {self.budget.memo_limit} states"
-            )
+        self._check(self.nodes)
+
+    def _check(self, nodes: int):
+        if nodes + len(self.memo) > self.budget.memo_limit:
+            raise BudgetExceededError(f"search exceeded budget of {self.budget.memo_limit} states")
 
     # -- dispatch ----------------------------------------------------------
 
@@ -532,7 +528,6 @@ class _Evaluator:
     def forall(self, team: Team | ProbTeam, node: _Node) -> bool:
         if not team.rows:
             return True
-        self.budget.check_universe(len(team.universe))
         self.budget.check_rows(len(team.rows) * len(team.universe))
         return self.eval(team.generalize(node.var, team.universe), node.body)
 
@@ -589,7 +584,6 @@ class _Evaluator:
         _refuse_prob_search(team)
         if not team.rows:
             return True
-        self.budget.check_universe(len(team.universe))
         block = node.block
         values = team.universe
         if not values:
@@ -601,6 +595,9 @@ class _Evaluator:
         covering = [j for j, (_, _, cover) in enumerate(inclusions) if cover]
         source = min(covering, key=lambda j: len(allowed[j])) if covering else None
         if source is None:
+            # every row takes the whole product, so the first row's tick
+            # would refuse it: refuse it before it is built
+            self._check(self.nodes + len(values) ** len(block.variables))
             reads, table = (), {(): list(product(values, repeat=len(block.variables)))}
         else:
             reads, *layout = inclusions[source][2]

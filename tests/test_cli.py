@@ -121,10 +121,11 @@ class TestEval:
     @pytest.mark.parametrize("argv, code", [
         (["eval", "--formula", "dep(m1, o1) & o1 _||_ m2"], 0),
         (["check", "--property", "no-sig"], 0),
-        (["eval", "--formula", "E z . dep(m1, z)"], 3),
+        # 132 * 132 candidates, within the default budget
+        (["eval", "--formula", "E z . dep(m1, z)"], 0),
     ])
     def test_universe_cap_bounds_only_quantifiers(self, tmp_path, capsys, argv, code):
-        # 132 values, past the default cap of 128
+        # 132 values (over 128): no budget cap bounds the universe
         rows = [[f"a{j}", f"b{j}", "x", "y"] for j in range(65)]
         model = tmp_path / "model.json"
         model.write_text(json.dumps(
@@ -273,6 +274,22 @@ class TestConstruct:
         assert main([*argv, "--budget", "729"]) == 0
         assert main([*argv, "--budget", "100"]) == 3
         assert "error[budget-error]: section space exceeds 100;" in capsys.readouterr().err
+
+    def test_lcm_model_past_128_values_decides_non_context(self, tmp_path, capsys):
+        # the LCM construction gives this one-context model 504 hidden
+        # values; NonContextE reads its candidates from m v <= m o
+        empirical = tmp_path / "m.json"
+        empirical.write_text(json.dumps({
+            "kind": "empirical", "arity": 1, "domain": ["m1", "o1"],
+            "rows": [["a", "x1"], ["a", "x2"], ["a", "x3"], ["a", "x4"]],
+            "weights": ["1/7", "1/8", "1/9", "313/504"],
+        }))
+        hidden = tmp_path / "hv.json"
+        assert main(["construct", "--model", str(empirical), "--target", "weakdet-lambda-indep",
+                     "--out", str(hidden)]) == 0
+        assert "with 504 hidden values" in capsys.readouterr().out
+        assert main(["check", "--property", "non-context", "--model", str(hidden)]) == 0
+        assert capsys.readouterr().out == "NonContextE: true\n"
 
     def test_localize_requires_hidden(self):
         code, _, err = run_cli(

@@ -23,6 +23,7 @@ against ``eval_prob`` and against compiled plans run on probabilistic
 teams.
 """
 
+import importlib
 import random
 from fractions import Fraction
 from functools import reduce
@@ -58,11 +59,13 @@ from teamlogic.formulas import (
     Neq,
     Or,
     Var,
+    free_vars,
+    is_downward_closed,
     parse,
     print_formula,
 )
 from teamlogic.masks import MASK_BITS
-from teamlogic.properties import PropertyName
+from teamlogic.properties import PropertyName, property_formula
 from teamlogic.sampling import random_prob_team
 from teamlogic.teams import ProbTeam, Team
 
@@ -247,6 +250,28 @@ def test_differential_quantifier_heavy():
         else:
             f = Forall("q1", Or(Dep(("q1",), ("x",)), inner))
         assert eval_rel(team, f) == naive_eval(team, f), (rows, print_formula(f))
+
+
+def test_closed_flags_are_downward_closure(monkeypatch):
+    # compile reads each node's flag off its operand nodes; it must agree
+    # with the syntactic test on every node built, over random formulas
+    # and every property formula
+    module = importlib.import_module("teamlogic.eval_rel")
+    build, built = module._build, []
+
+    def spy(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(module, "_build", spy)
+    rng = random.Random(424242)
+    corpus = [random_formula(rng, depth, quantifiers_left=2) for depth in (2, 4) for _ in range(150)]
+    corpus += [property_formula(p, n) for p in PropertyName for n in (1, 2, 3)]
+    for f in corpus:
+        compile([f], sorted(free_vars(f)))
+    assert {node.closed for node in built} == {True, False}
+    for node in built:
+        assert node.closed is is_downward_closed(node.formula), print_formula(node.formula)
 
 
 def test_differential_rebinding():

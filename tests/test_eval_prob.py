@@ -65,7 +65,8 @@ class TestEvalProb:
     def test_forall_honours_budget(self):
         pt = ProbTeam.uniform(Team(("x",), [(i,) for i in range(6)]))
         formula = parse("A y . A z . A w . dep(x, x)")
-        tight = EvalBudget(max_rows=100, max_universe=3)
+        # the first generalization builds 36 rows
+        tight = EvalBudget(max_rows=30)
         with pytest.raises(BudgetExceededError):
             eval_rel(pt.team, formula, tight)
         with pytest.raises(BudgetExceededError):
@@ -76,8 +77,8 @@ class TestEvalProb:
         assert eval_prob(pt, formula)
 
     def test_dep_decides_past_universe_budget(self):
-        # LCM hidden-variable constructions can carry more hidden values
-        # than EvalBudget.max_universe; dep is a row scan and still decides
+        # LCM hidden-variable constructions can carry hundreds of hidden
+        # values; dep is a row scan and decides on any universe
         pt = ProbTeam.uniform(Team(("x", "y"), [(i, i % 2) for i in range(200)]))
         assert eval_prob(pt, parse("dep(x, y)"))
         assert not eval_prob(pt, parse("dep(y, x)"))
@@ -88,7 +89,7 @@ class TestEvalProb:
 
     def test_every_atom_decides_past_universe_budget(self):
         # each atom is a scan of the support rows, like dep; only the
-        # universal quantifier checks the universe
+        # universal quantifier reads the universe, 200 rows times 200 values
         pt = ProbTeam.uniform(Team(("x", "y"), [(i, i % 2) for i in range(200)]))
         verdicts = {
             "x <= y": False,
@@ -100,8 +101,10 @@ class TestEvalProb:
         }
         for text, verdict in verdicts.items():
             assert eval_prob(pt, parse(text)) is verdict, text
+        assert eval_prob(pt, parse("A z . dep(x, y)"))
         with pytest.raises(BudgetExceededError):
-            eval_prob(pt, parse("A z . dep(x, y)"))
+            eval_prob(pt, parse("A z . dep(x, y)"), EvalBudget(max_rows=39_999))
+        assert eval_prob(pt, parse("A z . dep(x, y)"), EvalBudget(max_rows=40_000))
 
     def test_flat_disjunction_is_decided_on_the_support(self, pt1):
         # a flat formula holds of a probabilistic team exactly when it

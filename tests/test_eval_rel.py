@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import importlib
 import random
 import weakref
 from itertools import combinations, product
@@ -70,9 +71,10 @@ class TestPlan:
             plan.run(T(("y", "x"), [(0, 1)]))
 
     def test_run_checks_the_universe(self):
-        # the cap bounds quantifiers: the quantifier-free formula decides
+        # the budget bounds the existential's 9 candidates, not the
+        # universe: the quantifier-free formula decides
         plan = compile([parse("dep(x, y)"), parse("E z . dep(x, z)")], ("x", "y"))
-        verdict = plan.run(T(("x", "y"), [(0, 1)], universe=range(9)), EvalBudget(max_universe=8))
+        verdict = plan.run(T(("x", "y"), [(0, 1)], universe=range(9)), EvalBudget(memo_limit=8))
         assert verdict(0)
         with pytest.raises(BudgetExceededError):
             verdict(1)
@@ -458,26 +460,28 @@ class TestBudget:
         t = T(("x",), [(i,) for i in range(6)], universe=range(6))
         with pytest.raises(BudgetExceededError):
             eval_rel(t, parse("A a . A b . A c . dep(a b c, x)"),
-                     EvalBudget(max_rows=100, max_universe=64, memo_limit=10**6))
+                     EvalBudget(max_rows=100, memo_limit=10**6))
 
     def test_universe_budget(self):
         t = T(("x",), [(0,)], universe=range(30))
         with pytest.raises(BudgetExceededError):
-            eval_rel(t, parse("A a . dep(x, a)"), EvalBudget(max_universe=8))
+            eval_rel(t, parse("A a . dep(x, a)"), EvalBudget(max_rows=8))
 
     @pytest.mark.parametrize("text, verdict", [
         ("dep(x, y)", False), ("x _||_ y", True), ("x = 0 | x = 1", True), ("x = y & y = y", False),
     ])
     def test_quantifier_free_formula_decides_past_the_universe_cap(self, text, verdict):
         t = T(("x", "y"), [(i, j) for i in range(2) for j in range(100, 230)])
-        assert len(t.universe) > EvalBudget().max_universe
+        # over 128 values: no budget cap bounds the universe
+        assert len(t.universe) > 128
         assert eval_rel(t, parse(text)) == verdict
 
     @pytest.mark.parametrize("text", ["E z . dep(x, z)", "dep(x, y) & E z . x = z"])
     def test_existential_past_the_universe_cap_raises(self, text):
+        # 129 values (over 128), and 129 * 129 candidates within the
+        # default budget: the existential decides
         t = T(("x", "y"), [(i, 0) for i in range(129)])
-        with pytest.raises(BudgetExceededError, match="universe of size 129 exceeds budget 128"):
-            eval_rel(t, parse(text))
+        assert eval_rel(t, parse(text)) is True
 
     @pytest.mark.parametrize("text, count, limit", [
         ("x _||_ y | x <= y", 9, 64),
@@ -496,6 +500,22 @@ class TestBudget:
         with pytest.raises(BudgetExceededError):
             eval_rel(team, formula, EvalBudget(memo_limit=limit))
         assert not eval_rel(team, formula)
+
+    def test_value_product_is_refused_before_it_is_built(self, monkeypatch):
+        # 60**4 candidates for the one row: the first row's tick would
+        # refuse them, so no product past the limit is built
+        module = importlib.import_module("teamlogic.eval_rel")
+        real = module.product
+
+        def spy(*args, **kwargs):
+            for count, item in enumerate(real(*args, **kwargs)):
+                assert count < 1000, "a value product past the limit is being built"
+                yield item
+
+        monkeypatch.setattr(module, "product", spy)
+        t = T(("x",), [(0,)], universe=range(60))
+        with pytest.raises(BudgetExceededError, match="search exceeded budget of 1000 states"):
+            eval_rel(t, parse("E a . E b . E c . E d . dep(x, a b c d)"), EvalBudget(memo_limit=1000))
 
     def test_budget_error_is_not_false(self):
         # same query under a generous budget evaluates fine

@@ -6,7 +6,7 @@ import pytest
 
 from teamlogic import nogo
 from teamlogic.errors import BudgetExceededError, InvalidArgumentError
-from teamlogic.eval_rel import DEFAULT_BUDGET, EvalBudget, eval_atom_rel, eval_rel
+from teamlogic.eval_rel import EvalBudget, eval_atom_rel, eval_rel
 from teamlogic.formulas import NCC
 from teamlogic.jsonio import model_to_dict
 from teamlogic.models import empirical_domain, empirically_equivalent, from_team, induced_empirical
@@ -249,10 +249,9 @@ class TestSectionBudget:
 
     @pytest.mark.parametrize("signalling", [False, True])
     def test_many_values_inside_the_guard(self, signalling):
-        # 132 values, past the evaluator's default universe cap, which
-        # bounds quantifiers and so not the quantifier-free NoSigE
+        # 132 values (over 128): no budget cap bounds the universe
         model = _many_valued_model(signalling)
-        assert len(model.team.universe) > DEFAULT_BUDGET.max_universe
+        assert len(model.team.universe) > 128
         assert check_property(model, P.NO_SIG_E) != signalling
         found = _covers(model, consistent_sections(model))
         assert found != signalling

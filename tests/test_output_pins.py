@@ -207,61 +207,64 @@ NOGO_KS_TEXT = "b68e4910f82f55fbd610937a35dec0c3833718977766a048fd3f72d936422745
 NOGO_KS_JSON = "6440741dc371f192d5207ae46d17911861122798b2f6e6c09ecb698b8d233245"
 
 
+#: (argv, sha256 of stdout) of each pinned report.
+PINNED_REPORTS = [
+    (["verify", "--suite", "entailments"],
+     "68eb28d3b3955a0dd1c2c5a90f6437594b74e9cd6cced55c712aee30c56d1d67"),
+    (["verify", "--suite", "entailments", "--json"],
+     "dbffd686a6751d53c0584842cb4910ea6a87f737705e43617b1f186c53b7dbbc"),
+    (["verify", "--suite", "separations"],
+     "46c4eff3b49481cb2099e6f389a347da57d865c8be6902370d62a042e5191692"),
+    (["verify", "--suite", "separations", "--json"],
+     "d1a8459b28d44fd9b996499d615ef8b200c7b6eed33d725dc06b1b39baa36ee9"),
+    (["entail", "--lhs", "dep(m1 l, o1)", "--rhs", "dep(m1, o1)", "--vars", "m1", "o1", "l"],
+     "7217587fae4d086feeb665a4c295e9da0f3a9f200817390ea0a19de665b0955c"),
+    (["entail", "--lhs", "dep(m1 l, o1)", "--rhs", "dep(m1, o1)", "--vars", "m1", "o1", "l", "--json"],
+     "109c463d4bb0e2b4a38d5280d7c139f736ac1757cd1596cd21acc72512fdb881"),
+    (["entail", "--lhs", "dep(x, y)", "--rhs", "dep(x z, y)", "--vars", "x", "y", "z"],
+     "8ce925c83b5c24c4de8b3445351b52164bde48391e98fd091af7ca8474f76493"),
+    (["entail", "--lhs", "dep(x, y)", "--rhs", "dep(x z, y)", "--vars", "x", "y", "z", "--json"],
+     "e7fda1a8cef21528467047b34692fcf3cb0a6290eeafda34bd8a9c5c753973d3"),
+    (["verify", "--suite", "fig1"],
+     "c53f3fac92d79caba8661fea4679b14f0fc18b6077a0a2062f872331c901bf78"),
+    (["verify", "--suite", "fig1", "--json"],
+     "8b4079a758b5c413c249e5d574047c5132270c7d36eb6087da42ac0f4fb6c9e5"),
+    (["verify", "--suite", "fig1", "--samples", "20", "--seed", "3", "--json"],
+     "ce6cf124f45eb089e1f9c384c9a5711221ab2966afc91960f3dcdd65808f0805"),
+    (["verify", "--suite", "appendix"],
+     "60446750964c03d43aa094e405520b12aa66135571345a5300ff887dbeed454c"),
+    (["verify", "--suite", "appendix", "--json"],
+     "ca27e915e48edf37fdb853c47d2759eeb234186f2c73802c95c25ece351ae53d"),
+    (["verify", "--suite", "ks"],
+     "aea74c195edf8a3d24a283444bf33899af4c0850f4dff4f0e8612c41789bc5d7"),
+    (["verify", "--suite", "ks", "--json"],
+     "a0f24e3e915b2c0ef4275b3fc56e5cf33ff447d84f66d44c5b81e2f23bf5a2d5"),
+    (["verify", "--suite", "hardy"],
+     "a11a248f7c287ae6aa2888ef9fb1f8f13e71c9038204c7f66614229501583dee"),
+    (["verify", "--suite", "hardy", "--json"],
+     "d9f3a98666acfab390f3967b916e86ee4319ef34620469f43d1d458fa8aa7cb1"),
+    (["nogo", "hardy"],
+     "c327d283fbbf00e22049afb9e1abfd8f1f8ae9e1d61bbb9fd967f7e8a093771e"),
+    (["nogo", "hardy", "--json"],
+     "366be87af2eae480437067d3c44ff3d78fd91c3ca6a2c94991a4c4e17b85109b"),
+    (["nogo", "ks"], NOGO_KS_TEXT),
+    (["nogo", "ks", "--json"], NOGO_KS_JSON),
+    # the bundled configuration named explicitly reads as the default
+    (["nogo", "ks", "--config", "builtin:cabello18"], NOGO_KS_TEXT),
+    (["nogo", "ks", "--config", "builtin:cabello18", "--json"], NOGO_KS_JSON),
+] + [
+    (["construct", "--model", "builtin:ex22", "--target", target, "--out", "-"], expected)
+    for target, expected in (
+        ("single-valued", "818a4486ba183868e482fcfef15aa415f946c9712cbf6fd6e96cd585dac1f756"),
+        ("strong-det", "bf008a1fa8865200ae6ac11bfc0408dd5560a169e030f2cf7c76b03dcd05feed"),
+        ("weakdet-lambda-indep", "f010a05b7e80185fc4fbd26105f56377169b36fdd9a30d3b3d424563b011c84a"),
+    )
+]
+
+
 @pytest.mark.parametrize(
     ("argv", "expected"),
-    [
-        (["verify", "--suite", "entailments"],
-         "68eb28d3b3955a0dd1c2c5a90f6437594b74e9cd6cced55c712aee30c56d1d67"),
-        (["verify", "--suite", "entailments", "--json"],
-         "dbffd686a6751d53c0584842cb4910ea6a87f737705e43617b1f186c53b7dbbc"),
-        (["verify", "--suite", "separations"],
-         "46c4eff3b49481cb2099e6f389a347da57d865c8be6902370d62a042e5191692"),
-        (["verify", "--suite", "separations", "--json"],
-         "d1a8459b28d44fd9b996499d615ef8b200c7b6eed33d725dc06b1b39baa36ee9"),
-        (["entail", "--lhs", "dep(m1 l, o1)", "--rhs", "dep(m1, o1)", "--vars", "m1", "o1", "l"],
-         "7217587fae4d086feeb665a4c295e9da0f3a9f200817390ea0a19de665b0955c"),
-        (["entail", "--lhs", "dep(m1 l, o1)", "--rhs", "dep(m1, o1)", "--vars", "m1", "o1", "l", "--json"],
-         "109c463d4bb0e2b4a38d5280d7c139f736ac1757cd1596cd21acc72512fdb881"),
-        (["entail", "--lhs", "dep(x, y)", "--rhs", "dep(x z, y)", "--vars", "x", "y", "z"],
-         "8ce925c83b5c24c4de8b3445351b52164bde48391e98fd091af7ca8474f76493"),
-        (["entail", "--lhs", "dep(x, y)", "--rhs", "dep(x z, y)", "--vars", "x", "y", "z", "--json"],
-         "e7fda1a8cef21528467047b34692fcf3cb0a6290eeafda34bd8a9c5c753973d3"),
-        (["verify", "--suite", "fig1"],
-         "c53f3fac92d79caba8661fea4679b14f0fc18b6077a0a2062f872331c901bf78"),
-        (["verify", "--suite", "fig1", "--json"],
-         "8b4079a758b5c413c249e5d574047c5132270c7d36eb6087da42ac0f4fb6c9e5"),
-        (["verify", "--suite", "fig1", "--samples", "20", "--seed", "3", "--json"],
-         "ce6cf124f45eb089e1f9c384c9a5711221ab2966afc91960f3dcdd65808f0805"),
-        (["verify", "--suite", "appendix"],
-         "60446750964c03d43aa094e405520b12aa66135571345a5300ff887dbeed454c"),
-        (["verify", "--suite", "appendix", "--json"],
-         "ca27e915e48edf37fdb853c47d2759eeb234186f2c73802c95c25ece351ae53d"),
-        (["verify", "--suite", "ks"],
-         "aea74c195edf8a3d24a283444bf33899af4c0850f4dff4f0e8612c41789bc5d7"),
-        (["verify", "--suite", "ks", "--json"],
-         "a0f24e3e915b2c0ef4275b3fc56e5cf33ff447d84f66d44c5b81e2f23bf5a2d5"),
-        (["verify", "--suite", "hardy"],
-         "a11a248f7c287ae6aa2888ef9fb1f8f13e71c9038204c7f66614229501583dee"),
-        (["verify", "--suite", "hardy", "--json"],
-         "d9f3a98666acfab390f3967b916e86ee4319ef34620469f43d1d458fa8aa7cb1"),
-        (["nogo", "hardy"],
-         "c327d283fbbf00e22049afb9e1abfd8f1f8ae9e1d61bbb9fd967f7e8a093771e"),
-        (["nogo", "hardy", "--json"],
-         "366be87af2eae480437067d3c44ff3d78fd91c3ca6a2c94991a4c4e17b85109b"),
-        (["nogo", "ks"], NOGO_KS_TEXT),
-        (["nogo", "ks", "--json"], NOGO_KS_JSON),
-        # the bundled configuration named explicitly reads as the default
-        (["nogo", "ks", "--config", "builtin:cabello18"], NOGO_KS_TEXT),
-        (["nogo", "ks", "--config", "builtin:cabello18", "--json"], NOGO_KS_JSON),
-    ] + [
-        (["construct", "--model", "builtin:ex22", "--target", target, "--out", "-"], expected)
-        for target, expected in (
-            ("single-valued", "818a4486ba183868e482fcfef15aa415f946c9712cbf6fd6e96cd585dac1f756"),
-            ("strong-det", "bf008a1fa8865200ae6ac11bfc0408dd5560a169e030f2cf7c76b03dcd05feed"),
-            ("weakdet-lambda-indep", "f010a05b7e80185fc4fbd26105f56377169b36fdd9a30d3b3d424563b011c84a"),
-        )
-    ],
-    ids=" ".join,
+    [pytest.param(argv, expected, id=" ".join(argv)) for argv, expected in PINNED_REPORTS],
 )
 def test_entailment_reports_pinned(argv, expected, capsys):
     assert main(argv) == 0
