@@ -1,18 +1,20 @@
 """Team-semantics evaluator, relational and probabilistic.
 
 Implements the inductive satisfaction clauses exactly, with lax semantics
-throughout: disjunction splits into two covering (possibly overlapping)
-subteams, the existential quantifier ranges over set-valued Skolem
-functions, and the universal quantifier generalises over the team's value
-universe.  Run on a :class:`~teamlogic.teams.ProbTeam`, the same plan
-decides the probabilistic fragment of :mod:`teamlogic.eval_prob`.
+throughout: a disjunction ``a | b | c`` splits into two covering (possibly
+overlapping) subteams, for ``a`` and for ``b | c``, the existential
+quantifier ranges over set-valued Skolem functions, and the universal
+quantifier generalises over the team's value universe.  Run on a
+:class:`~teamlogic.teams.ProbTeam`, the same plan decides the
+probabilistic fragment of :mod:`teamlogic.eval_prob`.
 
 Evaluation compiles, then runs.  :func:`compile` turns formulas into a
 :class:`Plan` over one variable domain, in which each distinct subformula
 is one node, built once: its downward-closure flag, its row predicate or
 atom kernel (over column projections computed at build time) and, for an
-existential, the static half of its search.  A plan is complete when
-:func:`compile` returns, and no run changes it.
+existential, the static half of its search.  A chain of ``&`` or of ``|``
+is one node, and ``E y . E y . φ`` is built as ``E y . φ``.  A plan is
+complete when :func:`compile` returns, and no run changes it.
 :meth:`Plan.run` decides the formulas on one team, each node at most once
 for that team.  :func:`eval_rel` compiles its formula and runs it.
 
@@ -153,7 +155,7 @@ def compile(formulas: Iterable[Formula], domain: Sequence[str], space: Team | No
         # runs read the tests of roots, and of atoms on the run's own team
         masked = [node for (f, d), node in nodes.items() if d == domain and type(f) in (Dep, Indep)]
         for node in (roots + masked) if masks else ():
-            atoms = [c.formula for c in _conjuncts(node)]
+            atoms = [c.formula for c in node.parts] if isinstance(node.formula, And) and node.parts else [node.formula]
             if all(type(atom) in (Dep, Indep) for atom in atoms):
                 tests[node] = masks.test(atoms)
     return Plan(domain, tuple(roots), masks, tests)
@@ -234,9 +236,10 @@ class _Node:
     ``decide(evaluator, team, node)`` applies the node's clause and
     ``closed`` records downward closure (the formula lies in ``FO(dep)``).
     A classical (literal-only) node carries its row predicate ``check``
-    and an atom node its ``kernel``; a connective links its operand nodes,
-    a quantifier its variable and body, and an existential its search
-    ``block``.  Nodes compare by identity.
+    and an atom node its ``kernel``.  Any other connective links its
+    operand nodes as ``parts``: a conjunction its conjuncts, a split its
+    two sides.  A quantifier links its variable and body, and an
+    existential its search ``block``.  Nodes compare by identity.
     """
 
     formula: Formula
@@ -244,8 +247,7 @@ class _Node:
     closed: bool
     check: Callable | None = None
     kernel: Callable | None = None
-    lhs: _Node | None = None
-    rhs: _Node | None = None
+    parts: tuple[_Node, ...] | None = None
     var: str | None = None
     body: _Node | None = None
     block: _Block | None = None
@@ -261,6 +263,8 @@ def _intern(formula: Formula, domain: tuple[str, ...], nodes: dict) -> _Node:
 
 
 def _build(formula: Formula, domain: tuple[str, ...], nodes: dict) -> _Node:
+    """``E y . E y . ψ`` is built as ``E y . ψ``: under lax semantics the inner
+    choice overwrites the outer one, and any nonempty set of values stays reachable."""
     # ``closed`` is is_downward_closed(formula), read off the operand nodes
     match formula:
         case Eq(lhs, rhs):
@@ -272,16 +276,28 @@ def _build(formula: Formula, domain: tuple[str, ...], nodes: dict) -> _Node:
         case Dep() | GenDep() | Indep() | Incl() | NC() | NCC():
             closed = not isinstance(formula, (Indep, Incl))
             return _Node(formula, _decide_atom, closed, kernel=_kernel(formula, domain))
-        case And(lhs, rhs) | Or(lhs, rhs):
-            a, b = _intern(lhs, domain, nodes), _intern(rhs, domain, nodes)
+        case And(parts) | Or(parts):
+            subs = [_intern(part, domain, nodes) for part in parts]
             both = isinstance(formula, And)
-            closed = a.closed and b.closed
-            if a.check and b.check:
-                ca, cb = a.check, b.check
-                check = (lambda row: ca(row) and cb(row)) if both else (lambda row: ca(row) or cb(row))
-                return _Node(formula, _Evaluator.pointwise, closed, check=check)
-            decide = _Evaluator.conj if both else _Evaluator.or_split
-            return _Node(formula, decide, closed, lhs=a, rhs=b)
+            flat = len(subs)  # subs[flat:] are classical
+            while flat and subs[flat - 1].check:
+                flat -= 1
+            if not flat:
+                return _Node(formula, _Evaluator.pointwise, True, check=_fold([s.check for s in subs], both))
+            if both:
+                return _Node(formula, _Evaluator.conj, all(s.closed for s in subs), parts=tuple(subs))
+            # a split takes parts[0] | Or(parts[1:]): the spine of those
+            # splits is built from its classical tail back, one node per split
+            rest = subs[-1] if flat >= len(parts) - 1 else _intern(Or(*parts[flat:]), domain, nodes)
+            for k in reversed(range(min(flat, len(parts) - 1))):
+                split = Or(*parts[k:])
+                node = _Node(split, _Evaluator.or_split, subs[k].closed and rest.closed, parts=(subs[k], rest))
+                rest = nodes.setdefault((split, domain), node)
+            return rest
+        case Exists(var, Exists() as body) if body.var == var:
+            while isinstance(body.body, Exists) and body.body.var == var:
+                body = body.body
+            return _intern(body, domain, nodes)
         case Forall(var, body) | Exists(var, body):
             inner = _intern(body, bind(domain, var)[0], nodes)
             if isinstance(formula, Forall):
@@ -289,6 +305,16 @@ def _build(formula: Formula, domain: tuple[str, ...], nodes: dict) -> _Node:
             block = _Block(var, inner, domain)
             return _Node(formula, _Evaluator.exists, inner.closed, var=var, body=inner, block=block)
     raise InvalidArgumentError(f"unknown formula node {formula!r}")
+
+
+def _fold(checks: list[Callable[[Row], bool]], both: bool) -> Callable[[Row], bool]:
+    """One row predicate for a classical chain: its parts' predicates
+    paired as a balanced tree, so that a chain of ``n`` parts nests about
+    ``log2(n)`` calls deep; up to three parts it is the right fold."""
+    if len(checks) == 1:
+        return checks[0]
+    a, b = _fold(checks[: len(checks) // 2], both), _fold(checks[len(checks) // 2 :], both)
+    return (lambda row: a(row) and b(row)) if both else (lambda row: a(row) or b(row))
 
 
 def _term(term: Term, domain: tuple[str, ...]) -> Callable[[Row], object]:
@@ -523,7 +549,10 @@ class _Evaluator:
         return test(self.bits) if test else node.kernel(self, team)
 
     def conj(self, team: Team, node: _Node) -> bool:
-        return self.eval(team, node.lhs) and self.eval(team, node.rhs)
+        for part in node.parts:
+            if not self.eval(team, part):
+                return False
+        return True
 
     def forall(self, team: Team | ProbTeam, node: _Node) -> bool:
         if not team.rows:
@@ -545,7 +574,7 @@ class _Evaluator:
         _refuse_prob_search(team)
         if not team.rows:
             return True
-        lhs, rhs = node.lhs, node.rhs
+        lhs, rhs = node.parts
         if rhs.check or not lhs.check and lhs.closed and not rhs.closed:
             lhs, rhs = rhs, lhs
         n = len(team.rows)
@@ -816,7 +845,8 @@ class _Block:
         self.variables = tuple(variables)
         self.closed = matrix.closed
         self.filters, self.inclusions, self.constraints, self.residual = [], [], [], []
-        for conj in _conjuncts(matrix):
+        # a classical conjunction is one conjunct, decided by its row predicate
+        for conj in matrix.parts if isinstance(matrix.formula, And) and matrix.parts else (matrix,):
             atom = conj.formula
             if conj.check:
                 self.filters.append(conj.check)
@@ -847,8 +877,8 @@ def _value_symmetric(formula: Formula, var: str) -> bool:
     match formula:
         case Dep() | Indep():
             return True
-        case And(lhs, rhs) | Or(lhs, rhs):
-            return _value_symmetric(lhs, var) and _value_symmetric(rhs, var)
+        case And(parts) | Or(parts):
+            return all(_value_symmetric(part, var) for part in parts)
         case Exists(bound, body) | Forall(bound, body):
             return bound == var or _value_symmetric(body, var)
     return var not in free_vars(formula)
@@ -889,16 +919,6 @@ class _Precedence:
     def undo(self):
         for k in self.trail.pop():
             self.used[k] -= 1
-
-
-def _conjuncts(node: _Node) -> Iterator[_Node]:
-    """The conjuncts of a node, left to right; a classical conjunction
-    stays one conjunct, decided by its row predicate."""
-    if isinstance(node.formula, And) and node.check is None:
-        yield from _conjuncts(node.lhs)
-        yield from _conjuncts(node.rhs)
-    else:
-        yield node
 
 
 class _DepConstraint:

@@ -22,6 +22,8 @@ which are whitespace-separated)::
              | term ('=' | '!=') term
     term    := var | integer | '"' symbol '"'
 
+A chain ``a & b & c`` is one n-ary :class:`And` node, however it is
+bracketed, and likewise for ``|``: both connectives are associative.
 Quantifier bodies extend as far right as possible, so
 ``E l . dep(m1 l, o1) & dep(m2 l, o2)`` binds the whole conjunction.
 ``E`` and ``A`` are reserved words and cannot name variables.  A name
@@ -35,6 +37,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 from .errors import InvalidArgumentError, ParseError
 from .teams import Value
@@ -147,16 +151,27 @@ class NCC(Formula):
     xs: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    lhs: Formula
-    rhs: Formula
+@dataclass(frozen=True, init=False)
+class _Chain(Formula):
+    """A connective over two or more ``parts``, flattened when built: no
+    part is a chain of the same connective, so every way of bracketing a
+    chain builds one node."""
+
+    parts: tuple[Formula, ...]
+
+    def __init__(self, *parts: Formula):
+        flat = tuple(chain.from_iterable(p.parts if type(p) is type(self) else (p,) for p in parts))
+        if len(flat) < 2:
+            raise InvalidArgumentError(f"{type(self).__name__} needs at least two parts, not {len(flat)}")
+        object.__setattr__(self, "parts", flat)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    lhs: Formula
-    rhs: Formula
+class And(_Chain):
+    """Conjunction: every part holds on the team."""
+
+
+class Or(_Chain):
+    """Lax disjunction: sub-teams, one per part, cover the team."""
 
 
 @dataclass(frozen=True)
@@ -175,24 +190,15 @@ ATOM_TYPES = (Eq, Neq, Dep, GenDep, Indep, Incl, NC, NCC)
 
 
 def conjoin(parts) -> Formula:
-    """Right-fold a nonempty sequence into a conjunction."""
-    parts = list(parts)
-    if not parts:
-        raise InvalidArgumentError("cannot conjoin zero formulas")
-    result = parts[-1]
-    for part in reversed(parts[:-1]):
-        result = And(part, result)
-    return result
+    """The conjunction of a nonempty sequence; one part is itself."""
+    parts = tuple(parts)
+    return parts[0] if len(parts) == 1 else And(*parts)
 
 
 def disjoin(parts) -> Formula:
-    parts = list(parts)
-    if not parts:
-        raise InvalidArgumentError("cannot disjoin zero formulas")
-    result = parts[-1]
-    for part in reversed(parts[:-1]):
-        result = Or(part, result)
-    return result
+    """The disjunction of a nonempty sequence; one part is itself."""
+    parts = tuple(parts)
+    return parts[0] if len(parts) == 1 else Or(*parts)
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +210,13 @@ def free_vars(formula: Formula) -> frozenset[str]:
     match formula:
         case Eq(lhs, rhs) | Neq(lhs, rhs):
             return frozenset(t.name for t in (lhs, rhs) if isinstance(t, Var))
-        case Dep(xs, ys) | Incl(xs, ys):
-            return frozenset(xs) | frozenset(ys)
-        case GenDep(x1, x2, y1, y2):
-            return frozenset(x1) | frozenset(x2) | frozenset(y1) | frozenset(y2)
-        case Indep(xs, cond, ys):
-            return frozenset(xs) | frozenset(cond) | frozenset(ys)
         case NC(xs, y):
             return frozenset(xs) | {y}
-        case NCC(xs):
-            return frozenset(xs)
-        case And(lhs, rhs) | Or(lhs, rhs):
-            return free_vars(lhs) | free_vars(rhs)
+        case Dep() | GenDep() | Indep() | Incl() | NCC():
+            # every field of these atoms is a tuple of variables
+            return frozenset(chain.from_iterable(vars(formula).values()))
+        case And(parts) | Or(parts):
+            return frozenset().union(*map(free_vars, parts))
         case Exists(var, body) | Forall(var, body):
             return free_vars(body) - {var}
     raise InvalidArgumentError(f"unknown formula node {formula!r}")
@@ -234,8 +235,8 @@ def is_downward_closed(formula: Formula) -> bool:
     match formula:
         case Indep() | Incl():
             return False
-        case And(lhs, rhs) | Or(lhs, rhs):
-            return is_downward_closed(lhs) and is_downward_closed(rhs)
+        case And(parts) | Or(parts):
+            return all(map(is_downward_closed, parts))
         case Exists(_, body) | Forall(_, body):
             return is_downward_closed(body)
     return True
@@ -267,11 +268,8 @@ def _tuple_neq(xs: tuple[str, ...], ys: tuple[str, ...]) -> Formula:
     return disjoin([Neq(Var(a), Var(b)) for a, b in zip(xs, ys)])
 
 
-def _tuple_eq(xs: tuple[str, ...], ys: tuple[str, ...]) -> Formula:
-    return conjoin([Eq(Var(a), Var(b)) for a, b in zip(xs, ys)])
-
-
 def _flag_block(copies: tuple[str, ...], us: list[str], d1: Formula, d2: Formula, d3: Formula) -> Formula:
+    """``A copies . E us .`` the flags' dependences and the disjuncts they route to."""
     u1, u2, u3 = us
     deps = [Dep(copies, (u,)) for u in us]
     disj = disjoin(
@@ -281,7 +279,12 @@ def _flag_block(copies: tuple[str, ...], us: list[str], d1: Formula, d2: Formula
             conjoin([Neq(Var(u1), Var(u2)), Eq(Var(u2), Var(u3)), d3]),
         ]
     )
-    return conjoin(deps + [disj])
+    body = conjoin(deps + [disj])
+    for u in reversed(us):
+        body = Exists(u, body)
+    for v in reversed(copies):
+        body = Forall(v, body)
+    return body
 
 
 def gendep_defining_formula(atom: GenDep) -> Formula:
@@ -303,19 +306,13 @@ def gendep_defining_formula(atom: GenDep) -> Formula:
     w1 = tuple(_fresh("w", m, taken))
     w2 = tuple(_fresh("ww", m, taken))
     us = _fresh("u", 3, taken)
-    copies = z1 + z2 + w1 + w2
-    body = _flag_block(
-        copies,
+    return _flag_block(
+        z1 + z2 + w1 + w2,
         us,
         _tuple_neq(z1 + w1, atom.x1 + atom.y1),
         _tuple_neq(z2 + w2, atom.x2 + atom.y2),
-        Or(_tuple_neq(z1, z2), _tuple_eq(w1, w2)),
+        Or(_tuple_neq(z1, z2), conjoin([Eq(Var(a), Var(b)) for a, b in zip(w1, w2)])),
     )
-    for u in reversed(us):
-        body = Exists(u, body)
-    for v in reversed(copies):
-        body = Forall(v, body)
-    return body
 
 
 def nc_defining_formula(atom: NC) -> Formula:
@@ -333,23 +330,10 @@ def nc_defining_formula(atom: NC) -> Formula:
     zs = tuple(_fresh("z", k, taken))
     w1, w2 = _fresh("w", 2, taken)
     us = _fresh("u", 3, taken)
-    copies = zs + (w1, w2)
-    third = Or(
-        Eq(Var(w2), Var(w1)),
-        conjoin([Neq(Var(w2), Var(z)) for z in zs]),
+    third = Or(Eq(Var(w2), Var(w1)), conjoin([Neq(Var(w2), Var(z)) for z in zs]))
+    return _flag_block(
+        zs + (w1, w2), us, _tuple_neq(zs + (w1,), atom.xs + (atom.y,)), Neq(Var(w2), Var(atom.y)), third
     )
-    body = _flag_block(
-        copies,
-        us,
-        _tuple_neq(zs + (w1,), atom.xs + (atom.y,)),
-        Neq(Var(w2), Var(atom.y)),
-        third,
-    )
-    for u in reversed(us):
-        body = Exists(u, body)
-    for v in reversed(copies):
-        body = Forall(v, body)
-    return body
 
 
 def ncc_defining_formula(atom: NCC) -> Formula:
@@ -379,14 +363,11 @@ _TOKEN_RE = re.compile(
 )
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind, text, line, column):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
+class _Token(NamedTuple):
+    kind: str
+    text: str
+    line: int
+    column: int
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -654,17 +635,15 @@ def _print(formula: Formula, level: int) -> str:
             return f"nc({_vl(xs)}; {y})"
         case NCC(xs):
             return f"ncc({_vl(xs)})"
-        case And(lhs, rhs):
-            text = f"{_print(lhs, 2)} & {_print(rhs, 1)}"
+        case And(parts):
+            text = " & ".join(_print(part, 2) for part in parts)
             return f"({text})" if level > 1 else text
-        case Or(lhs, rhs):
-            text = f"{_print(lhs, 1)} | {_print(rhs, 0)}"
+        case Or(parts):
+            # only the last disjunct may be a quantifier without parentheses
+            text = " | ".join([_print(part, 1) for part in parts[:-1]] + [_print(parts[-1], 0)])
             return f"({text})" if level > 0 else text
-        case Exists(var, body):
-            text = f"E {var} . {_print(body, 0)}"
-            return f"({text})" if level > 0 else text
-        case Forall(var, body):
-            text = f"A {var} . {_print(body, 0)}"
+        case Exists(var, body) | Forall(var, body):
+            text = f"{'E' if isinstance(formula, Exists) else 'A'} {var} . {_print(body, 0)}"
             return f"({text})" if level > 0 else text
     raise InvalidArgumentError(f"unknown formula node {formula!r}")
 

@@ -70,6 +70,23 @@ class TestEval:
         code, _, err = run_cli("eval", "--team", str(team), "--formula", formula)
         assert code == 2 and err.startswith("error[parse-error]") and "Traceback" not in err
 
+    @pytest.mark.parametrize("text, verdict", [
+        (" & ".join(["dep(x, x)"] * 600), "true"),
+        (" & ".join(["dep(x, x)"] * 5_000), "true"),
+        (" | ".join(["x = y"] * 600), "false"),
+        (" | ".join(["x = y"] * 5_000), "false"),
+        (" | ".join(["dep(x, y)"] * 600), "true"),
+        ("E y . " * 90 + "dep(x, y)", "true"),
+        ("E y . " * 199 + "dep(x, y)", "true"),
+    ], ids=["and-600", "and-5000", "flat-or-600", "flat-or-5000", "split-or-600", "exists-90", "exists-199"])
+    def test_long_chains_and_rebinding_nests_decide(self, tmp_path, text, verdict):
+        # a chain is one node and E y . E y is E y, so none of these
+        # recurses once per connective or quantifier
+        team = tmp_path / "t.json"
+        team.write_text('{"domain": ["x", "y"], "rows": [[0, 1]]}')
+        code, out, err = run_cli("eval", "--team", str(team), "--formula", text)
+        assert (code, out, err) == (0, f"relational verdict: {verdict}\n", "")
+
     @pytest.mark.parametrize("payload", [
         {"domain": ["x"], "rows": [[1]], "weights": ["1/0"]},
         {"domain": ["x"], "rows": [[1]], "weights": ["abc"]},

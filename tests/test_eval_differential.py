@@ -59,6 +59,7 @@ from teamlogic.formulas import (
     Neq,
     Or,
     Var,
+    disjoin,
     free_vars,
     is_downward_closed,
     parse,
@@ -139,21 +140,23 @@ def naive_eval(team: Team, f) -> bool:
                 return True
         return not rows
     if isinstance(f, And):
-        return naive_eval(team, f.lhs) and naive_eval(team, f.rhs)
+        return all(naive_eval(team, part) for part in f.parts)
     if isinstance(f, Or):
+        # a chain splits as its first part | the rest, folded binary
+        first, rest = f.parts[0], disjoin(f.parts[1:])
         if not rows:
             return True
         n = len(rows)
         for lmask in range(1 << n):
             left = Team(domain, (rows[i] for i in range(n) if lmask >> i & 1), team.universe)
-            if not naive_eval(left, f.lhs):
+            if not naive_eval(left, first):
                 continue
             need = ((1 << n) - 1) & ~lmask
             for rmask in range(1 << n):
                 if rmask & need != need:
                     continue
                 right = Team(domain, (rows[i] for i in range(n) if rmask >> i & 1), team.universe)
-                if naive_eval(right, f.rhs):
+                if naive_eval(right, rest):
                     return True
         return False
     if isinstance(f, Forall):
@@ -285,6 +288,22 @@ def test_differential_rebinding():
             inner = random_formula(rng, depth=0, names=("x", "y"))
         f = Exists("x", inner)  # re-quantifies a bound column
         assert eval_rel(team, f) == naive_eval(team, f), (rows, print_formula(f))
+
+
+def test_differential_same_variable_exists():
+    # E q . E q . φ is E q . φ: one node, and the naive clauses, which
+    # quantify twice, agree; also where q re-quantifies a bound column
+    rng = random.Random(2718)
+    space = list(product((0, 1), repeat=2))
+    for round_ in range(30):
+        rows = rng.sample(space, rng.randint(1, 3))
+        team = Team(("x", "y"), rows, universe=(0, 1))
+        for var, names in (("q1", ("x", "y", "q1")), ("x", ("x", "y"))):
+            inner = random_formula(rng, depth=1, quantifiers_left=0, names=names)
+            once, twice = Exists(var, inner), Exists(var, Exists(var, inner))
+            plan = compile([once, twice, Exists(var, twice)], team.domain)
+            assert plan.roots[0] is plan.roots[1] is plan.roots[2]
+            assert eval_rel(team, twice) == naive_eval(team, twice), (rows, print_formula(twice))
 
 
 def test_differential_shared_plans():
@@ -785,7 +804,7 @@ def naive_prob_eval(pt: ProbTeam, f) -> bool:
                 return False
         return True
     if isinstance(f, And):
-        return naive_prob_eval(pt, f.lhs) and naive_prob_eval(pt, f.rhs)
+        return all(naive_prob_eval(pt, part) for part in f.parts)
     if isinstance(f, Forall):
         domain, values = pt.domain, pt.universe
         if f.var in domain:

@@ -94,7 +94,8 @@ class TestPlan:
     def test_shared_subformulas_are_one_node(self):
         plan = compile([parse("dep(x, y) & x _||_ y"), parse("x _||_ y | dep(x, y)")], ("x", "y"))
         conj, disj = plan.roots
-        assert conj.lhs is disj.rhs and conj.rhs is disj.lhs
+        (a, b), (c, d) = conj.parts, disj.parts
+        assert a is d and b is c
 
     def test_budget_bounds_each_formula_afresh(self):
         # each formula fits the budget on its own, their sum does not
@@ -145,7 +146,7 @@ class TestPlan:
                 node = stack.pop()
                 if node not in fields:
                     fields[node] = [getattr(node, f.name) for f in dataclasses.fields(node)]
-                    stack.extend(c for c in (node.lhs, node.rhs, node.body) if c is not None)
+                    stack.extend(c for c in (*(node.parts or ()), node.body) if c is not None)
             masks = plan.masks and (plan.masks.rows.copy(), plan.masks.fields.copy(), plan.masks.grid)
             return fields, plan.masks, masks, plan.tests, plan.tests.copy()
 

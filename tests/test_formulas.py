@@ -65,11 +65,11 @@ class TestParse:
 
     def test_precedence(self):
         f = parse("x = 0 & y = 1 | z = 2")
-        assert isinstance(f, Or) and isinstance(f.lhs, And)
+        assert isinstance(f, Or) and isinstance(f.parts[0], And)
 
     def test_parenthesized_quantifier(self):
         f = parse("(E x . x = 0) & y = 1")
-        assert isinstance(f, And) and isinstance(f.lhs, Exists)
+        assert isinstance(f, And) and isinstance(f.parts[0], Exists)
 
     def test_forall(self):
         assert parse("A x . dep(x, y)") == Forall("x", Dep(("x",), ("y",)))
@@ -179,6 +179,63 @@ class TestClassify:
     ])
     def test_independence_or_inclusion_anywhere_breaks_closure(self, text, closed):
         assert is_downward_closed(parse(text)) is closed
+
+
+def _chains(f):
+    """The And and Or nodes of ``f``, each checked to have no part of its
+    own connective."""
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (And, Or)):
+            assert len(node.parts) >= 2 and not any(type(part) is type(node) for part in node.parts)
+            yield node
+            stack.extend(node.parts)
+        elif isinstance(node, (Exists, Forall)):
+            stack.append(node.body)
+
+
+class TestChains:
+    a, b, c = parse("x = 0"), parse("dep(x, y)"), parse("E z . z <= x")
+
+    def test_and_flattens(self):
+        a, b, c = self.a, self.b, self.c
+        assert And(And(a, b), c) == And(a, And(b, c)) == a & b & c == parse("x = 0 & dep(x, y) & (E z . z <= x)")
+        assert And(And(a, b), c).parts == (a, b, c)
+
+    def test_or_flattens(self):
+        a, b, c = self.a, self.b, self.c
+        assert Or(Or(a, b), c) == Or(a, Or(b, c)) == a | b | c == parse("x = 0 | dep(x, y) | E z . z <= x")
+        assert Or(a, Or(b, c)).parts == (a, b, c)
+        # a chain of the other connective stays one part
+        assert Or(a, And(b, c)).parts == (a, And(b, c))
+
+    def test_loc_h_is_one_conjunction(self):
+        from teamlogic.properties import PropertyName, property_formula
+
+        loc = property_formula(PropertyName.LOC_H, 2)
+        assert isinstance(loc, And) and len(loc.parts) == 4
+        assert all(isinstance(part, Indep) for part in loc.parts)
+
+    def test_left_nested_prints_flat(self):
+        f = And(And(self.a, self.b), self.b)
+        assert print_formula(f) == "x = 0 & dep(x, y) & dep(x, y)"
+        assert parse(print_formula(f)) == f
+
+    @pytest.mark.parametrize("text", [
+        "x = 0 | y = 1 | E z . dep(x, z)",
+        "x = 0 | (E z . dep(x, z)) | y = 1",
+        "(E z . dep(x, z)) | x = 0 & y = 1 | E z . z = 0 | x = 1",
+        "x = 0 & (E z . dep(x, z)) & y = 1",
+        "x = 0 & y = 1 & (E z . dep(x, z) | z = 0)",
+        "(x = 0 | y = 1 | dep(x, y)) & (y = 0 | (A y . y = x) | E y . y = x & x <= y)",
+        "E x . x = 0 | (A y . dep(x, y)) | dep(, x) & (x = 0 | y = 1) & x _||_ y",
+    ])
+    def test_parsed_chains_are_flat_and_print_back(self, text):
+        # only the last disjunct prints a quantifier without parentheses
+        f = parse(text)
+        assert any(len(chain.parts) > 2 for chain in _chains(f))
+        assert print_formula(f) == text
 
 
 class TestDefiningFormulas:
