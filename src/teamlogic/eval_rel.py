@@ -10,11 +10,11 @@ probabilistic fragment of :mod:`teamlogic.eval_prob`.
 
 Evaluation compiles, then runs.  :func:`compile` turns formulas into a
 :class:`Plan` over one variable domain, in which each distinct subformula
-is one node, built once: its downward-closure flag, its row predicate or
-atom kernel (over column projections computed at build time) and, for an
-existential, the static half of its search.  A chain of ``&`` or of ``|``
-is one node, and ``E y . E y . φ`` is built as ``E y . φ``.  A plan is
-complete when :func:`compile` returns, and no run changes it.
+is one node, built once: its downward-closure flag, its generated row
+predicate or atom kernel (over column projections computed at build time)
+and, for an existential, the static half of its search.  A chain of ``&``
+or of ``|`` is one node, and ``E y . E y . φ`` is built as ``E y . φ``.
+A plan is complete when :func:`compile` returns, and no run changes it.
 :meth:`Plan.run` decides the formulas on one team, each node at most once
 for that team.  :func:`eval_rel` compiles its formula and runs it.
 
@@ -37,8 +37,8 @@ values.  Their atom kernel adds a team's rows to a fresh constraint.
 The clauses for disjunction and existential quantification are genuinely
 exponential, so the evaluator leans on four exact reductions:
 
-* classical (literal-only) subformulas are flat and get decided pointwise,
-  one row at a time;
+* a maximal classical (``=``, ``!=``, ``&``, ``|``) subformula is flat,
+  one node decided pointwise by one generated function (:func:`_generate`);
 * a flat disjunct takes every row it holds on, and a downward-closed
   operand needs only a minimal choice (one rule, :func:`_choices`): a
   cover whose right side is closed is a partition, and a Skolem function
@@ -83,8 +83,8 @@ from .formulas import (
     Indep,
     Neq,
     Or,
-    Term,
     Var,
+    disjoin,
     free_vars,
 )
 from .masks import RowMasks
@@ -235,11 +235,12 @@ class _Node:
 
     ``decide(evaluator, team, node)`` applies the node's clause and
     ``closed`` records downward closure (the formula lies in ``FO(dep)``).
-    A classical (literal-only) node carries its row predicate ``check``
+    A maximal classical node carries its generated row predicate ``check``
     and an atom node its ``kernel``.  Any other connective links its
     operand nodes as ``parts``: a conjunction its conjuncts, a split its
     two sides.  A quantifier links its variable and body, and an
-    existential its search ``block``.  Nodes compare by identity.
+    existential its search ``block``, whose matrix is its body.  Nodes
+    compare by identity.
     """
 
     formula: Formula
@@ -267,29 +268,23 @@ def _build(formula: Formula, domain: tuple[str, ...], nodes: dict) -> _Node:
     choice overwrites the outer one, and any nonempty set of values stays reachable."""
     # ``closed`` is is_downward_closed(formula), read off the operand nodes
     match formula:
-        case Eq(lhs, rhs):
-            a, b = _term(lhs, domain), _term(rhs, domain)
-            return _Node(formula, _Evaluator.pointwise, True, check=lambda row: a(row) == b(row))
-        case Neq(lhs, rhs):
-            a, b = _term(lhs, domain), _term(rhs, domain)
-            return _Node(formula, _Evaluator.pointwise, True, check=lambda row: a(row) != b(row))
+        case Eq() | Neq() | And() | Or() if _classical(formula):
+            return _Node(formula, _Evaluator.pointwise, True, check=_generate("row", partial(_source, formula, domain)))
         case Dep() | GenDep() | Indep() | Incl() | NC() | NCC():
             closed = not isinstance(formula, (Indep, Incl))
             return _Node(formula, _decide_atom, closed, kernel=_kernel(formula, domain))
-        case And(parts) | Or(parts):
-            subs = [_intern(part, domain, nodes) for part in parts]
-            both = isinstance(formula, And)
-            flat = len(subs)  # subs[flat:] are classical
-            while flat and subs[flat - 1].check:
-                flat -= 1
-            if not flat:
-                return _Node(formula, _Evaluator.pointwise, True, check=_fold([s.check for s in subs], both))
-            if both:
-                return _Node(formula, _Evaluator.conj, all(s.closed for s in subs), parts=tuple(subs))
+        case And(parts):
+            subs = tuple(_intern(part, domain, nodes) for part in parts)
+            return _Node(formula, _Evaluator.conj, all(s.closed for s in subs), parts=subs)
+        case Or(parts):
             # a split takes parts[0] | Or(parts[1:]): the spine of those
             # splits is built from its classical tail back, one node per split
-            rest = subs[-1] if flat >= len(parts) - 1 else _intern(Or(*parts[flat:]), domain, nodes)
-            for k in reversed(range(min(flat, len(parts) - 1))):
+            cut = len(parts) - 1  # parts[cut:], one part or a classical tail
+            while _classical(parts[cut]) and _classical(parts[cut - 1]):
+                cut -= 1
+            subs = [_intern(part, domain, nodes) for part in parts[:cut]]
+            rest = _intern(disjoin(parts[cut:]), domain, nodes)
+            for k in reversed(range(cut)):
                 split = Or(*parts[k:])
                 node = _Node(split, _Evaluator.or_split, subs[k].closed and rest.closed, parts=(subs[k], rest))
                 rest = nodes.setdefault((split, domain), node)
@@ -298,30 +293,62 @@ def _build(formula: Formula, domain: tuple[str, ...], nodes: dict) -> _Node:
             while isinstance(body.body, Exists) and body.body.var == var:
                 body = body.body
             return _intern(body, domain, nodes)
-        case Forall(var, body) | Exists(var, body):
+        case Forall(var, body):
             inner = _intern(body, bind(domain, var)[0], nodes)
-            if isinstance(formula, Forall):
-                return _Node(formula, _Evaluator.forall, inner.closed, var=var, body=inner)
-            block = _Block(var, inner, domain)
-            return _Node(formula, _Evaluator.exists, inner.closed, var=var, body=inner, block=block)
+            return _Node(formula, _Evaluator.forall, inner.closed, var=var, body=inner)
+        case Exists(var, body):
+            block = _Block(var, body, domain, nodes)
+            return _Node(formula, _Evaluator.exists, block.closed, var=var, body=block.matrix, block=block)
     raise InvalidArgumentError(f"unknown formula node {formula!r}")
 
 
-def _fold(checks: list[Callable[[Row], bool]], both: bool) -> Callable[[Row], bool]:
-    """One row predicate for a classical chain: its parts' predicates
-    paired as a balanced tree, so that a chain of ``n`` parts nests about
-    ``log2(n)`` calls deep; up to three parts it is the right fold."""
-    if len(checks) == 1:
-        return checks[0]
-    a, b = _fold(checks[: len(checks) // 2], both), _fold(checks[len(checks) // 2 :], both)
-    return (lambda row: a(row) and b(row)) if both else (lambda row: a(row) or b(row))
+#: Chains nest at most this deep in one generated function: CPython's parser fails near 200.
+_NEST = 32
 
 
-def _term(term: Term, domain: tuple[str, ...]) -> Callable[[Row], object]:
-    if isinstance(term, Var):
-        return _project(positions(domain, (term.name,)))
-    value = term.value
-    return lambda row: value
+def _classical(formula: Formula) -> bool:
+    """Whether ``formula`` is built from ``=`` and ``!=`` by ``&`` and ``|`` alone."""
+    return isinstance(formula, (Eq, Neq)) or isinstance(formula, (And, Or)) and all(map(_classical, formula.parts))
+
+
+def _source(formula: Formula, domain: tuple[str, ...], names: dict, depth: int = 0) -> str:
+    """The source of a classical formula's truth on ``row``.  Its constants,
+    and its chains ``_NEST`` deep as generated functions, enter ``names``."""
+    if isinstance(formula, (Eq, Neq)):
+        sides = []
+        for term in (formula.lhs, formula.rhs):
+            if isinstance(term, Var):
+                sides.append(f"row[{positions(domain, (term.name,))[0]}]")
+            else:
+                value_key(term.value)  # refuses a constant that no team can hold
+                sides.append(f"c{len(names)}")
+                names[sides[-1]] = term.value
+        return (" == " if isinstance(formula, Eq) else " != ").join(sides)
+    if depth == _NEST:
+        names[f"f{len(names)}"] = _generate("row", partial(_source, formula, domain))
+        return f"f{len(names) - 1}(row)"
+    joint = " and " if isinstance(formula, And) else " or "
+    return "(" + joint.join(_source(part, domain, names, depth + 1) for part in formula.parts) + ")"
+
+
+def _row_test(filters: list[Formula], inclusions: list, source, domain: tuple[str, ...]) -> Callable | None:
+    """The factory, given the value sets of ``inclusions``, of the generated
+    test that a row satisfies ``filters`` and that its left side values lie
+    in each set but the ``source``'s; None when that tests nothing."""
+    tested = [(j, "(" + "".join(f"row[{p}], " for p in left) + ")")
+              for j, (left, *_) in enumerate(inclusions) if j != source]
+    if not filters and not tested:
+        return None
+    return _generate(", ".join(f"a{j}" for j in range(len(inclusions))), lambda names: "lambda row: " + " and ".join(
+        [_source(f, domain, names) for f in filters] + [f"{values} in a{j}" for j, values in tested]
+    ))
+
+
+def _generate(params: str, body: Callable[[dict], str]) -> Callable:
+    """``lambda params: body(names)``, the one code generator: its globals
+    hold no builtins, only what ``body`` names, so no constant is a ``repr``."""
+    names = {"__builtins__": {}}
+    return eval(f"lambda {params}: {body(names)}", names)
 
 
 def _project(pos: tuple[int, ...]) -> Callable[[Row], object]:
@@ -621,8 +648,7 @@ class _Evaluator:
         allowed = [set(map(right, team.rows)) for _, right, _ in inclusions]
         # the smallest covering inclusion (the first of equals) generates
         # the choices, and so needs no test of its own
-        covering = [j for j, (_, _, cover) in enumerate(inclusions) if cover]
-        source = min(covering, key=lambda j: len(allowed[j])) if covering else None
+        source = None if None in block.tests else min(block.tests, key=lambda j: len(allowed[j]))
         if source is None:
             # every row takes the whole product, so the first row's tick
             # would refuse it: refuse it before it is built
@@ -631,17 +657,14 @@ class _Evaluator:
         else:
             reads, *layout = inclusions[source][2]
             table = _candidate_table(allowed[source], *layout)
-        tests = block.filters + [
-            lambda ext, left=left, allowed=allowed[j]: left(ext) in allowed
-            for j, (left, _, _) in enumerate(inclusions) if j != source
-        ]
+        test = block.tests[source] and block.tests[source](*allowed)
         candidates: list[list[Row]] = []
         for row in team.rows:
             choices = table.get(tuple(row[p] for p in reads), ())
             self.tick(len(choices))
             cands = [extend(row, choice) for choice in choices]
-            if tests:
-                cands = [ext for ext in cands if all(test(ext) for test in tests)]
+            if test:
+                cands = list(filter(test, cands))
             if not cands:
                 return False
             candidates.append(cands)
@@ -795,9 +818,10 @@ def _refuse_prob_search(team: Team | ProbTeam):
 class _Block:
     """The static half of an existential search, compiled once: the block
     of variables it quantifies together, how a row is extended by a choice
-    of their values, whether the matrix is downward closed, and the
-    matrix's conjuncts sorted into row tests (``filters``), inclusions,
-    incremental constraints and residual nodes.
+    of their values, the ``matrix`` node and whether it is downward closed,
+    and the matrix's conjuncts sorted into row tests (``tests``, one
+    :func:`_row_test` per candidate source), inclusions, incremental
+    constraints and residual nodes.
 
     An inclusion's right side reads no block variable, so it has one value
     set on a team.  When its left side reads every block position, its
@@ -824,32 +848,36 @@ class _Block:
     ``x2`` keys."""
 
     __slots__ = (
-        "variables", "ext_domain", "extend", "filters", "inclusions", "constraints",
+        "variables", "ext_domain", "extend", "matrix", "tests", "inclusions", "constraints",
         "residual", "residual_dc", "closed", "symmetric", "signature", "whole",
     )
 
-    def __init__(self, var: str, body: _Node, domain: tuple[str, ...]):
-        variables, matrix = [var], body
+    def __init__(self, var: str, body: Formula, domain: tuple[str, ...], nodes: dict):
+        variables = [var]
         if var in domain:
             # re-quantification of a bound column
             self.ext_domain, put = bind(domain, var)
             block = positions(domain, variables)
             self.extend = lambda row, choice: put(row, choice[0])
         else:
-            while isinstance(matrix.formula, Exists) and matrix.var not in domain and matrix.var not in variables:
-                variables.append(matrix.var)
-                matrix = matrix.body
+            # nested E's join the block unbuilt, E y . E y . ψ as E y . ψ
+            while isinstance(body, Exists) and body.var not in domain and body.var not in variables:
+                variables.append(body.var)
+                body = body.body
+                while isinstance(body, Exists) and body.var == variables[-1]:
+                    body = body.body
             self.ext_domain = domain + tuple(variables)
             block = tuple(range(len(domain), len(self.ext_domain)))
             self.extend = lambda row, choice: row + choice
+        self.matrix = matrix = _intern(body, self.ext_domain, nodes)
         self.variables = tuple(variables)
         self.closed = matrix.closed
-        self.filters, self.inclusions, self.constraints, self.residual = [], [], [], []
-        # a classical conjunction is one conjunct, decided by its row predicate
+        self.inclusions, self.constraints, self.residual, filters = [], [], [], []
+        # a classical conjunction is one conjunct, a filter
         for conj in matrix.parts if isinstance(matrix.formula, And) and matrix.parts else (matrix,):
             atom = conj.formula
             if conj.check:
-                self.filters.append(conj.check)
+                filters.append(atom)
             elif isinstance(atom, Incl) and not set(atom.ys) & set(variables):
                 xpos = positions(self.ext_domain, atom.xs)
                 cover = None
@@ -857,11 +885,13 @@ class _Block:
                     outer = tuple(i for i, p in enumerate(xpos) if p not in block)
                     same = tuple((i, xpos.index(p)) for i, p in enumerate(xpos) if p in block and xpos.index(p) < i)
                     cover = (tuple(xpos[i] for i in outer), outer, tuple(map(xpos.index, block)), same)
-                self.inclusions.append((_tuples(xpos), _tuples(positions(domain, atom.ys)), cover))
+                self.inclusions.append((xpos, _tuples(positions(domain, atom.ys)), cover))
             elif type(atom) in _CONSTRAINTS:
                 self.constraints.append(partial(_CONSTRAINTS[type(atom)], self.ext_domain, atom))
             else:
                 self.residual.append(conj)
+        sources = [j for j, (*_, cover) in enumerate(self.inclusions) if cover] or [None]
+        self.tests = {j: _row_test(filters, self.inclusions, j, self.ext_domain) for j in sources}
         self.residual_dc = all(c.closed for c in self.residual)
         self.symmetric = () if var in domain or not self.closed else positions(self.ext_domain, tuple(
             v for v in variables if _value_symmetric(matrix.formula, v)

@@ -18,6 +18,14 @@ from teamlogic.sampling import random_empirical_model, random_local_witness
 from teamlogic.teams import Team
 
 
+def _alternating(c: int) -> str:
+    """A classical formula whose ``&`` and ``|`` chains alternate 199 deep."""
+    s = "x = y"
+    for k in range(199):
+        s = f"x = {c} {'&' if k % 2 else '|'} ({s})"
+    return s
+
+
 def run_cli(*argv):
     proc = subprocess.run(
         [sys.executable, "-m", "teamlogic.cli", *argv],
@@ -78,10 +86,17 @@ class TestEval:
         (" | ".join(["dep(x, y)"] * 600), "true"),
         ("E y . " * 90 + "dep(x, y)", "true"),
         ("E y . " * 199 + "dep(x, y)", "true"),
-    ], ids=["and-600", "and-5000", "flat-or-600", "flat-or-5000", "split-or-600", "exists-90", "exists-199"])
+        (_alternating(0), "true"),
+        (_alternating(1), "false"),
+    ], ids=[
+        "and-600", "and-5000", "flat-or-600", "flat-or-5000", "split-or-600", "exists-90", "exists-199",
+        "alternating-199-true", "alternating-199-false",
+    ])
     def test_long_chains_and_rebinding_nests_decide(self, tmp_path, text, verdict):
         # a chain is one node and E y . E y is E y, so none of these
-        # recurses once per connective or quantifier
+        # recurses once per connective or quantifier; a classical formula
+        # nested 199 chains deep compiles to one row predicate whose
+        # source stays within the Python parser's nesting
         team = tmp_path / "t.json"
         team.write_text('{"domain": ["x", "y"], "rows": [[0, 1]]}')
         code, out, err = run_cli("eval", "--team", str(team), "--formula", text)

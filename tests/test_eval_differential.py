@@ -460,6 +460,90 @@ def test_differential_tuple_valued_single_columns(formula):
         assert eval_rel(team, formula) == naive_eval(team, formula), team.rows
 
 
+#: Constants of every admissible value type, which a generated predicate
+#: must take as values, not as source: strings that would end, escape or
+#: break a quoted literal or inject code, ints past a machine word, a
+#: Fraction and one equal to the int 2, and nested tuples.
+GENERATED_CONSTANTS = (
+    'say "a"', "back\\slash", "two\nlines", '") or True or ("', -3, 2**70,
+    Fraction(1, 2), Fraction(2, 1), 2, ((0, "a"), ()), (("\\",), 2**70),
+)
+
+#: The team values: Fraction(2, 1) is the int 2 in a team.
+GENERATED_VALUES = tuple(v for v in GENERATED_CONSTANTS if type(v) is not Fraction or v.denominator != 1)
+
+
+def random_classical(rng, depth, names):
+    if depth == 0 or rng.random() < 0.3:
+        lhs = Var(rng.choice(names))
+        rhs = Var(rng.choice(names)) if rng.random() < 0.25 else Const(rng.choice(GENERATED_CONSTANTS))
+        if rng.random() < 0.5:
+            lhs, rhs = rhs, lhs
+        return (Eq if rng.random() < 0.5 else Neq)(lhs, rhs)
+    parts = [random_classical(rng, depth - 1, names) for _ in range(rng.randint(2, 3))]
+    return (And if rng.random() < 0.5 else Or)(*parts)
+
+
+def flat_holds(row, domain, f) -> bool:
+    """A classical formula on one row, by the Tarski clauses."""
+    if isinstance(f, (Eq, Neq)):
+        return _tarski(row, domain, f)
+    return (all if isinstance(f, And) else any)(flat_holds(row, domain, part) for part in f.parts)
+
+
+def naive_block(team, f) -> bool:
+    """``naive_eval`` of ``E q . ψ`` for a conjunction ``ψ`` of inclusions
+    and classical formulas, whose splits over an extension's many rows
+    are too many to enumerate: it decides the classical conjuncts row by
+    row, as the other shells check against ``naive_eval``."""
+    values = team.universe
+    images = [c for size in range(1, len(values) + 1) for c in combinations(values, size)]
+    for choice in product(images, repeat=len(team.rows)):
+        ext = team.skolem_extend(f.var, dict(zip(team.assignments(), choice)))
+        if all(
+            naive_eval(ext, part) if isinstance(part, Incl) else all(flat_holds(r, ext.domain, part) for r in ext.rows)
+            for part in f.body.parts
+        ):
+            return True
+    return False
+
+
+def _block_shell(second):
+    def shell(rng):
+        return Exists("q", And(random_classical(rng, 2, VARS + ("q",)), Incl(("q",), ("x",)), second))
+
+    return shell
+
+
+#: Where a classical formula is decided, with its oracle: alone and as a
+#: split's flat side, also in a two-part classical tail; and as the row
+#: test of an existential block, beside an inclusion that sources the
+#: candidates and one tested per candidate, which reads the block or not.
+GENERATED_SHELLS = (
+    (lambda rng: random_classical(rng, 2, VARS), naive_eval),
+    (lambda rng: Or(random_classical(rng, 2, VARS), Dep(("x",), ("y",))), naive_eval),
+    (lambda rng: Or(Dep(("y",), ("z",)), random_classical(rng, 1, VARS), random_classical(rng, 1, VARS)), naive_eval),
+    (_block_shell(Incl(("z",), ("y",))), naive_block),
+    (_block_shell(Incl(("q",), ("z",))), naive_block),
+)
+
+
+@pytest.mark.parametrize("shell", range(len(GENERATED_SHELLS)))
+def test_differential_generated_predicates(shell):
+    build, oracle = GENERATED_SHELLS[shell]
+    rng = random.Random(shell)
+    verdicts = set()
+    for _ in range(60):
+        values = rng.sample(GENERATED_VALUES, 3)
+        rows = [tuple(rng.choice(values) for _ in VARS) for _ in range(rng.randint(1, 3))]
+        team = Team(VARS, rows, universe=values)
+        formula = build(rng)
+        verdict = eval_rel(team, formula)
+        assert verdict == oracle(team, formula), (rows, print_formula(formula))
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 #: Existential blocks, each with the variables that its search tries in
 #: value-precedence order: closed blocks whose variables occur only in
 #: ``dep`` and ``_||_`` atoms, also under ``|``, ``A`` and a nested ``E``

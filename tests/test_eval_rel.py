@@ -3,13 +3,13 @@ import gc
 import importlib
 import random
 import weakref
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 
 from teamlogic.datasets import load_bundled
 from teamlogic.entailment import assignment_space, enumerate_teams, verify_separations
-from teamlogic.errors import BudgetExceededError, DomainError
+from teamlogic.errors import BudgetExceededError, DomainError, InvalidArgumentError
 from teamlogic.eval_rel import (
     _CONSTRAINTS,
     DEFAULT_BUDGET,
@@ -24,11 +24,17 @@ from teamlogic.eval_rel import (
 from teamlogic.formulas import (
     NC,
     NCC,
+    Const,
     Dep,
+    Eq,
+    Exists,
     GenDep,
     Incl,
     Indep,
+    Neq,
+    Var,
     free_vars,
+    gendep_defining_formula,
     is_downward_closed,
     parse,
 )
@@ -203,6 +209,40 @@ class TestPlan:
             # each root asked twice, as a covered root is decided each time
             assert [verdict(i) for i in range(roots)] == [verdict(i) for i in range(roots)]
             assert built == [team] * searches
+
+    def test_code_is_generated_by_compile_alone(self, monkeypatch):
+        # a plan is complete when compile returns: the gendep defining
+        # formula generates one predicate for its one maximal classical
+        # subformula, the flag disjunction, and one row test for the one
+        # variant of its block, which no inclusion covers; runs generate none
+        module = importlib.import_module("teamlogic.eval_rel")
+        calls = []
+        generate = module._generate
+        monkeypatch.setattr(module, "_generate", lambda *args: calls.append(args[0]) or generate(*args))
+        atom = GenDep(("x1",), ("x2",), ("y1",), ("y2",))
+        domain = ("x1", "x2", "y1", "y2")
+        plan = compile([gendep_defining_formula(atom)], domain)
+        assert calls == ["row", ""]
+        teams = list(islice(enumerate_teams([(v, [0, 1]) for v in domain], 3, nonempty=False), 100))
+        verdicts = [plan.run(team)(0) for team in teams]
+        assert calls == ["row", ""]
+        assert verdicts == [eval_atom_rel(team, atom) for team in teams] and set(verdicts) == {True, False}
+
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_compile_refuses_a_constant_no_team_can_hold(self, value):
+        # 1 == True == 1.0, so such a constant would decide against the
+        # value 1; a team refuses both values
+        with pytest.raises(InvalidArgumentError):
+            T(("x",), [(value,)])
+        for formula in (
+            Eq(Var("x"), Const(value)),
+            Neq(Const(value), Var("x")) | Dep(("x",), ("x",)),
+            Exists("q", Incl(("q",), ("x",)) & Eq(Var("q"), Const(value))),
+        ):
+            with pytest.raises(InvalidArgumentError):
+                compile([formula], ("x",))
+            with pytest.raises(InvalidArgumentError):
+                eval_rel(T(("x",), [(1,)]), formula)
 
     def test_evaluation_keeps_no_formula_alive(self):
         # nothing outlives a call: neither the plan nor a cache of
