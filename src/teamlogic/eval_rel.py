@@ -1,8 +1,8 @@
 """Team-semantics evaluator, relational and probabilistic.
 
 Implements the inductive satisfaction clauses exactly, with lax semantics
-throughout: a disjunction ``a | b | c`` splits into two covering (possibly
-overlapping) subteams, for ``a`` and for ``b | c``, the existential
+throughout: a disjunction ``a | b | c`` holds when three (possibly
+overlapping) subteams, one per disjunct, cover the team, the existential
 quantifier ranges over set-valued Skolem functions, and the universal
 quantifier generalises over the team's value universe.  Run on a
 :class:`~teamlogic.teams.ProbTeam`, the same plan decides the
@@ -21,13 +21,12 @@ for that team.  :func:`eval_rel` compiles its formula and runs it.
 A plan compiled over an assignment space (a sweep's plan) also holds one
 packed int per space row, with the class bits of each ``dep`` and ``_||_``
 atom over the plan's domain (:mod:`teamlogic.masks`).  A run ORs its
-team's row ints once and decides such an atom, or a conjunction of them,
-on that team by one test, with no search state when it is a root.  The
-atom kernels, which read the rows, decide everything else: a
-:class:`~teamlogic.teams.ProbTeam`, whose ``_||_`` is stochastic; the
-sub-teams and extensions that splits and quantifiers build; a team with a
-row outside the space; plans without a space; and spaces whose masks
-would exceed :data:`~teamlogic.masks.MASK_BITS`.
+team's row ints once and decides a root that is such an atom, or a
+conjunction of them, by one test, with no search state.  The atom
+kernels, which read the rows, decide everything else: any other root and
+its subformulas; a :class:`~teamlogic.teams.ProbTeam`, whose ``_||_`` is
+stochastic; a team with a row outside the space; plans without a space;
+and spaces whose masks would exceed :data:`~teamlogic.masks.MASK_BITS`.
 
 Generalized dependence and ``nc`` share one definition, the incremental
 constraint that an existential search keeps: ``nc(xs; y)`` is the
@@ -39,10 +38,10 @@ exponential, so the evaluator leans on four exact reductions:
 
 * a maximal classical (``=``, ``!=``, ``&``, ``|``) subformula is flat,
   one node decided pointwise by one generated function (:func:`_generate`);
-* a flat disjunct takes every row it holds on, and a downward-closed
-  operand needs only a minimal choice (one rule, :func:`_choices`): a
-  cover whose right side is closed is a partition, and a Skolem function
-  for a closed matrix is single-valued;
+* the flat disjuncts of a chain are one part, which takes every row it
+  holds on, and a downward-closed operand needs only a minimal choice
+  (one rule, :func:`_choices`): a cover by closed disjuncts is a
+  partition, and a Skolem function for a closed matrix is single-valued;
 * an existential block is compiled once into row tests (flat conjuncts,
   and inclusions whose right side reads no block variable), incremental
   constraints (dependence-family atoms) and the grouping of rows into
@@ -136,8 +135,7 @@ def compile(formulas: Iterable[Formula], domain: Sequence[str], space: Team | No
     ``dep`` and ``_||_`` atoms over ``domain`` into one mask per space
     row (see :mod:`teamlogic.masks`), unless they would take more than
     :data:`~teamlogic.masks.MASK_BITS` bits, with a test on an OR of
-    masks of each such atom, and of each root that is a conjunction of
-    them.
+    masks of each root that is such an atom or a conjunction of them.
     """
     domain = tuple(domain)
     nodes: dict = {}
@@ -152,9 +150,7 @@ def compile(formulas: Iterable[Formula], domain: Sequence[str], space: Team | No
         if space.domain != domain:
             raise DomainError(f"space domain {space.domain} differs from plan domain {domain}")
         masks = RowMasks.build(domain, space.rows, (f for f, d in nodes if d == domain))
-        # runs read the tests of roots, and of atoms on the run's own team
-        masked = [node for (f, d), node in nodes.items() if d == domain and type(f) in (Dep, Indep)]
-        for node in (roots + masked) if masks else ():
+        for node in roots if masks else ():
             atoms = [c.formula for c in node.parts] if isinstance(node.formula, And) and node.parts else [node.formula]
             if all(type(atom) in (Dep, Indep) for atom in atoms):
                 tests[node] = masks.test(atoms)
@@ -189,8 +185,8 @@ class Plan:
     """Formulas compiled by :func:`compile` for teams over one variable
     domain: ``roots`` holds the node of each formula, in order, ``masks``
     the row masks of the assignment space it was compiled over, if any,
-    and ``tests`` the test, on an OR of masks, of each masked atom and each
-    root that is a conjunction of them.  Runs on different teams may share a plan."""
+    and ``tests`` the test, on an OR of masks, of each root that is a masked
+    atom or a conjunction of them.  Runs on different teams may share a plan."""
 
     domain: tuple[str, ...]
     roots: tuple[_Node, ...]
@@ -211,9 +207,7 @@ class Plan:
         if team.domain != self.domain:
             raise DomainError(f"team domain {team.domain} differs from plan domain {self.domain}")
         budget = budget or DEFAULT_BUDGET
-        bits = None  # a ProbTeam's _||_ stays stochastic
-        if isinstance(team, Team):
-            bits = self.masks and self.masks.of(team)
+        bits = self.masks.of(team) if self.masks and isinstance(team, Team) else None
         roots, tests = self.roots, {} if bits is None else self.tests
         evaluator = None
 
@@ -223,7 +217,7 @@ class Plan:
             if test:
                 return test(bits)
             if evaluator is None:
-                evaluator = _Evaluator(budget, team, tests, bits)
+                evaluator = _Evaluator(budget, team)
             return evaluator.root(roots[i])
 
         return verdict
@@ -237,10 +231,10 @@ class _Node:
     ``closed`` records downward closure (the formula lies in ``FO(dep)``).
     A maximal classical node carries its generated row predicate ``check``
     and an atom node its ``kernel``.  Any other connective links its
-    operand nodes as ``parts``: a conjunction its conjuncts, a split its
-    two sides.  A quantifier links its variable and body, and an
-    existential its search ``block``, whose matrix is its body.  Nodes
-    compare by identity.
+    operand nodes as ``parts``: a conjunction its conjuncts, a disjunction
+    its disjuncts in the order the split search takes them (:func:`_build`).
+    A universal links its variable and body, and an existential its
+    variable and search ``block``.  Nodes compare by identity.
     """
 
     formula: Formula
@@ -277,18 +271,15 @@ def _build(formula: Formula, domain: tuple[str, ...], nodes: dict) -> _Node:
             subs = tuple(_intern(part, domain, nodes) for part in parts)
             return _Node(formula, _Evaluator.conj, all(s.closed for s in subs), parts=subs)
         case Or(parts):
-            # a split takes parts[0] | Or(parts[1:]): the spine of those
-            # splits is built from its classical tail back, one node per split
-            cut = len(parts) - 1  # parts[cut:], one part or a classical tail
-            while _classical(parts[cut]) and _classical(parts[cut - 1]):
-                cut -= 1
-            subs = [_intern(part, domain, nodes) for part in parts[:cut]]
-            rest = _intern(disjoin(parts[cut:]), domain, nodes)
-            for k in reversed(range(cut)):
-                split = Or(*parts[k:])
-                node = _Node(split, _Evaluator.or_split, subs[k].closed and rest.closed, parts=(subs[k], rest))
-                rest = nodes.setdefault((split, domain), node)
-            return rest
+            # one flat part of the classical disjuncts, then the parts that
+            # are not downward closed, then the closed ones
+            flat, rest = [], []
+            for part in parts:
+                (flat if _classical(part) else rest).append(part)
+            subs = sorted((_intern(part, domain, nodes) for part in rest), key=lambda s: s.closed)
+            if flat:
+                subs.insert(0, _intern(disjoin(flat), domain, nodes))
+            return _Node(formula, _Evaluator.or_split, all(s.closed for s in subs), parts=tuple(subs))
         case Exists(var, Exists() as body) if body.var == var:
             while isinstance(body.body, Exists) and body.body.var == var:
                 body = body.body
@@ -298,7 +289,7 @@ def _build(formula: Formula, domain: tuple[str, ...], nodes: dict) -> _Node:
             return _Node(formula, _Evaluator.forall, inner.closed, var=var, body=inner)
         case Exists(var, body):
             block = _Block(var, body, domain, nodes)
-            return _Node(formula, _Evaluator.exists, block.closed, var=var, body=block.matrix, block=block)
+            return _Node(formula, _Evaluator.exists, block.closed, var=var, block=block)
     raise InvalidArgumentError(f"unknown formula node {formula!r}")
 
 
@@ -517,16 +508,13 @@ def depth_first(depth: int, level: Callable[[int], Iterator[bool]]) -> Iterator[
 
 class _Evaluator:
     """The search state of one run on one team: the verdicts of the nodes
-    decided on that team itself, the plan's ``tests`` and the team's OR of
-    row masks ``bits``, when the masks cover it, and, for the verdict being
-    decided, the memo of verdicts on the subteams and extensions that
-    searches build and the node count that the budget bounds with it."""
+    decided on that team itself and, for the verdict being decided, the
+    memo of verdicts on the subteams and extensions that searches build
+    and the node count that the budget bounds with it."""
 
-    def __init__(self, budget: EvalBudget, team: Team | ProbTeam, tests: dict | None = None, bits: int | None = None):
+    def __init__(self, budget: EvalBudget, team: Team | ProbTeam):
         self.budget = budget
         self.team = team
-        self.tests = tests
-        self.bits = bits
         self.verdicts: dict = {}
         self.nodes = 0
         self.memo: dict = {}
@@ -562,8 +550,7 @@ class _Evaluator:
         key = (node, team)
         hit = self.memo.get(key)
         if hit is None:
-            hit = self.eval(team, node)
-            self.memo[key] = hit
+            hit = self.memo[key] = self.eval(team, node)
             self.tick(0)
         return hit
 
@@ -571,9 +558,7 @@ class _Evaluator:
         return all(map(node.check, team.rows))
 
     def atom(self, team: Team | ProbTeam, node: _Node) -> bool:
-        # a sub-team that a split or a quantifier builds has no mask
-        test = self.tests and team is self.team and self.tests.get(node)
-        return test(self.bits) if test else node.kernel(self, team)
+        return node.kernel(self, team)
 
     def conj(self, team: Team, node: _Node) -> bool:
         for part in node.parts:
@@ -590,49 +575,59 @@ class _Evaluator:
     # -- disjunction -----------------------------------------------------
 
     def or_split(self, team: Team, node: _Node) -> bool:
-        """Search the covers of ``team`` by a left and a right sub-team.
+        """Search the covers of ``team`` by one sub-team per part.
 
-        A flat side goes on the left, else a downward-closed side on the
-        right.  A flat left side has one candidate, the rows it holds on
-        (flat formulas are closed under unions and subsets); any other has
-        each proper, nonempty sub-team it holds on, once neither side
-        holds on the whole team.  The right team is the rest of the team
-        plus a choice of the left's rows."""
+        Level ``k`` chooses the rows of ``teams[k]`` that ``parts[k]``
+        covers: the one mask of rows a flat part holds on (flat formulas
+        are closed under unions and subsets), else each mask the part
+        holds on, the whole team first and the empty one next.  The later
+        parts must cover ``teams[k + 1]``, the rest plus a choice of the
+        chosen rows, none when ``parts[k + 1]``, and so each later part, is
+        closed.  The last part is decided inside the level before it, and
+        a team that no suffix covers is memoized as ``(node, k, team)``."""
         _refuse_prob_search(team)
         if not team.rows:
             return True
-        lhs, rhs = node.parts
-        if rhs.check or not lhs.check and lhs.closed and not rhs.closed:
-            lhs, rhs = rhs, lhs
-        n = len(team.rows)
-        full = (1 << n) - 1
-        if lhs.check:
-            held = sum(1 << i for i, row in enumerate(team.rows) if lhs.check(row))
-            if held == full:
-                return True
-            lefts = (held,)
-        elif self.memo_eval(team, lhs) or self.memo_eval(team, rhs):
-            return True
-        else:
-            lefts = range(1, full)
-        for mask in lefts:
-            self.tick()
-            if lhs.check or self.memo_eval(self._subteam(team, mask), lhs):
-                # _choices takes none of them for a closed right side
-                free = () if rhs.closed else [1 << i for i in range(n) if mask >> i & 1]
-                for extra in _choices(free, 0, rhs.closed):
+        parts = node.parts
+        teams = [team] * len(parts)
+
+        def level(k: int) -> Iterator[bool]:
+            sub, part, closed = teams[k], parts[k], parts[k + 1].closed
+            if k and (node, k, sub) in self.memo:
+                return
+            rows, last = sub.rows, parts[-1] if k + 2 == len(parts) else None
+            full = (1 << len(rows)) - 1
+
+            def team_of(mask: int) -> Team:
+                # the rows whose bits are set, in row order; ``sub`` for all
+                return sub if mask == full else sub._sub([row for i, row in enumerate(rows) if mask >> i & 1])
+
+            if part.check:
+                lefts = (sum(1 << i for i, row in enumerate(rows) if part.check(row)),)
+            else:
+                lefts = chain((full, 0), range(1, full))
+            for mask in lefts:
+                # an empty left team holds, and so does an empty right team
+                if mask:
+                    self.tick()
+                    if not part.check and not self.memo_eval(team_of(mask), part):
+                        continue
+                free = () if closed else [1 << i for i in range(len(rows)) if mask >> i & 1]
+                for extra in _choices(free, 0, closed):
                     # different left teams share right teams, whose repeats
                     # are memo hits, so each right team ticks
-                    if not rhs.closed:
+                    if not closed:
                         self.tick()
-                    if self.memo_eval(self._subteam(team, ~mask | sum(extra)), rhs):
-                        return True
-        return False
+                    teams[k + 1] = right = team_of(full & ~mask | sum(extra))
+                    if last is None or not right.rows or self.memo_eval(right, last):
+                        yield True
+            if k:
+                self.memo[node, k, sub] = False
+                self.tick(0)
 
-    @staticmethod
-    def _subteam(team: Team, mask: int) -> Team:
-        """The rows of ``team`` whose bits are set in ``mask``, in row order."""
-        return team._sub([row for i, row in enumerate(team.rows) if mask >> i & 1])
+        for _ in depth_first(len(parts) - 1, level):
+            return True
+        return False
 
     # -- existential quantification ----------------------------------------
 
@@ -818,10 +813,10 @@ def _refuse_prob_search(team: Team | ProbTeam):
 class _Block:
     """The static half of an existential search, compiled once: the block
     of variables it quantifies together, how a row is extended by a choice
-    of their values, the ``matrix`` node and whether it is downward closed,
-    and the matrix's conjuncts sorted into row tests (``tests``, one
+    of their values, whether the matrix is downward closed, and the
+    matrix's conjuncts sorted into row tests (``tests``, one
     :func:`_row_test` per candidate source), inclusions, incremental
-    constraints and residual nodes.
+    constraints and residual nodes, the only conjuncts built as nodes.
 
     An inclusion's right side reads no block variable, so it has one value
     set on a team.  When its left side reads every block position, its
@@ -848,7 +843,7 @@ class _Block:
     ``x2`` keys."""
 
     __slots__ = (
-        "variables", "ext_domain", "extend", "matrix", "tests", "inclusions", "constraints",
+        "variables", "ext_domain", "extend", "tests", "inclusions", "constraints",
         "residual", "residual_dc", "closed", "symmetric", "signature", "whole",
     )
 
@@ -869,14 +864,10 @@ class _Block:
             self.ext_domain = domain + tuple(variables)
             block = tuple(range(len(domain), len(self.ext_domain)))
             self.extend = lambda row, choice: row + choice
-        self.matrix = matrix = _intern(body, self.ext_domain, nodes)
         self.variables = tuple(variables)
-        self.closed = matrix.closed
         self.inclusions, self.constraints, self.residual, filters = [], [], [], []
-        # a classical conjunction is one conjunct, a filter
-        for conj in matrix.parts if isinstance(matrix.formula, And) and matrix.parts else (matrix,):
-            atom = conj.formula
-            if conj.check:
+        for atom in body.parts if isinstance(body, And) else (body,):
+            if _classical(atom):
                 filters.append(atom)
             elif isinstance(atom, Incl) and not set(atom.ys) & set(variables):
                 xpos = positions(self.ext_domain, atom.xs)
@@ -889,12 +880,13 @@ class _Block:
             elif type(atom) in _CONSTRAINTS:
                 self.constraints.append(partial(_CONSTRAINTS[type(atom)], self.ext_domain, atom))
             else:
-                self.residual.append(conj)
+                self.residual.append(_intern(atom, self.ext_domain, nodes))
         sources = [j for j, (*_, cover) in enumerate(self.inclusions) if cover] or [None]
         self.tests = {j: _row_test(filters, self.inclusions, j, self.ext_domain) for j in sources}
         self.residual_dc = all(c.closed for c in self.residual)
+        self.closed = not self.inclusions and self.residual_dc
         self.symmetric = () if var in domain or not self.closed else positions(self.ext_domain, tuple(
-            v for v in variables if _value_symmetric(matrix.formula, v)
+            v for v in variables if _value_symmetric(body, v)
         ))
         grouping = {p for make in self.constraints for p in make().grouping_positions}
         self.signature = tuple(sorted(grouping - set(block)))

@@ -84,12 +84,14 @@ class TestEval:
         (" | ".join(["x = y"] * 600), "false"),
         (" | ".join(["x = y"] * 5_000), "false"),
         (" | ".join(["dep(x, y)"] * 600), "true"),
+        (" | ".join(["dep(x, y)"] * 5_000), "true"),
         ("E y . " * 90 + "dep(x, y)", "true"),
         ("E y . " * 199 + "dep(x, y)", "true"),
         (_alternating(0), "true"),
         (_alternating(1), "false"),
     ], ids=[
-        "and-600", "and-5000", "flat-or-600", "flat-or-5000", "split-or-600", "exists-90", "exists-199",
+        "and-600", "and-5000", "flat-or-600", "flat-or-5000", "split-or-600", "split-or-5000",
+        "exists-90", "exists-199",
         "alternating-199-true", "alternating-199-false",
     ])
     def test_long_chains_and_rebinding_nests_decide(self, tmp_path, text, verdict):
@@ -101,6 +103,17 @@ class TestEval:
         team.write_text('{"domain": ["x", "y"], "rows": [[0, 1]]}')
         code, out, err = run_cli("eval", "--team", str(team), "--formula", text)
         assert (code, out, err) == (0, f"relational verdict: {verdict}\n", "")
+
+    @pytest.mark.parametrize("count", [400, 1_000])
+    def test_searching_split_chains_decide(self, tmp_path, count):
+        # no disjunct holds on a row (x = 5 fails), so the split searches
+        # every level of the chain down to the last disjunct, which fails
+        # on the whole team
+        team = tmp_path / "t.json"
+        team.write_text('{"domain": ["x", "y"], "rows": [[0, 1], [1, 0]]}')
+        text = " | ".join(["dep(, x) & x = 5"] * count + ["dep(, x)"])
+        code, out, err = run_cli("eval", "--team", str(team), "--formula", text)
+        assert (code, out, err) == (0, "relational verdict: false\n", "")
 
     @pytest.mark.parametrize("payload", [
         {"domain": ["x"], "rows": [[1]], "weights": ["1/0"]},

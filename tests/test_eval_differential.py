@@ -425,6 +425,31 @@ def test_differential_split_shapes(formula):
     assert verdicts == {True, False}
 
 
+#: Disjuncts for chains: flat ones, downward-closed ones and ones that are
+#: not closed, so that a chain's flat disjuncts, wherever they stand, make
+#: its one flat part, and its search meets each kind of later part.
+CHAIN_POOL = tuple(map(parse, (
+    "x = 0", "y != z", "x = 1 & z != 2",
+    "dep(x, y)", "dep(, z)", "ncc(x y)", "A q . dep(x q, y)", "E q . dep(x, q) & q != y",
+    "x _||_ y", "z <= x", "y _||_{x} z", "E q . q <= y & q != x",
+)))
+
+
+def test_differential_long_chains():
+    # the reference folds a chain binary in parse order, independently of
+    # the order in which the evaluator takes its parts
+    rng = random.Random(3535)
+    space = list(product((0, 1, 2), repeat=3))
+    verdicts = set()
+    for _ in range(300):
+        formula = Or(*(rng.choice(CHAIN_POOL) for _ in range(rng.randint(3, 5))))
+        team = Team(VARS, rng.sample(space, rng.randint(0, 4)), universe=(0, 1, 2))
+        verdict = eval_rel(team, formula)
+        assert verdict == naive_eval(team, formula), (team.rows, print_formula(formula))
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 #: Values whose one-column projection is itself a tuple, beside bare
 #: values, so a one-column key and a one-tuple key would collide.
 MIXED_VALUES = ((0,), (0, 1), "a", 0)
@@ -516,7 +541,7 @@ def _block_shell(second):
 
 
 #: Where a classical formula is decided, with its oracle: alone and as a
-#: split's flat side, also in a two-part classical tail; and as the row
+#: split's flat part, also one made of two classical disjuncts; and as the row
 #: test of an existential block, beside an inclusion that sources the
 #: candidates and one tested per candidate, which reads the block or not.
 GENERATED_SHELLS = (
@@ -737,8 +762,8 @@ def test_combined_tests_agree_on_conjunctions():
     assert verdicts == {True, False}
 
 
-#: Splits and existentials, whose whole-team checks run on the masks and
-#: whose sub-teams and extensions run the batch kernels.
+#: Splits and existentials, which no mask test decides: their atoms run
+#: the batch kernels, on the whole team and on sub-teams and extensions.
 SEARCH_FORMULAS = SPLIT_SHAPES + tuple(parse(text) for text in (
     "dep(x, y) & (x _||_{z} y | dep(z, x))",
     "E q . dep(x, q) & x _||_ y",

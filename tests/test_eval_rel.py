@@ -103,6 +103,20 @@ class TestPlan:
         (a, b), (c, d) = conj.parts, disj.parts
         assert a is d and b is c
 
+    def test_disjunction_chain_is_one_node(self):
+        plan = compile([parse(" | ".join(["dep(x, y)"] * 600))], ("x", "y"))
+        (root,) = plan.roots
+        assert len(root.parts) == 600 and all(part is root.parts[0] for part in root.parts)
+
+    def test_disjunction_parts_take_the_search_order(self):
+        # the one flat part first, then the parts that are not downward
+        # closed, then the closed ones
+        (root,) = compile([parse("dep(x, y) | x = 0 | y _||_ x | y = 1")], ("x", "y")).roots
+        assert [part.formula for part in root.parts] == [
+            parse("x = 0 | y = 1"), parse("y _||_ x"), parse("dep(x, y)"),
+        ]
+        assert root.parts[0].check and not root.parts[1].closed and root.parts[2].closed
+
     def test_budget_bounds_each_formula_afresh(self):
         # each formula fits the budget on its own, their sum does not
         team = T(("x", "y", "z"), [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1)])
@@ -212,9 +226,9 @@ class TestPlan:
 
     def test_code_is_generated_by_compile_alone(self, monkeypatch):
         # a plan is complete when compile returns: the gendep defining
-        # formula generates one predicate for its one maximal classical
-        # subformula, the flag disjunction, and one row test for the one
-        # variant of its block, which no inclusion covers; runs generate none
+        # formula generates one row test for the one variant of its block,
+        # which no inclusion covers and which inlines the flag disjunction;
+        # runs generate none
         module = importlib.import_module("teamlogic.eval_rel")
         calls = []
         generate = module._generate
@@ -222,10 +236,10 @@ class TestPlan:
         atom = GenDep(("x1",), ("x2",), ("y1",), ("y2",))
         domain = ("x1", "x2", "y1", "y2")
         plan = compile([gendep_defining_formula(atom)], domain)
-        assert calls == ["row", ""]
+        assert calls == [""]
         teams = list(islice(enumerate_teams([(v, [0, 1]) for v in domain], 3, nonempty=False), 100))
         verdicts = [plan.run(team)(0) for team in teams]
-        assert calls == ["row", ""]
+        assert calls == [""]
         assert verdicts == [eval_atom_rel(team, atom) for team in teams] and set(verdicts) == {True, False}
 
     @pytest.mark.parametrize("value", [True, 1.0])
