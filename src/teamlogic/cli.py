@@ -34,7 +34,7 @@ from .eval_prob import eval_prob
 from .eval_rel import EvalBudget, eval_rel
 from .formulas import parse
 from .jsonio import dump_json, load_model, load_team, model_to_dict, value_to_json, write_path
-from .models import EmpiricalModel, HVModel
+from .models import HVModel
 from .properties import check_property, property_from_cli_name
 from .teams import ProbTeam
 
@@ -190,13 +190,6 @@ def cmd_nogo(args) -> int:
         )
     # exists
     model = load_model(args.model)
-    if not isinstance(model, EmpiricalModel):
-        raise InvalidArgumentError("nogo exists needs an empirical model")
-    if model.probabilistic:
-        raise InvalidArgumentError(
-            "decision runs relationally; pass the support model "
-            "(nonexistence transfers to the probabilistic side)"
-        )
     exists = nogo.exists_local_lambdaindep if args.target == "local+lambda" else nogo.exists_strongdet_lambdaindep
     witness = exists(model, _budget(args))
     if witness is None:

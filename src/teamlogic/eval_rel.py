@@ -13,8 +13,10 @@ Evaluation compiles, then runs.  :func:`compile` turns formulas into a
 is one node, built once: its downward-closure flag, its generated row
 predicate or atom kernel (over column projections computed at build time)
 and, for an existential, the static half of its search.  A chain of ``&``
-or of ``|`` is one node, and ``E y . E y . φ`` is built as ``E y . φ``.
-A plan is complete when :func:`compile` returns, and no run changes it.
+or of ``|`` is one node, and ``Q y . R y . φ`` is built as ``R y . φ``.
+No quantifier rebinds a column: lax semantics is local, so one over a
+bound column runs fresh on the team without that column.  A plan is
+complete when :func:`compile` returns, and no run changes it.
 :meth:`Plan.run` decides the formulas on one team, each node at most once
 for that team.  :func:`eval_rel` compiles its formula and runs it.
 
@@ -63,7 +65,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, product
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, DomainError, InvalidArgumentError, UnsupportedFragmentError
@@ -83,11 +84,12 @@ from .formulas import (
     Neq,
     Or,
     Var,
+    conjoin,
     disjoin,
     free_vars,
 )
 from .masks import RowMasks
-from .teams import ProbTeam, Row, Team, bind, positions, row_key, value_key
+from .teams import ProbTeam, Row, Team, positions, project, row_key, value_key
 
 
 @dataclass(frozen=True)
@@ -124,8 +126,8 @@ DEFAULT_BUDGET = EvalBudget()
 def compile(formulas: Iterable[Formula], domain: Sequence[str], space: Team | None = None) -> Plan:
     """Compile ``formulas`` into one plan for teams over ``domain``.
 
-    Each distinct subformula, over each domain a quantifier extends
-    ``domain`` to, is built into one node, so formulas that share
+    Each distinct subformula, over each domain that quantifiers make of
+    ``domain``, is built into one node, so formulas that share
     subformulas share their nodes.  Raises
     :class:`~teamlogic.errors.DomainError` when a formula has a free
     variable outside ``domain``.
@@ -144,7 +146,7 @@ def compile(formulas: Iterable[Formula], domain: Sequence[str], space: Team | No
         missing = free_vars(formula) - set(domain)
         if missing:
             raise DomainError(f"free variables {sorted(missing)} not bound by team domain {domain}")
-        roots.append(_intern(formula, domain, nodes))
+        roots.append(_build(formula, domain, nodes))
     masks, tests = None, {}
     if space is not None:
         if space.domain != domain:
@@ -234,7 +236,9 @@ class _Node:
     operand nodes as ``parts``: a conjunction its conjuncts, a disjunction
     its disjuncts in the order the split search takes them (:func:`_build`).
     A universal links its variable and body, and an existential its
-    variable and search ``block``.  Nodes compare by identity.
+    variable and search ``block``.  A quantifier over a bound column links
+    that column and, as its body, the same formula over the domain
+    without it.  Nodes compare by identity.
     """
 
     formula: Formula
@@ -248,49 +252,59 @@ class _Node:
     block: _Block | None = None
 
 
-def _intern(formula: Formula, domain: tuple[str, ...], nodes: dict) -> _Node:
-    """The node of ``formula`` over ``domain``, built once per plan."""
-    key = (formula, domain)
-    node = nodes.get(key)
-    if node is None:
-        node = nodes[key] = _build(formula, domain, nodes)
-    return node
-
-
 def _build(formula: Formula, domain: tuple[str, ...], nodes: dict) -> _Node:
-    """``E y . E y . ψ`` is built as ``E y . ψ``: under lax semantics the inner
-    choice overwrites the outer one, and any nonempty set of values stays reachable."""
+    """The node of ``formula`` over ``domain``, built once per plan.  A
+    quantifier over a bound column is decided on the team without it, and
+    ``Q y . R y . ψ`` is built as ``R y . ψ`` (:func:`_innermost`)."""
+    node = nodes.get((formula, domain))
+    if node is not None:
+        return node
     # ``closed`` is is_downward_closed(formula), read off the operand nodes
     match formula:
         case Eq() | Neq() | And() | Or() if _classical(formula):
-            return _Node(formula, _Evaluator.pointwise, True, check=_generate("row", partial(_source, formula, domain)))
+            node = _Node(formula, _Evaluator.pointwise, True, check=_generate("row", partial(_source, formula, domain)))
         case Dep() | GenDep() | Indep() | Incl() | NC() | NCC():
             closed = not isinstance(formula, (Indep, Incl))
-            return _Node(formula, _decide_atom, closed, kernel=_kernel(formula, domain))
+            node = _Node(formula, _decide_atom, closed, kernel=_kernel(formula, domain))
         case And(parts):
-            subs = tuple(_intern(part, domain, nodes) for part in parts)
-            return _Node(formula, _Evaluator.conj, all(s.closed for s in subs), parts=subs)
+            subs = tuple(_build(part, domain, nodes) for part in parts)
+            node = _Node(formula, _Evaluator.conj, all(s.closed for s in subs), parts=subs)
         case Or(parts):
             # one flat part of the classical disjuncts, then the parts that
             # are not downward closed, then the closed ones
             flat, rest = [], []
             for part in parts:
                 (flat if _classical(part) else rest).append(part)
-            subs = sorted((_intern(part, domain, nodes) for part in rest), key=lambda s: s.closed)
+            subs = sorted((_build(part, domain, nodes) for part in rest), key=lambda s: s.closed)
             if flat:
-                subs.insert(0, _intern(disjoin(flat), domain, nodes))
-            return _Node(formula, _Evaluator.or_split, all(s.closed for s in subs), parts=tuple(subs))
-        case Exists(var, Exists() as body) if body.var == var:
-            while isinstance(body.body, Exists) and body.body.var == var:
-                body = body.body
-            return _intern(body, domain, nodes)
+                subs.insert(0, _build(disjoin(flat), domain, nodes))
+            node = _Node(formula, _Evaluator.or_split, all(s.closed for s in subs), parts=tuple(subs))
+        case Exists() | Forall() if (last := _innermost(formula)) is not formula:
+            node = _build(last, domain, nodes)
+        case Exists(var) | Forall(var) if var in domain:
+            # lax semantics is local: the formula holds on a team exactly
+            # when on its restriction to the formula's free variables
+            inner = _build(formula, tuple(v for v in domain if v != var), nodes)
+            node = _Node(formula, _Evaluator.fresh, inner.closed, var=var, body=inner)
         case Forall(var, body):
-            inner = _intern(body, bind(domain, var)[0], nodes)
-            return _Node(formula, _Evaluator.forall, inner.closed, var=var, body=inner)
+            inner = _build(body, domain + (var,), nodes)
+            node = _Node(formula, _Evaluator.forall, inner.closed, var=var, body=inner)
         case Exists(var, body):
             block = _Block(var, body, domain, nodes)
-            return _Node(formula, _Evaluator.exists, block.closed, var=var, block=block)
-    raise InvalidArgumentError(f"unknown formula node {formula!r}")
+            node = _Node(formula, _Evaluator.exists, block.closed, var=var, block=block)
+        case _:
+            raise InvalidArgumentError(f"unknown formula node {formula!r}")
+    nodes[formula, domain] = node
+    return node
+
+
+def _innermost(formula: Formula) -> Formula:
+    """The last quantifier of a nest ``Q y . R y . ...`` over one variable,
+    which is the nest under lax semantics: it binds ``y`` afresh whatever
+    the others chose, and any nonempty set of values stays reachable."""
+    while isinstance(formula, (Exists, Forall)) and getattr(formula.body, "var", None) == formula.var:
+        formula = formula.body
+    return formula
 
 
 #: Chains nest at most this deep in one generated function: CPython's parser fails near 200.
@@ -342,20 +356,9 @@ def _generate(params: str, body: Callable[[dict], str]) -> Callable:
     return eval(f"lambda {params}: {body(names)}", names)
 
 
-def _project(pos: tuple[int, ...]) -> Callable[[Row], object]:
-    """Row -> its values at ``pos``: a tuple, except that one position
-    gives the bare value, as ``itemgetter`` does.  So a projection is
-    only ever compared with projections of the same width."""
-    return itemgetter(*pos) if pos else _empty
-
-
-def _empty(row: Row) -> tuple:
-    return ()
-
-
 def _tuples(pos: tuple[int, ...]) -> Callable[[Row], tuple]:
     """Row -> the tuple of its values at ``pos``, also for one position."""
-    return _project(pos) if len(pos) != 1 else lambda row, p=pos[0]: (row[p],)
+    return project(pos) if len(pos) != 1 else lambda row, p=pos[0]: (row[p],)
 
 
 def _decide_atom(evaluator: _Evaluator, team: Team | ProbTeam, node: _Node) -> bool:
@@ -370,8 +373,8 @@ def _kernel(atom: Formula, domain: tuple[str, ...]) -> Callable[[_Evaluator, Tea
     its support rows."""
     match atom:
         case Dep(xs, ys):
-            key = _project(positions(domain, xs))
-            pair = _project(positions(domain, xs + ys))
+            key = project(positions(domain, xs))
+            pair = project(positions(domain, xs + ys))
 
             def dep(evaluator, team) -> bool:
                 # ys is a function of xs exactly when no xs value comes
@@ -386,7 +389,7 @@ def _kernel(atom: Formula, domain: tuple[str, ...]) -> Callable[[_Evaluator, Tea
             make = partial(_CONSTRAINTS[type(atom)], domain, atom)
             return lambda evaluator, team: all(map(make().add, team.rows))
         case Indep(xs, cond, ys):
-            x, z, y = (_project(positions(domain, v)) for v in (xs, cond, ys))
+            x, z, y = (project(positions(domain, v)) for v in (xs, cond, ys))
 
             def indep(evaluator, team) -> bool:
                 if isinstance(team, ProbTeam):
@@ -405,7 +408,7 @@ def _kernel(atom: Formula, domain: tuple[str, ...]) -> Callable[[_Evaluator, Tea
 
             return indep
         case Incl(xs, ys):
-            x, y = _project(positions(domain, xs)), _project(positions(domain, ys))
+            x, y = project(positions(domain, xs)), project(positions(domain, ys))
             return lambda evaluator, team: set(map(x, team.rows)) <= set(map(y, team.rows))
         case NCC(xs):
             p_x = positions(domain, xs)
@@ -570,7 +573,11 @@ class _Evaluator:
         if not team.rows:
             return True
         self.budget.check_rows(len(team.rows) * len(team.universe))
-        return self.eval(team.generalize(node.var, team.universe), node.body)
+        # a new team, never the run's own, so not through ``eval``
+        return node.body.decide(self, team.generalize(node.var, team.universe), node.body)
+
+    def fresh(self, team: Team | ProbTeam, node: _Node) -> bool:
+        return node.body.decide(self, team.restrict([v for v in team.domain if v != node.var]), node.body)
 
     # -- disjunction -----------------------------------------------------
 
@@ -579,9 +586,10 @@ class _Evaluator:
 
         Level ``k`` chooses the rows of ``teams[k]`` that ``parts[k]``
         covers: the one mask of rows a flat part holds on (flat formulas
-        are closed under unions and subsets), else each mask the part
-        holds on, the whole team first and the empty one next.  The later
-        parts must cover ``teams[k + 1]``, the rest plus a choice of the
+        are closed under unions and subsets), after the empty one when rows
+        are left to a later part that is not closed; else each mask the
+        part holds on, the whole team first and the empty one next.  The
+        later parts must cover ``teams[k + 1]``, the rest plus a choice of the
         chosen rows, none when ``parts[k + 1]``, and so each later part, is
         closed.  The last part is decided inside the level before it, and
         a team that no suffix covers is memoized as ``(node, k, team)``."""
@@ -603,7 +611,8 @@ class _Evaluator:
                 return sub if mask == full else sub._sub([row for i, row in enumerate(rows) if mask >> i & 1])
 
             if part.check:
-                lefts = (sum(1 << i for i, row in enumerate(rows) if part.check(row)),)
+                held = sum(1 << i for i, row in enumerate(rows) if part.check(row))
+                lefts = (held,) if closed or held == full else (0, held)
             else:
                 lefts = chain((full, 0), range(1, full))
             for mask in lefts:
@@ -639,7 +648,7 @@ class _Evaluator:
         values = team.universe
         if not values:
             raise InvalidArgumentError("cannot quantify over an empty universe")
-        extend, residual, inclusions = block.extend, block.residual, block.inclusions
+        residual, inclusions = block.residual, block.inclusions
         allowed = [set(map(right, team.rows)) for _, right, _ in inclusions]
         # the smallest covering inclusion (the first of equals) generates
         # the choices, and so needs no test of its own
@@ -657,7 +666,7 @@ class _Evaluator:
         for row in team.rows:
             choices = table.get(tuple(row[p] for p in reads), ())
             self.tick(len(choices))
-            cands = [extend(row, choice) for choice in choices]
+            cands = [row + choice for choice in choices]
             if test:
                 cands = list(filter(test, cands))
             if not cands:
@@ -670,13 +679,11 @@ class _Evaluator:
         constraints = [make() for make in block.constraints]
         rank = {v: i for i, v in enumerate(values)}
         components = self._components(team, candidates, constraints, block, rank)
-        residual_dc = block.residual_dc
 
         chosen: list[tuple[Row, ...]] = []
 
-        def check_residual_partial() -> bool:
-            partial = Team(block.ext_domain, (r for group in chosen for r in group), team.universe)
-            return all(self.memo_eval(partial, c) for c in residual)
+        def chosen_team() -> Team:
+            return Team(block.ext_domain, chain.from_iterable(chosen), team.universe)
 
         # one precedence state over the whole search order: a solved
         # component's values stay used for the components after it
@@ -705,7 +712,7 @@ class _Evaluator:
                         break
                 if ok:
                     chosen.append(group)
-                    if not residual or not residual_dc or check_residual_partial():
+                    if not residual or not residual.closed or self.memo_eval(chosen_team(), residual):
                         yield True
                     chosen.pop()
                 for c in reversed(progress):
@@ -713,19 +720,19 @@ class _Evaluator:
                 if precedence is not None:
                     precedence.undo()
 
-        def solve(order: list[int]) -> bool:
-            # a solved component stops its search at the solution, so its
-            # choices stay in the constraints and ``chosen``
-            for _ in depth_first(len(order), lambda k: groups(order[k])):
-                if not residual or residual_dc or check_residual_partial():
-                    return True
-            return False
-
         # Solving components separately keeps a failure in one from
         # triggering backtracking through the alternatives of the others.
         # Constraint state carries over: by construction no key or value is
         # shared across components, so solved components never interfere.
-        return all(solve(component) for component in components)
+        for order in components:
+            # a solved component stops its search at the solution, so its
+            # choices stay in the constraints and ``chosen``
+            for _ in depth_first(len(order), lambda k: groups(order[k])):
+                if not residual or residual.closed or self.memo_eval(chosen_team(), residual):
+                    break
+            else:
+                return False
+        return True
 
     @staticmethod
     def _components(team: Team, candidates, constraints, block: _Block, rank: dict) -> list[list[int]]:
@@ -812,11 +819,11 @@ def _refuse_prob_search(team: Team | ProbTeam):
 
 class _Block:
     """The static half of an existential search, compiled once: the block
-    of variables it quantifies together, how a row is extended by a choice
-    of their values, whether the matrix is downward closed, and the
-    matrix's conjuncts sorted into row tests (``tests``, one
+    of fresh variables it quantifies together, whose values a row's choice
+    appends to it (``ext_domain``), whether the matrix is downward closed,
+    and the matrix's conjuncts sorted into row tests (``tests``, one
     :func:`_row_test` per candidate source), inclusions, incremental
-    constraints and residual nodes, the only conjuncts built as nodes.
+    constraints and one ``residual`` node, of the conjuncts built as nodes.
 
     An inclusion's right side reads no block variable, so it has one value
     set on a team.  When its left side reads every block position, its
@@ -831,41 +838,32 @@ class _Block:
 
     ``symmetric`` holds the positions of the value-symmetric variables: a
     variable is value-symmetric when the block is closed (each row takes
-    one value tuple), it does not rebind a bound column, and it occurs
-    free in the matrix only inside ``dep`` and ``_||_`` atoms, also under
-    ``|``, ``A`` or a nested ``E``.  Those atoms compare a column only
-    with itself, so permuting the universe on that column alone maps
-    witnesses to witnesses, and the search tries its values in precedence
-    order (:class:`_Precedence`).  Any other occurrence breaks the
-    symmetry: ``=``, ``!=``, ``<=`` and ``ncc`` compare the column with
-    other columns or constants, ``nc(xs; y)`` compares ``y`` with the
-    ``xs`` values, and generalized dependence compares ``x1`` keys with
-    ``x2`` keys."""
+    one value tuple) and it occurs free in the matrix only inside ``dep``
+    and ``_||_`` atoms, also under ``|``, ``A`` or a nested ``E``.  Those
+    atoms compare a column only with itself, so permuting the universe on
+    that column alone maps witnesses to witnesses, and the search tries
+    its values in precedence order (:class:`_Precedence`).  Any other
+    occurrence breaks the symmetry: ``=``, ``!=``, ``<=`` and ``ncc``
+    compare the column with other columns or constants, ``nc(xs; y)``
+    compares ``y`` with the ``xs`` values, and generalized dependence
+    compares ``x1`` keys with ``x2`` keys."""
 
     __slots__ = (
-        "variables", "ext_domain", "extend", "tests", "inclusions", "constraints",
-        "residual", "residual_dc", "closed", "symmetric", "signature", "whole",
+        "variables", "ext_domain", "tests", "inclusions", "constraints",
+        "residual", "closed", "symmetric", "signature", "whole",
     )
 
     def __init__(self, var: str, body: Formula, domain: tuple[str, ...], nodes: dict):
+        # nested E's over fresh columns join the block unbuilt, collapsed as in _build
         variables = [var]
-        if var in domain:
-            # re-quantification of a bound column
-            self.ext_domain, put = bind(domain, var)
-            block = positions(domain, variables)
-            self.extend = lambda row, choice: put(row, choice[0])
-        else:
-            # nested E's join the block unbuilt, E y . E y . ψ as E y . ψ
-            while isinstance(body, Exists) and body.var not in domain and body.var not in variables:
-                variables.append(body.var)
-                body = body.body
-                while isinstance(body, Exists) and body.var == variables[-1]:
-                    body = body.body
-            self.ext_domain = domain + tuple(variables)
-            block = tuple(range(len(domain), len(self.ext_domain)))
-            self.extend = lambda row, choice: row + choice
+        body = _innermost(body)
+        while isinstance(body, Exists) and body.var not in domain and body.var not in variables:
+            variables.append(body.var)
+            body = _innermost(body.body)
         self.variables = tuple(variables)
-        self.inclusions, self.constraints, self.residual, filters = [], [], [], []
+        self.ext_domain = domain + self.variables
+        block = tuple(range(len(domain), len(self.ext_domain)))
+        self.inclusions, self.constraints, residual, filters = [], [], [], []
         for atom in body.parts if isinstance(body, And) else (body,):
             if _classical(atom):
                 filters.append(atom)
@@ -880,12 +878,12 @@ class _Block:
             elif type(atom) in _CONSTRAINTS:
                 self.constraints.append(partial(_CONSTRAINTS[type(atom)], self.ext_domain, atom))
             else:
-                self.residual.append(_intern(atom, self.ext_domain, nodes))
+                residual.append(atom)
         sources = [j for j, (*_, cover) in enumerate(self.inclusions) if cover] or [None]
         self.tests = {j: _row_test(filters, self.inclusions, j, self.ext_domain) for j in sources}
-        self.residual_dc = all(c.closed for c in self.residual)
-        self.closed = not self.inclusions and self.residual_dc
-        self.symmetric = () if var in domain or not self.closed else positions(self.ext_domain, tuple(
+        self.residual = _build(conjoin(residual), self.ext_domain, nodes) if residual else None
+        self.closed = not self.inclusions and (not residual or self.residual.closed)
+        self.symmetric = () if not self.closed else positions(self.ext_domain, tuple(
             v for v in variables if _value_symmetric(body, v)
         ))
         grouping = {p for make in self.constraints for p in make().grouping_positions}
@@ -945,13 +943,13 @@ class _Precedence:
 
 class _DepConstraint:
     """Incremental functional-dependence check with undo, refcounted so
-    duplicate rows (from rebinding merges) stay consistent."""
+    that undoing a row keeps the entry of the other rows with its key."""
 
     __slots__ = ("xpos", "key", "val", "table", "trail")
 
     def __init__(self, domain: tuple[str, ...], atom: Dep):
         self.xpos = positions(domain, atom.xs)
-        self.key, self.val = _project(self.xpos), _project(positions(domain, atom.ys))
+        self.key, self.val = project(self.xpos), project(positions(domain, atom.ys))
         self.table: dict = {}
         self.trail: list = []
 
@@ -1010,14 +1008,14 @@ class _GenDepConstraint:
 
     @staticmethod
     def _put(mine: dict, theirs: dict, key, val) -> bool:
+        """Count ``val`` under ``key`` on ``mine``, unless ``theirs`` has the
+        key with another value.  Every put keeps the invariant that a key
+        on both sides has one common value on either side, so checking
+        ``theirs`` alone decides it."""
         counts = mine.get(key)
         other = theirs.get(key)
-        if other:
-            # both sides populated: everything must be one common value
-            if val not in other or len(other) > 1:
-                return False
-            if counts and (len(counts) > 1 or val not in counts):
-                return False
+        if other and (val not in other or len(other) > 1):
+            return False
         if counts is None:
             counts = mine[key] = {}
         counts[val] = counts.get(val, 0) + 1
@@ -1056,17 +1054,17 @@ class _GenDepConstraint:
 
 def _gendep(domain: tuple[str, ...], atom: GenDep) -> _GenDepConstraint:
     p_x1, p_x2 = positions(domain, atom.x1), positions(domain, atom.x2)
-    k1 = _project(p_x1)
+    k1 = project(p_x1)
     return _GenDepConstraint(
-        p_x1 + p_x2, lambda row: (k1(row),), _project(positions(domain, atom.y1)),
-        _project(p_x2), _project(positions(domain, atom.y2)),
+        p_x1 + p_x2, lambda row: (k1(row),), project(positions(domain, atom.y1)),
+        project(p_x2), project(positions(domain, atom.y2)),
     )
 
 
 def _nc(domain: tuple[str, ...], atom: NC) -> _GenDepConstraint:
     p_x = positions(domain, atom.xs)
     (p_y,) = positions(domain, (atom.y,))
-    y = itemgetter(p_y)
+    y = project((p_y,))
     return _GenDepConstraint(p_x + (p_y,), lambda row: tuple({row[i]: None for i in p_x}), y, y, y)
 
 

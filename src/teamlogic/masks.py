@@ -29,11 +29,10 @@ read a team's rows, so both decide alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .formulas import Dep, Formula, Indep
-from .teams import Row, Team, positions
+from .teams import Row, Team, positions, project
 
 #: Most bits that the row masks of one space may hold in all: the space's
 #: rows times the class bits per row.  Past it no mask is built, and the
@@ -121,8 +120,5 @@ class RowMasks:
 def _classes(domain: tuple[str, ...], variables: Sequence[str], rows: Sequence[Row]) -> tuple[list[int], int]:
     """Each row's class by its ``variables`` values, numbered in order of
     first occurrence, and the number of classes."""
-    pos = positions(domain, variables)
-    # one position projects to the bare value: the classes are the same
-    project = itemgetter(*pos) if pos else lambda row: ()
     index: dict = {}
-    return [index.setdefault(key, len(index)) for key in map(project, rows)], len(index)
+    return [index.setdefault(key, len(index)) for key in map(project(positions(domain, variables)), rows)], len(index)

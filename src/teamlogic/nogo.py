@@ -132,11 +132,13 @@ def exists_strongdet_lambdaindep(model: EmpiricalModel, budget: EvalBudget | Non
     measurement tuple occur with every hidden value, so each hidden value
     yields a consistent total section and their graphs cover the model.
     Completeness: a covering family of consistent sections *is* such a
-    model.
+    model.  A hidden-variable or probabilistic model is refused.
     """
+    if not isinstance(model, EmpiricalModel):
+        raise InvalidArgumentError("nogo exists needs an empirical model")
     if model.probabilistic:
         raise InvalidArgumentError(
-            "decision runs on relational models; collapse probabilistic ones first "
+            "decision runs relationally; pass the support model "
             "(nonexistence transfers to the probabilistic side)"
         )
     if not check_property(model, PropertyName.NO_SIG_E, budget=budget):

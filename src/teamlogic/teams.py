@@ -9,9 +9,9 @@ denominator in lowest terms: sums of masses are sums of ints, and
 the package.  Everything downstream (formula evaluation,
 hidden-variable models, constructions, the no-go searches) is built from
 the operators defined here: restriction, generalisation, Skolem extension,
-value-universe extension and possibilistic collapse.  Every extension, and
-every quantifier of the evaluator, binds its column by one rule,
-:func:`bind`, and both kinds of team read a Skolem function one way.
+value-universe extension and possibilistic collapse.  Every extension
+binds its column by one rule, :func:`bind`, a row is projected by one,
+:func:`project`, and both kinds of team read a Skolem function one way.
 
 Values are opaque tokens: strings, integers, exact rationals, or nested
 tuples of these (tuples are used for vectors in 4-space and for structured
@@ -94,6 +94,13 @@ def positions(domain: tuple[str, ...], variables: Sequence[str]) -> tuple[int, .
     except ValueError:
         missing = next(v for v in variables if v not in domain)
         raise DomainError(f"variable {missing!r} not in domain {domain}") from None
+
+
+def project(pos: tuple[int, ...]) -> Callable[[Row], object]:
+    """Row -> its values at ``pos``: a tuple, except that one position
+    gives the bare value, as ``itemgetter`` does.  So a projection is
+    only ever compared with projections of the same width."""
+    return itemgetter(*pos) if pos else lambda row: ()
 
 
 def bind(domain: tuple[str, ...], var: str) -> tuple[tuple[str, ...], Callable[[Row, Value], Row]]:
@@ -488,7 +495,7 @@ class ProbTeam:
         out: dict = {}
         get = out.get
         nums = self._numerators
-        for key, w in zip(map(itemgetter(*pos), nums), nums.values()):
+        for key, w in zip(map(project(pos), nums), nums.values()):
             out[key] = get(key, 0) + w
         return {(k,): w for k, w in out.items()} if len(pos) == 1 else out
 

@@ -87,18 +87,25 @@ class TestEval:
         (" | ".join(["dep(x, y)"] * 5_000), "true"),
         ("E y . " * 90 + "dep(x, y)", "true"),
         ("E y . " * 199 + "dep(x, y)", "true"),
+        ("A y . E y . " * 80 + "dep(x, y)", "true"),
+        ("A y . E y . " * 100 + "dep(x, y)", "true"),
+        ("E y . A z . " * 100 + "dep(x, y)", "true"),
+        ("E y . dep(x, y) & A z . " * 100 + "dep(x, y)", "true"),
         (_alternating(0), "true"),
         (_alternating(1), "false"),
     ], ids=[
         "and-600", "and-5000", "flat-or-600", "flat-or-5000", "split-or-600", "split-or-5000",
-        "exists-90", "exists-199",
+        "exists-90", "exists-199", "forall-exists-80", "forall-exists-100", "exists-forall-100",
+        "exists-dep-forall-100",
         "alternating-199-true", "alternating-199-false",
     ])
     def test_long_chains_and_rebinding_nests_decide(self, tmp_path, text, verdict):
-        # a chain is one node and E y . E y is E y, so none of these
-        # recurses once per connective or quantifier; a classical formula
-        # nested 199 chains deep compiles to one row predicate whose
-        # source stays within the Python parser's nesting
+        # a chain is one node and Q y . R y is R y, so none of these
+        # recurses once per connective or same-variable quantifier; E y .
+        # A z, nested as deep as the parser takes, recurses within the
+        # default limit; a classical formula nested 199 chains deep
+        # compiles to one row predicate whose source stays within the
+        # Python parser's nesting
         team = tmp_path / "t.json"
         team.write_text('{"domain": ["x", "y"], "rows": [[0, 1]]}')
         code, out, err = run_cli("eval", "--team", str(team), "--formula", text)
@@ -346,6 +353,20 @@ class TestConstruct:
             "construct", "--model", "builtin:loc6", "--target", "localize", "--out", "-")
         assert code == 2 and "Locality" in err
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_check_strict_refuses_noncontext_on_a_weighted_model(self, strict, tmp_path, capsys):
+        # NonContextE of a probabilistic model is decided on its support,
+        # unless --strict asks for the probabilistic fragment alone
+        model = tmp_path / "weighted.json"
+        rows = [[a, b, 0, 0] for a in "ab" for b in "ab"]
+        model.write_text(json.dumps({"kind": "empirical", "arity": 2, "domain": ["m1", "m2", "o1", "o2"],
+                                     "rows": rows, "weights": ["1/2", "1/6", "1/6", "1/6"]}))
+        code = main(["check", "--model", str(model), "--property", "non-context"] + ["--strict"] * strict)
+        out, err = capsys.readouterr()
+        if strict:
+            assert code == 2 and out == "" and err.startswith("error[fragment-error]")
+        else:
+            assert (code, out, err) == (0, "NonContextE: true\n", "")
 
     def test_lcm_construction_rejects_probabilistic_hidden_model(self, tmp_path, capsys):
         model = tmp_path / "hv.json"

@@ -3,6 +3,7 @@ import gc
 import importlib
 import random
 import weakref
+from fractions import Fraction
 from itertools import combinations, islice, product
 
 import pytest
@@ -408,6 +409,32 @@ class TestConnectives:
         t = T(("x", "y"), [(0, 0), (0, 1)], universe=[0, 1])
         assert eval_rel(t, parse("E x . dep(x, y)"))
         assert not eval_rel(t, parse("dep(x, y)"))
+
+    def test_bound_column_is_dropped_then_bound_fresh(self):
+        # E x over (x, y) is decided on the team without x, by a block
+        # whose fresh column x comes last
+        node = compile([parse("E x . dep(y, x)")], ("x", "y")).roots[0]
+        assert (node.var, node.block) == ("x", None)
+        assert node.body.block.ext_domain == ("y", "x")
+
+    def test_same_variable_nest_decides_on_a_prob_team(self):
+        # E y . A y . φ is A y . φ, which a probabilistic team decides
+        pt = ProbTeam(T(("x", "y"), [(0, 0), (1, 1)], universe=[0, 1]), {(0, 0): Fraction(1, 3), (1, 1): Fraction(2, 3)})
+        plan = compile([parse("E y . A y . x _||_ y"), parse("E y . A y . dep(x, y)")], pt.domain)
+        verdict = plan.run(pt)
+        assert (verdict(0), verdict(1)) == (True, False)
+
+    @pytest.mark.parametrize("text, nodes, memo", [
+        ("z <= x | x = 0 | dep(, z) | z <= x", 3, 1),
+        ("x = 0 | z <= x", 1, 1),
+    ])
+    def test_flat_part_leaves_the_whole_team_to_later_parts_first(self, text, nodes, memo):
+        # z <= x holds on the whole team, which the parts after the flat
+        # one try before any smaller team
+        team = T(("x", "y", "z"), [(0, 2, 1), (1, 1, 1), (2, 0, 0), (2, 0, 2), (2, 1, 2), (2, 2, 2)])
+        evaluator = _Evaluator(DEFAULT_BUDGET, team)
+        assert evaluator.root(compile([parse(text)], team.domain).roots[0])
+        assert (evaluator.nodes, len(evaluator.memo)) == (nodes, memo)
 
     def test_exists_search_deeper_than_recursion_limit(self):
         # one component of 1,100 rows makes the search 1,100 rows deep;

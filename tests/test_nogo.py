@@ -195,6 +195,14 @@ class TestExistsStrongDetLambdaIndep:
         with pytest.raises(InvalidArgumentError):
             exists_strongdet_lambdaindep(pm)
 
+    def test_hidden_variable_input_rejected(self):
+        from teamlogic.constructions import construct_single_valued
+
+        # a constant model over four contexts, given a hidden column
+        model = from_team(Team(empirical_domain(2), [(a, b, 0, 0) for a in "ab" for b in "ab"]), "empirical")
+        with pytest.raises(InvalidArgumentError, match="nogo exists needs an empirical model"):
+            exists_strongdet_lambdaindep(construct_single_valued(model))
+
 
 class _SearchReached(Exception):
     pass
