@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidArgumentError, ZeroProbabilityError
-from .eval_rel import EvalBudget, compile
+from .eval_rel import EvalBudget, _plan
 from .formulas import Formula
 from .teams import ProbTeam, Row
 
@@ -85,9 +85,12 @@ def eval_prob(prob_team: ProbTeam, formula: Formula, budget: EvalBudget | None =
 
     Raises :class:`~teamlogic.errors.UnsupportedFragmentError` on a disjunction that is not
     flat, or on existential quantification; those have no finite search
-    space here.
+    space here.  The plan comes from the cache that
+    :func:`~teamlogic.eval_rel.eval_rel` takes its plans from, of
+    :data:`~teamlogic.eval_rel.PLAN_CACHE_SIZE` plans keyed by the formula
+    object's identity and the team's domain.
     """
-    return compile([formula], prob_team.domain).run(prob_team, budget)(0)
+    return _plan(formula, prob_team.domain).run(prob_team, budget)(0)
 
 
 def check_skolem_witness(

@@ -18,7 +18,9 @@ No quantifier rebinds a column: lax semantics is local, so one over a
 bound column runs fresh on the team without that column.  A plan is
 complete when :func:`compile` returns, and no run changes it.
 :meth:`Plan.run` decides the formulas on one team, each node at most once
-for that team.  :func:`eval_rel` compiles its formula and runs it.
+for that team.  :func:`eval_rel` runs its formula's plan, which it takes
+from a cache of :data:`PLAN_CACHE_SIZE` plans keyed by the formula
+object's identity and the domain (:func:`_plan`).
 
 A plan compiled over an assignment space (a sweep's plan) also holds one
 packed int per space row, with the class bits of each ``dep`` and ``_||_``
@@ -63,7 +65,7 @@ runs may share a plan and run concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, combinations, product
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -73,6 +75,7 @@ from .formulas import (
     NC,
     NCC,
     And,
+    Const,
     Dep,
     Eq,
     Exists,
@@ -130,7 +133,9 @@ def compile(formulas: Iterable[Formula], domain: Sequence[str], space: Team | No
     ``domain``, is built into one node, so formulas that share
     subformulas share their nodes.  Raises
     :class:`~teamlogic.errors.DomainError` when a formula has a free
-    variable outside ``domain``.
+    variable outside ``domain``, and
+    :class:`~teamlogic.errors.InvalidArgumentError` when it has a
+    constant that no team can hold.
 
     ``space`` is the assignment space whose sub-teams the plan will run
     on, if one is known: the plan then packs the class bits of its
@@ -146,6 +151,7 @@ def compile(formulas: Iterable[Formula], domain: Sequence[str], space: Team | No
         missing = free_vars(formula) - set(domain)
         if missing:
             raise DomainError(f"free variables {sorted(missing)} not bound by team domain {domain}")
+        _refuse_constants(formula)
         roots.append(_build(formula, domain, nodes))
     masks, tests = None, {}
     if space is not None:
@@ -160,8 +166,13 @@ def compile(formulas: Iterable[Formula], domain: Sequence[str], space: Team | No
 
 
 def eval_rel(team: Team, formula: Formula, budget: EvalBudget | None = None) -> bool:
-    """Decide whether ``team`` satisfies ``formula`` relationally."""
-    return compile([formula], team.domain).run(team, budget)(0)
+    """Decide whether ``team`` satisfies ``formula`` relationally.
+
+    The plan comes from a cache of the last :data:`PLAN_CACHE_SIZE` plans
+    (64), keyed by the formula object's identity and the team's domain
+    (:func:`_plan`), so asking one formula object on many teams compiles
+    it once.  An equal formula built apart is compiled on its own."""
+    return _plan(formula, team.domain).run(team, budget)(0)
 
 
 def eval_atom_rel(team: Team, atom: Formula, budget: EvalBudget | None = None) -> bool:
@@ -169,11 +180,49 @@ def eval_atom_rel(team: Team, atom: Formula, budget: EvalBudget | None = None) -
 
     Only the ``ncc`` atom involves any search (over per-row selections),
     bounded by ``budget``; everything else is a scan of the rows, and
-    decides on any value universe.
+    decides on any value universe.  The plan comes from
+    :func:`eval_rel`'s cache of :data:`PLAN_CACHE_SIZE` plans, keyed by
+    the atom object's identity and the team's domain.
     """
     if not isinstance(atom, ATOM_TYPES):
         raise InvalidArgumentError(f"{atom!r} is not an atom")
-    return compile([atom], team.domain).run(team, budget)(0)
+    return _plan(atom, team.domain).run(team, budget)(0)
+
+
+#: Plans that :func:`_plan` keeps, the least recently used going first.
+PLAN_CACHE_SIZE = 64
+
+
+def _plan(formula: Formula, domain: tuple[str, ...]) -> Plan:
+    """The plan of one formula over ``domain``, for :func:`eval_rel`,
+    :func:`eval_atom_rel` and :func:`~teamlogic.eval_prob.eval_prob`,
+    from one cache keyed by the formula's identity and the domain."""
+    return _plan_cache(_Same(formula), domain)
+
+
+class _Same:
+    """A formula that compares by identity.  Equal formulas may differ:
+    ``1 == 1.0 == True``, so ``x = true``, which is refused, equals
+    ``x = 1``."""
+
+    __slots__ = ("formula",)
+
+    def __init__(self, formula: Formula):
+        self.formula = formula
+
+    def __hash__(self) -> int:
+        return id(self.formula)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is _Same and other.formula is self.formula
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan_cache(same: _Same, domain: tuple[str, ...]) -> Plan:
+    """An entry holds its formula, so the formula's id is not reused while
+    the entry lives; no entry holds a team.  A refusal is not cached, so
+    it is raised again."""
+    return compile([same.formula], domain)
 
 
 def search_tick(budget: EvalBudget | None) -> Callable[[], None]:
@@ -298,6 +347,23 @@ def _build(formula: Formula, domain: tuple[str, ...], nodes: dict) -> _Node:
     return node
 
 
+def _refuse_constants(formula: Formula):
+    """Refuse every constant of ``formula`` that no team can hold, before
+    :func:`_build` shares nodes by formula equality: ``1 == 1.0 == True``,
+    so ``x = true`` equals ``x = 1``, and would take its node."""
+    stack = [formula]
+    while stack:
+        match stack.pop():
+            case Eq(lhs, rhs) | Neq(lhs, rhs):
+                for term in (lhs, rhs):
+                    if isinstance(term, Const):
+                        value_key(term.value)
+            case And(parts) | Or(parts):
+                stack.extend(parts)
+            case Exists(_, body) | Forall(_, body):
+                stack.append(body)
+
+
 def _innermost(formula: Formula) -> Formula:
     """The last quantifier of a nest ``Q y . R y . ...`` over one variable,
     which is the nest under lax semantics: it binds ``y`` afresh whatever
@@ -325,7 +391,6 @@ def _source(formula: Formula, domain: tuple[str, ...], names: dict, depth: int =
             if isinstance(term, Var):
                 sides.append(f"row[{positions(domain, (term.name,))[0]}]")
             else:
-                value_key(term.value)  # refuses a constant that no team can hold
                 sides.append(f"c{len(names)}")
                 names[sides[-1]] = term.value
         return (" == " if isinstance(formula, Eq) else " != ").join(sides)

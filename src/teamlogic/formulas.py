@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
 
@@ -585,11 +586,21 @@ class _Parser:
         return Indep(xs, cond, ys)
 
 
+#: Texts whose formula :func:`parse` keeps, the least recently used going first.
+PARSE_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse(text: str) -> Formula:
     """Parse formula text into an AST.  Raises :class:`ParseError` with a
     line/column position on malformed input, also on input nested more
     than :data:`MAX_NESTING` deep, or too deep for what is left of the
-    caller's stack."""
+    caller's stack.
+
+    The last :data:`PARSE_CACHE_SIZE` texts parsed keep their formula, so
+    parsing one text again returns the same object, whose plan
+    :func:`~teamlogic.eval_rel.eval_rel` has cached.  An error is not
+    cached, so it is raised again."""
     parser = _Parser(text)
     try:
         return parser.formula()

@@ -25,7 +25,7 @@ are both assembled by it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 
 from .errors import DomainError, InvalidArgumentError
 from .teams import ProbTeam, Team, _sorted_values, value_key
@@ -33,7 +33,7 @@ from .teams import ProbTeam, Team, _sorted_values, value_key
 LAMBDA_VAR = "l"
 
 
-@cache
+@lru_cache(maxsize=16)
 def empirical_domain(arity: int) -> tuple[str, ...]:
     return tuple(f"m{i}" for i in range(1, arity + 1)) + tuple(
         f"o{i}" for i in range(1, arity + 1)

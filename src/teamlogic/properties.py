@@ -29,7 +29,7 @@ routes against each other.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cache
+from functools import lru_cache
 from itertools import product
 from math import prod
 
@@ -172,10 +172,11 @@ def check_property(
     return _property_plan(prop, model.arity, data.domain).run(data, budget)(0)
 
 
-@cache
+@lru_cache(maxsize=128)
 def _property_plan(prop: PropertyName, arity: int, domain: tuple[str, ...]) -> Plan:
     """The compiled formula of a property; a model's kind and arity fix
-    its domain, so this holds at most two plans per property and arity."""
+    its domain, so there are at most two plans per property and arity,
+    22 per arity: the cache keeps those of the last five or more arities."""
     return compile([property_formula(prop, arity)], domain)
 
 

@@ -1,8 +1,6 @@
 import dataclasses
-import gc
 import importlib
 import random
-import weakref
 from fractions import Fraction
 from itertools import combinations, islice, product
 
@@ -259,16 +257,20 @@ class TestPlan:
             with pytest.raises(InvalidArgumentError):
                 eval_rel(T(("x",), [(1,)]), formula)
 
-    def test_evaluation_keeps_no_formula_alive(self):
-        # nothing outlives a call: neither the plan nor a cache of
-        # formula analyses may hold on to the formula
-        team = T(("x", "y"), [(0, 0), (0, 1), (1, 1)])
-        formula = parse("E q . dep(x, q) & (x = 0 | y _||_ q) | A r . x <= y")
-        ref = weakref.ref(formula)
-        assert eval_rel(team, formula) in (True, False)
-        del formula
-        gc.collect()
-        assert ref() is None
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_an_equal_constant_does_not_take_a_node(self, value):
+        # x = true equals x = 1, since 1 == True == 1.0, so nodes shared by
+        # formula equality must not let it take x = 1's node, in either order
+        team = T(("x", "y"), [(1, 0), (0, 1)])
+        good, bad = (parse("x = 1 | x _||_ y"), Eq(Var("x"), Const(value)) | Indep(("x",), (), ("y",)))
+        assert good == bad and eval_rel(team, good)
+        for formula in (good & bad, bad & good):
+            with pytest.raises(InvalidArgumentError):
+                compile([formula], team.domain)
+            with pytest.raises(InvalidArgumentError):
+                eval_rel(team, formula)
+        with pytest.raises(InvalidArgumentError):
+            compile([good, bad], team.domain)
 
 
 class TestAtoms:
