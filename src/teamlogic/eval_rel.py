@@ -22,15 +22,19 @@ for that team.  :func:`eval_rel` runs its formula's plan, which it takes
 from a cache of :data:`PLAN_CACHE_SIZE` plans keyed by the formula
 object's identity and the domain (:func:`_plan`).
 
-A plan compiled over an assignment space (a sweep's plan) also holds one
-packed int per space row, with the class bits of each ``dep`` and ``_||_``
-atom over the plan's domain (:mod:`teamlogic.masks`).  A run ORs its
-team's row ints once and decides a root that is such an atom, or a
-conjunction of them, by one test, with no search state.  The atom
-kernels, which read the rows, decide everything else: any other root and
-its subformulas; a :class:`~teamlogic.teams.ProbTeam`, whose ``_||_`` is
-stochastic; a team with a row outside the space; plans without a space;
-and spaces whose masks would exceed :data:`~teamlogic.masks.MASK_BITS`.
+A node that is a ``dep`` or ``_||_`` atom, or a conjunction of them, is
+masked: over a fixed set of rows, one packed int per row holds the class
+bits of each such atom, and a test on the OR of a sub-team's row ints
+decides the node on it (:mod:`teamlogic.masks`).  A plan compiled over an
+assignment space (a sweep's plan) holds the ints of the space's rows: a
+run ORs its team's row ints once and decides a masked root by one test,
+with no search state.  A split search builds the ints of its own team's
+rows and decides a masked disjunct on each team it tries by one test.
+The atom kernels, which read the rows, decide everything else: any other
+node, and a masked node that is neither a disjunct nor the root of a plan
+with a space; a :class:`~teamlogic.teams.ProbTeam`, whose ``_||_`` is
+stochastic; a team with a row outside the plan's space; and rows whose
+masks would exceed :data:`~teamlogic.masks.MASK_BITS`.
 
 Generalized dependence and ``nc`` share one definition, the incremental
 constraint that an existential search keeps: ``nc(xs; y)`` is the
@@ -38,7 +42,7 @@ generalized dependence whose side-1 key is the set of a row's ``xs``
 values.  Their atom kernel adds a team's rows to a fresh constraint.
 
 The clauses for disjunction and existential quantification are genuinely
-exponential, so the evaluator leans on four exact reductions:
+exponential, so the evaluator leans on five exact reductions:
 
 * a maximal classical (``=``, ``!=``, ``&``, ``|``) subformula is flat,
   one node decided pointwise by one generated function (:func:`_generate`);
@@ -46,6 +50,8 @@ exponential, so the evaluator leans on four exact reductions:
   holds on, and a downward-closed operand needs only a minimal choice
   (one rule, :func:`_choices`): a cover by closed disjuncts is a
   partition, and a Skolem function for a closed matrix is single-valued;
+* a masked disjunct is decided on each team the split tries by the OR of
+  its rows' masks, with no sub-team built and no memo entry kept;
 * an existential block is compiled once into row tests (flat conjuncts,
   and inclusions whose right side reads no block variable), incremental
   constraints (dependence-family atoms) and the grouping of rows into
@@ -91,7 +97,7 @@ from .formulas import (
     disjoin,
     free_vars,
 )
-from .masks import RowMasks
+from .masks import RowMasks, ors
 from .teams import ProbTeam, Row, Team, positions, project, row_key, value_key
 
 
@@ -159,9 +165,8 @@ def compile(formulas: Iterable[Formula], domain: Sequence[str], space: Team | No
             raise DomainError(f"space domain {space.domain} differs from plan domain {domain}")
         masks = RowMasks.build(domain, space.rows, (f for f, d in nodes if d == domain))
         for node in roots if masks else ():
-            atoms = [c.formula for c in node.parts] if isinstance(node.formula, And) and node.parts else [node.formula]
-            if all(type(atom) in (Dep, Indep) for atom in atoms):
-                tests[node] = masks.test(atoms)
+            if node.atoms:
+                tests[node] = masks.test(node.atoms)
     return Plan(domain, tuple(roots), masks, tests)
 
 
@@ -280,6 +285,9 @@ class _Node:
 
     ``decide(evaluator, team, node)`` applies the node's clause and
     ``closed`` records downward closure (the formula lies in ``FO(dep)``).
+    ``atoms`` holds the ``dep`` and ``_||_`` atoms whose conjunction the
+    node is, when it is one (an atom counts as a conjunction of one): a
+    test on an OR of row masks decides such a node (:mod:`teamlogic.masks`).
     A maximal classical node carries its generated row predicate ``check``
     and an atom node its ``kernel``.  Any other connective links its
     operand nodes as ``parts``: a conjunction its conjuncts, a disjunction
@@ -293,6 +301,7 @@ class _Node:
     formula: Formula
     decide: Callable
     closed: bool
+    atoms: tuple[Formula, ...] | None = None
     check: Callable | None = None
     kernel: Callable | None = None
     parts: tuple[_Node, ...] | None = None
@@ -308,16 +317,19 @@ def _build(formula: Formula, domain: tuple[str, ...], nodes: dict) -> _Node:
     node = nodes.get((formula, domain))
     if node is not None:
         return node
-    # ``closed`` is is_downward_closed(formula), read off the operand nodes
+    # ``closed`` is is_downward_closed(formula) and ``atoms`` the masked
+    # conjuncts, both read off the operand nodes
     match formula:
         case Eq() | Neq() | And() | Or() if _classical(formula):
             node = _Node(formula, _Evaluator.pointwise, True, check=_generate("row", partial(_source, formula, domain)))
         case Dep() | GenDep() | Indep() | Incl() | NC() | NCC():
             closed = not isinstance(formula, (Indep, Incl))
-            node = _Node(formula, _decide_atom, closed, kernel=_kernel(formula, domain))
+            atoms = (formula,) if type(formula) in (Dep, Indep) else None
+            node = _Node(formula, _decide_atom, closed, atoms, kernel=_kernel(formula, domain))
         case And(parts):
             subs = tuple(_build(part, domain, nodes) for part in parts)
-            node = _Node(formula, _Evaluator.conj, all(s.closed for s in subs), parts=subs)
+            atoms = tuple(chain.from_iterable(s.atoms for s in subs)) if all(s.atoms for s in subs) else None
+            node = _Node(formula, _Evaluator.conj, all(s.closed for s in subs), atoms, parts=subs)
         case Or(parts):
             # one flat part of the classical disjuncts, then the parts that
             # are not downward closed, then the closed ones
@@ -657,11 +669,23 @@ class _Evaluator:
         later parts must cover ``teams[k + 1]``, the rest plus a choice of the
         chosen rows, none when ``parts[k + 1]``, and so each later part, is
         closed.  The last part is decided inside the level before it, and
-        a team that no suffix covers is memoized as ``(node, k, team)``."""
+        a team that no suffix covers is memoized as ``(node, k, team)``.
+
+        A part that is a conjunction of ``dep`` and ``_||_`` atoms (its
+        ``atoms``) is masked: one :class:`~teamlogic.masks.RowMasks` over
+        ``team``'s own rows serves every level, whose teams are sub-teams
+        of ``team``, and a masked part is decided on a mask of a level's
+        rows by its test on the OR of their masks (:func:`~teamlogic.masks.ors`),
+        with no sub-team and no memo entry.  The other parts are decided on
+        sub-teams, through the memo, as are all parts when the masks would
+        exceed :data:`~teamlogic.masks.MASK_BITS`."""
         _refuse_prob_search(team)
         if not team.rows:
             return True
         parts = node.parts
+        atoms = dict.fromkeys(chain.from_iterable(p.atoms or () for p in parts))
+        masks = RowMasks.build(team.domain, team.rows, atoms)
+        tests = {p: masks.test(p.atoms) for p in parts if p.atoms} if masks else {}
         teams = [team] * len(parts)
 
         def level(k: int) -> Iterator[bool]:
@@ -670,10 +694,15 @@ class _Evaluator:
                 return
             rows, last = sub.rows, parts[-1] if k + 2 == len(parts) else None
             full = (1 << len(rows)) - 1
+            union = ors([masks.rows[row] for row in rows]) if part in tests or last in tests else None
 
             def team_of(mask: int) -> Team:
                 # the rows whose bits are set, in row order; ``sub`` for all
                 return sub if mask == full else sub._sub([row for i, row in enumerate(rows) if mask >> i & 1])
+
+            def holds(side: _Node, mask: int) -> bool:
+                test = tests.get(side)
+                return test(union(mask)) if test else self.memo_eval(team_of(mask), side)
 
             if part.check:
                 held = sum(1 << i for i, row in enumerate(rows) if part.check(row))
@@ -684,7 +713,7 @@ class _Evaluator:
                 # an empty left team holds, and so does an empty right team
                 if mask:
                     self.tick()
-                    if not part.check and not self.memo_eval(team_of(mask), part):
+                    if not part.check and not holds(part, mask):
                         continue
                 free = () if closed else [1 << i for i in range(len(rows)) if mask >> i & 1]
                 for extra in _choices(free, 0, closed):
@@ -692,8 +721,11 @@ class _Evaluator:
                     # are memo hits, so each right team ticks
                     if not closed:
                         self.tick()
-                    teams[k + 1] = right = team_of(full & ~mask | sum(extra))
-                    if last is None or not right.rows or self.memo_eval(right, last):
+                    right = full & ~mask | sum(extra)
+                    if last is None:
+                        teams[k + 1] = team_of(right)
+                        yield True
+                    elif not right or holds(last, right):
                         yield True
             if k:
                 self.memo[node, k, sub] = False

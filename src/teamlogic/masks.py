@@ -1,9 +1,12 @@
 """Row masks: conjunctions of ``dep`` and ``_||_`` decided on the
-sub-teams of one assignment space by an OR of precomputed ints.
+sub-teams of one set of rows by an OR of precomputed ints.
 
-Over a fixed space, each atom sets the row's class bits in one packed int
-per space row.  The ``dep`` fields come first, then three aligned sections
-for the ``_||_`` atoms, each atom at the same offset in all three:
+The rows are an assignment space, whose sub-teams a sweep's plan decides,
+or the rows of one team that a split search covers by sub-teams of it
+(:func:`ors` gives the OR of any such sub-team's masks).  Over those rows,
+each atom sets the row's class bits in one packed int per row.  The
+``dep`` fields come first, then three aligned sections for the ``_||_``
+atoms, each atom at the same offset in all three:
 
 * ``dep(xs, ys)``: the bit of the row's ``xs`` class, then the bit of its
   ``xs ys`` class.  A team holds when both parts of its rows' OR have as
@@ -42,8 +45,8 @@ MASK_BITS = 1 << 22
 
 @dataclass(frozen=True, eq=False, slots=True)
 class RowMasks:
-    """The masks of some ``dep`` and ``_||_`` atoms over one space:
-    ``rows`` maps each space row to its mask, ``fields`` each atom to its
+    """The masks of some ``dep`` and ``_||_`` atoms over one space of rows:
+    ``rows`` maps each row to its mask, ``fields`` each atom to its
     key, pair and first-section cell bits, and ``grid`` is the width of
     each ``_||_`` section."""
 
@@ -122,3 +125,27 @@ def _classes(domain: tuple[str, ...], variables: Sequence[str], rows: Sequence[R
     first occurrence, and the number of classes."""
     index: dict = {}
     return [index.setdefault(key, len(index)) for key in map(project(positions(domain, variables)), rows)], len(index)
+
+
+def ors(masks: Sequence[int]) -> Callable[[int], int]:
+    """The OR of the ``masks`` that a bit mask over their positions picks,
+    as a function of that bit mask.  Each 8 masks get one table of the ORs
+    of their 256 picks, so set-up is linear in the number of masks and an
+    OR takes one lookup per 8 positions."""
+    tables = []
+    for start in range(0, len(masks), 8):
+        table = [0]
+        for mask in masks[start:start + 8]:
+            table += [bits | mask for bits in table]
+        tables.append(table)
+    if len(tables) == 1:
+        return tables[0].__getitem__
+
+    def of(picked: int) -> int:
+        bits = 0
+        for table in tables:
+            bits |= table[picked & 255]
+            picked >>= 8
+        return bits
+
+    return of

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .entailment import enumerate_teams
-from .eval_rel import EvalBudget, compile, eval_atom_rel
+from .eval_rel import EvalBudget, eval_atom_rel, eval_rel
 from .formulas import (
     NC,
     NCC,
@@ -39,38 +39,35 @@ class AppendixReport:
         ]
 
 
+#: Each checked atom, over its variables, and its defining formula: built
+#: once, so that each call of :func:`verify_appendix` takes their plans
+#: from :func:`~teamlogic.eval_rel.eval_rel`'s cache.
+CASES = tuple(
+    (label, variables, atom, define(atom))
+    for label, variables, atom, define in (
+        ("gendep arity (1,1) vs defining formula", ("x1", "x2", "y1", "y2"),
+         GenDep(("x1",), ("x2",), ("y1",), ("y2",)), gendep_defining_formula),
+        ("nc k=1 vs defining formula", ("x1", "y"), NC(("x1",), "y"), nc_defining_formula),
+        ("nc k=2 vs defining formula", ("x1", "x2", "y"), NC(("x1", "x2"), "y"), nc_defining_formula),
+        ("ncc k=2 vs unfolded definition", ("x1", "x2"), NCC(("x1", "x2")), ncc_defining_formula),
+    )
+)
+
+
 def _sweep(variables: tuple[str, ...], atom, formula, max_rows: int, budget: EvalBudget) -> tuple[int, int]:
     columns = [(v, [0, 1]) for v in variables]
-    plan = compile([formula], variables)
     teams = 0
     disagreements = 0
     for team in enumerate_teams(columns, max_rows, nonempty=False):
         teams += 1
-        if eval_atom_rel(team, atom) != plan.run(team, budget)(0):
+        if eval_atom_rel(team, atom) != eval_rel(team, formula, budget):
             disagreements += 1
     return teams, disagreements
 
 
 def verify_appendix(max_rows: int = 3) -> AppendixReport:
     budget = EvalBudget()
-    cases = []
-
-    atom = GenDep(("x1",), ("x2",), ("y1",), ("y2",))
-    teams, bad = _sweep(
-        ("x1", "x2", "y1", "y2"), atom, gendep_defining_formula(atom), max_rows, budget
-    )
-    cases.append(("gendep arity (1,1) vs defining formula", teams, bad))
-
-    atom = NC(("x1",), "y")
-    teams, bad = _sweep(("x1", "y"), atom, nc_defining_formula(atom), max_rows, budget)
-    cases.append(("nc k=1 vs defining formula", teams, bad))
-
-    atom = NC(("x1", "x2"), "y")
-    teams, bad = _sweep(("x1", "x2", "y"), atom, nc_defining_formula(atom), max_rows, budget)
-    cases.append(("nc k=2 vs defining formula", teams, bad))
-
-    atom = NCC(("x1", "x2"))
-    teams, bad = _sweep(("x1", "x2"), atom, ncc_defining_formula(atom), max_rows, budget)
-    cases.append(("ncc k=2 vs unfolded definition", teams, bad))
-
-    return AppendixReport(cases)
+    return AppendixReport([
+        (label, *_sweep(variables, atom, formula, max_rows, budget))
+        for label, variables, atom, formula in CASES
+    ])

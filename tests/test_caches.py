@@ -24,6 +24,7 @@ from teamlogic.eval_prob import eval_prob
 from teamlogic.eval_rel import PLAN_CACHE_SIZE, EvalBudget, _plan_cache, eval_atom_rel, eval_rel
 from teamlogic.formulas import PARSE_CACHE_SIZE, Const, Dep, Eq, Indep, Neq, Var, parse
 from teamlogic.teams import ProbTeam, Team
+from teamlogic.verify_appendix import verify_appendix
 
 MODULES = [importlib.import_module(f"teamlogic.{info.name}") for info in pkgutil.iter_modules(teamlogic.__path__)]
 
@@ -116,6 +117,16 @@ def test_the_plan_cache_keys_by_identity():
     for formula in (first, first, second):
         assert not eval_rel(team(), formula)
     assert _plan_cache.cache_info()[:2] == (1, 2)
+
+
+def test_the_appendix_compiles_its_plans_once():
+    # its atoms and defining formulas are built once, so a second sweep
+    # takes every plan from the cache
+    first = verify_appendix()
+    misses = _plan_cache.cache_info().misses
+    assert misses == 8
+    assert verify_appendix() == first and first.ok
+    assert _plan_cache.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("value", [True, 1.0])

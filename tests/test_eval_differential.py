@@ -450,6 +450,75 @@ def test_differential_long_chains():
     assert verdicts == {True, False}
 
 
+#: Splits of a part that is not closed, or of a closed one, beside a
+#: closed part, all three masked: the benchmark's split query and a
+#: split of two dependences.  Each is (left part, right part, domain).
+MASKED_PAIRS = (
+    ("o1 _||_{m1} m2", "dep(m1,o1) & dep(m2,o2)", ("m1", "m2", "o1", "o2")),
+    ("dep(x, y)", "dep(y, z)", VARS),
+)
+
+
+def partition_split(team, left, right) -> bool:
+    """Whether some set of ``team``'s rows satisfies ``left`` and the other
+    rows satisfy ``right``, each decided by ``eval_rel`` on a team built
+    from its rows: the split, when ``right`` is downward closed."""
+    rows, domain, universe = team.rows, team.domain, team.universe
+    for mask in range(1 << len(rows)):
+        picked = [row for i, row in enumerate(rows) if mask >> i & 1]
+        rest = [row for i, row in enumerate(rows) if not mask >> i & 1]
+        if eval_rel(Team(domain, picked, universe), left) and eval_rel(Team(domain, rest, universe), right):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("left, right, domain", MASKED_PAIRS, ids=[f"{r} | {l}" for l, r, _ in MASKED_PAIRS])
+def test_masked_splits_agree_with_every_partition(left, right, domain):
+    # 9 to 12 rows, so that a sub-team's mask spans two 8-row chunks of
+    # the split team's rows
+    formula = parse(f"({right}) | ({left})")
+    rng = random.Random(left + right)
+    space = list(product((0, 1, 2), repeat=len(domain)))
+    verdicts = set()
+    for count in [9, 10, 11, 12] * 3:
+        team = Team(domain, rng.sample(space, count), universe=(0, 1, 2))
+        verdict = eval_rel(team, formula)
+        assert verdict == partition_split(team, parse(left), parse(right)), team.rows
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+#: Chains with three or four masked parts, alone or beside a flat part,
+#: an inclusion and other closed parts, and masked splits under ``A q``;
+#: each with the verdicts it takes on the teams of the test below.  The
+#: first chain of each kind holds on every team of up to 5 rows.
+MASKED_CHAINS = (
+    ("dep(x, y) | dep(y, z) | x _||_ z", {True}),
+    ("dep(, x) & dep(, y) | dep(, y) & dep(, z) | dep(, x) & dep(, z)", {True, False}),
+    ("x = 0 | x _||_ y | z <= x | dep(x, z)", {True}),
+    ("x = 0 & y = 0 | x _||_ y & dep(, z) | z <= x & dep(, y) | dep(, x z)", {True, False}),
+    ("A q . (dep(x q, y) | x _||_ q)", {True}),
+    ("A q . (dep(x, q) | y _||_ z)", {True, False}),
+)
+
+
+@pytest.mark.parametrize("text, expected", MASKED_CHAINS, ids=[text for text, _ in MASKED_CHAINS])
+def test_differential_masked_chains(text, expected):
+    # teams of up to 5 rows; under A q over two values, the split team
+    # has twice as many
+    formula = parse(text)
+    values = (0, 1) if isinstance(formula, Forall) else (0, 1, 2)
+    rng = random.Random(text)
+    space = list(product(values, repeat=3))
+    verdicts = set()
+    for count in [1] + [2, 3, 4, 5] * 8:
+        team = Team(VARS, rng.sample(space, count), universe=values)
+        verdict = eval_rel(team, formula)
+        assert verdict == naive_eval(team, formula), team.rows
+        verdicts.add(verdict)
+    assert verdicts == expected
+
+
 #: Values whose one-column projection is itself a tuple, beside bare
 #: values, so a one-column key and a one-tuple key would collide.
 MIXED_VALUES = ((0,), (0, 1), "a", 0)
@@ -770,8 +839,10 @@ def test_combined_tests_agree_on_conjunctions():
     assert verdicts == {True, False}
 
 
-#: Splits and existentials, which no mask test decides: their atoms run
-#: the batch kernels, on the whole team and on sub-teams and extensions.
+#: Splits and existentials, which no test of the plan's masks decides: a
+#: split decides its masked parts by masks over its own team's rows, and
+#: the other atoms run the batch kernels, on the whole team and on
+#: sub-teams and extensions.
 SEARCH_FORMULAS = SPLIT_SHAPES + tuple(parse(text) for text in (
     "dep(x, y) & (x _||_{z} y | dep(z, x))",
     "E q . dep(x, q) & x _||_ y",

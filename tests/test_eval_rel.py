@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, islice, product
 
@@ -437,6 +438,31 @@ class TestConnectives:
         evaluator = _Evaluator(DEFAULT_BUDGET, team)
         assert evaluator.root(compile([parse(text)], team.domain).roots[0])
         assert (evaluator.nodes, len(evaluator.memo)) == (nodes, memo)
+
+    def test_masked_split_keeps_no_memo(self):
+        # a split query of the benchmark's search workload on a 16-row team
+        # that no cover fits: the search ticks once for each of the 2^16 - 1
+        # nonempty left teams of the _||_ side, and decides both sides on
+        # ORs of row masks, which leave no memo entry
+        rows = [
+            (1, 2, 1, 1), (1, 2, 2, 2), (0, 0, 1, 2), (1, 0, 2, 0), (2, 1, 0, 2), (2, 0, 2, 2),
+            (1, 2, 2, 0), (1, 1, 0, 2), (2, 0, 2, 1), (1, 2, 0, 0), (1, 0, 0, 0), (2, 1, 0, 1),
+            (0, 1, 2, 2), (1, 1, 0, 0), (2, 1, 1, 2), (0, 1, 1, 0),
+        ]
+        team = T(("m1", "m2", "o1", "o2"), rows, universe=range(3))
+        evaluator = _Evaluator(DEFAULT_BUDGET, team)
+        formula = parse("(dep(m1,o1) & dep(m2,o2)) | (o1 _||_{m1} m2)")
+        assert not evaluator.root(compile([formula], team.domain).roots[0])
+        assert (evaluator.nodes, len(evaluator.memo)) == (65_535, 0)
+
+    def test_masked_split_sets_up_in_linear_time(self):
+        # x _||_ y holds on the whole 60-row team, the first left team that
+        # the search tries, so a set-up exponential in the rows would show
+        team = T(("x", "y"), list(product(range(6), range(10))))
+        formula = parse("dep(x, y) | x _||_ y")
+        start = time.perf_counter()
+        assert eval_rel(team, formula)
+        assert time.perf_counter() - start < 0.05
 
     def test_exists_search_deeper_than_recursion_limit(self):
         # one component of 1,100 rows makes the search 1,100 rows deep;
