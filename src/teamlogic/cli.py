@@ -3,7 +3,7 @@
 Subcommands::
 
     teamlogic eval --team FILE --formula TEXT [--prob]
-    teamlogic check --model FILE --property NAME [--strict]
+    teamlogic check --model FILE --property NAME
     teamlogic construct --model FILE --target TARGET --out FILE
     teamlogic entail --lhs TEXT --rhs TEXT --vars X [X ...] [--universe K]
                      [--max-rows R]
@@ -96,7 +96,7 @@ def cmd_eval(args) -> int:
 def cmd_check(args) -> int:
     model = load_model(args.model)
     prop = property_from_cli_name(args.property, model.kind)
-    verdict = check_property(model, prop, strict=args.strict, budget=_budget(args))
+    verdict = check_property(model, prop, budget=_budget(args))
     return _emit(
         args,
         {
@@ -254,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", parents=[budgeted], help="check a named property of a model")
     p.add_argument("--model", required=True, help="model JSON file or builtin:NAME")
     p.add_argument("--property", required=True)
-    p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("construct", parents=[budgeted], help="build an equivalent hidden-variable model")

@@ -24,8 +24,8 @@ class BudgetExceededError(TeamLogicError):
 
 
 class UnsupportedFragmentError(TeamLogicError):
-    """The formula lies outside the fragment the evaluator decides
-    (probabilistic disjunction or existential quantification)."""
+    """The formula lies outside the fragment the evaluator decides (a
+    ``_||_`` atom under a probabilistic disjunction or existential)."""
 
 
 class ZeroProbabilityError(TeamLogicError):

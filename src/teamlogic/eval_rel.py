@@ -5,8 +5,11 @@ throughout: a disjunction ``a | b | c`` holds when three (possibly
 overlapping) subteams, one per disjunct, cover the team, the existential
 quantifier ranges over set-valued Skolem functions, and the universal
 quantifier generalises over the team's value universe.  Run on a
-:class:`~teamlogic.teams.ProbTeam`, the same plan decides the
-probabilistic fragment of :mod:`teamlogic.eval_prob`.
+:class:`~teamlogic.teams.ProbTeam`, the same plan decides the formula
+probabilistically (:mod:`teamlogic.eval_prob`): a split or existential
+search whose subformula has no ``_||_`` atom runs on the team's support,
+and one whose subformula has one raises
+:class:`~teamlogic.errors.UnsupportedFragmentError`.
 
 Evaluation compiles, then runs.  :func:`compile` turns formulas into a
 :class:`Plan` over one variable domain, in which each distinct subformula
@@ -32,9 +35,10 @@ with no search state.  A split search builds the ints of its own team's
 rows and decides a masked disjunct on each team it tries by one test.
 The atom kernels, which read the rows, decide everything else: any other
 node, and a masked node that is neither a disjunct nor the root of a plan
-with a space; a :class:`~teamlogic.teams.ProbTeam`, whose ``_||_`` is
-stochastic; a team with a row outside the plan's space; and rows whose
-masks would exceed :data:`~teamlogic.masks.MASK_BITS`.
+with a space; a node on a :class:`~teamlogic.teams.ProbTeam`, not its
+support, whose ``_||_`` is stochastic; a team with a row outside the
+plan's space; and rows whose masks would exceed
+:data:`~teamlogic.masks.MASK_BITS`.
 
 Generalized dependence and ``nc`` share one definition, the incremental
 constraint that an existential search keeps: ``nc(xs; y)`` is the
@@ -283,8 +287,10 @@ class Plan:
 class _Node:
     """One distinct subformula of a plan, over one domain.
 
-    ``decide(evaluator, team, node)`` applies the node's clause and
-    ``closed`` records downward closure (the formula lies in ``FO(dep)``).
+    ``decide(evaluator, team, node)`` applies the node's clause,
+    ``closed`` records downward closure (the formula lies in ``FO(dep)``)
+    and ``weighted`` whether the formula has a ``_||_`` atom, the only
+    atom that reads a :class:`~teamlogic.teams.ProbTeam`'s weights.
     ``atoms`` holds the ``dep`` and ``_||_`` atoms whose conjunction the
     node is, when it is one (an atom counts as a conjunction of one): a
     test on an OR of row masks decides such a node (:mod:`teamlogic.masks`).
@@ -301,6 +307,7 @@ class _Node:
     formula: Formula
     decide: Callable
     closed: bool
+    weighted: bool
     atoms: tuple[Formula, ...] | None = None
     check: Callable | None = None
     kernel: Callable | None = None
@@ -317,19 +324,20 @@ def _build(formula: Formula, domain: tuple[str, ...], nodes: dict) -> _Node:
     node = nodes.get((formula, domain))
     if node is not None:
         return node
-    # ``closed`` is is_downward_closed(formula) and ``atoms`` the masked
-    # conjuncts, both read off the operand nodes
+    # ``closed`` is is_downward_closed(formula), ``weighted`` whether it
+    # has a ``_||_`` atom and ``atoms`` the masked conjuncts, all read off
+    # the operand nodes
     match formula:
         case Eq() | Neq() | And() | Or() if _classical(formula):
-            node = _Node(formula, _Evaluator.pointwise, True, check=_generate("row", partial(_source, formula, domain)))
+            node = _Node(formula, _Evaluator.pointwise, True, False, check=_generate("row", partial(_source, formula, domain)))
         case Dep() | GenDep() | Indep() | Incl() | NC() | NCC():
             closed = not isinstance(formula, (Indep, Incl))
             atoms = (formula,) if type(formula) in (Dep, Indep) else None
-            node = _Node(formula, _decide_atom, closed, atoms, kernel=_kernel(formula, domain))
+            node = _Node(formula, _decide_atom, closed, isinstance(formula, Indep), atoms, kernel=_kernel(formula, domain))
         case And(parts):
             subs = tuple(_build(part, domain, nodes) for part in parts)
             atoms = tuple(chain.from_iterable(s.atoms for s in subs)) if all(s.atoms for s in subs) else None
-            node = _Node(formula, _Evaluator.conj, all(s.closed for s in subs), atoms, parts=subs)
+            node = _Node(formula, _Evaluator.conj, all(s.closed for s in subs), any(s.weighted for s in subs), atoms, parts=subs)
         case Or(parts):
             # one flat part of the classical disjuncts, then the parts that
             # are not downward closed, then the closed ones
@@ -339,20 +347,22 @@ def _build(formula: Formula, domain: tuple[str, ...], nodes: dict) -> _Node:
             subs = sorted((_build(part, domain, nodes) for part in rest), key=lambda s: s.closed)
             if flat:
                 subs.insert(0, _build(disjoin(flat), domain, nodes))
-            node = _Node(formula, _Evaluator.or_split, all(s.closed for s in subs), parts=tuple(subs))
+            node = _Node(formula, _Evaluator.or_split, all(s.closed for s in subs), any(s.weighted for s in subs), parts=tuple(subs))
         case Exists() | Forall() if (last := _innermost(formula)) is not formula:
             node = _build(last, domain, nodes)
         case Exists(var) | Forall(var) if var in domain:
             # lax semantics is local: the formula holds on a team exactly
             # when on its restriction to the formula's free variables
             inner = _build(formula, tuple(v for v in domain if v != var), nodes)
-            node = _Node(formula, _Evaluator.fresh, inner.closed, var=var, body=inner)
+            node = _Node(formula, _Evaluator.fresh, inner.closed, inner.weighted, var=var, body=inner)
         case Forall(var, body):
             inner = _build(body, domain + (var,), nodes)
-            node = _Node(formula, _Evaluator.forall, inner.closed, var=var, body=inner)
+            node = _Node(formula, _Evaluator.forall, inner.closed, inner.weighted, var=var, body=inner)
         case Exists(var, body):
             block = _Block(var, body, domain, nodes)
-            node = _Node(formula, _Evaluator.exists, block.closed, var=var, block=block)
+            # a ``_||_`` conjunct of the matrix is in the residual
+            weighted = bool(block.residual and block.residual.weighted)
+            node = _Node(formula, _Evaluator.exists, block.closed, weighted, var=var, block=block)
         case _:
             raise InvalidArgumentError(f"unknown formula node {formula!r}")
     nodes[formula, domain] = node
@@ -440,7 +450,8 @@ def _tuples(pos: tuple[int, ...]) -> Callable[[Row], tuple]:
 
 def _decide_atom(evaluator: _Evaluator, team: Team | ProbTeam, node: _Node) -> bool:
     # through the method, so that wrapping ``_Evaluator.atom`` sees every
-    # atom decision
+    # atom decision that runs a kernel: the mask tests of a masked root
+    # (``Plan.run``) and of a masked split part (``or_split``) bypass it
     return evaluator.atom(team, node)
 
 
@@ -658,7 +669,7 @@ class _Evaluator:
 
     # -- disjunction -----------------------------------------------------
 
-    def or_split(self, team: Team, node: _Node) -> bool:
+    def or_split(self, team: Team | ProbTeam, node: _Node) -> bool:
         """Search the covers of ``team`` by one sub-team per part.
 
         Level ``k`` chooses the rows of ``teams[k]`` that ``parts[k]``
@@ -679,7 +690,7 @@ class _Evaluator:
         with no sub-team and no memo entry.  The other parts are decided on
         sub-teams, through the memo, as are all parts when the masks would
         exceed :data:`~teamlogic.masks.MASK_BITS`."""
-        _refuse_prob_search(team)
+        team = _search_team(team, node)
         if not team.rows:
             return True
         parts = node.parts
@@ -737,8 +748,8 @@ class _Evaluator:
 
     # -- existential quantification ----------------------------------------
 
-    def exists(self, team: Team, node: _Node) -> bool:
-        _refuse_prob_search(team)
+    def exists(self, team: Team | ProbTeam, node: _Node) -> bool:
+        team = _search_team(team, node)
         if not team.rows:
             return True
         block = node.block
@@ -905,13 +916,18 @@ def _choices(items: Sequence, least: int, closed: bool) -> Iterable[tuple]:
     return chain.from_iterable(combinations(items, k) for k in range(least, len(items) + 1))
 
 
-def _refuse_prob_search(team: Team | ProbTeam):
-    # the splits and Skolem families of a distribution form a continuum
-    if isinstance(team, ProbTeam):
+def _search_team(team: Team | ProbTeam, node: _Node) -> Team:
+    """The relational team on which a split or existential search
+    decides ``node``: the team's support, which decides a node with no
+    ``_||_`` on a :class:`~teamlogic.teams.ProbTeam` too (the lemma of
+    :mod:`teamlogic.eval_prob`).  A node with one is refused there: its
+    verdict reads the weights of a continuum of splits or Skolem families."""
+    if node.weighted and isinstance(team, ProbTeam):
         raise UnsupportedFragmentError(
-            "probabilistic disjunction and existential quantification are "
-            "not decided; check an explicit witness instead"
+            "a _||_ atom under a probabilistic disjunction or existential "
+            "quantifier is not decided; check an explicit witness instead"
         )
+    return team.support()
 
 
 class _Block:

@@ -33,7 +33,7 @@ from functools import lru_cache
 from itertools import product
 from math import prod
 
-from .errors import InvalidArgumentError, UnsupportedFragmentError
+from .errors import InvalidArgumentError
 from .eval_rel import EvalBudget, Plan, compile
 from .formulas import And, Dep, Exists, Formula, GenDep, Incl, Indep, conjoin
 from .models import LAMBDA_VAR, EmpiricalModel, HVModel
@@ -146,7 +146,6 @@ def property_formula(prop: PropertyName, arity: int) -> Formula:
 def check_property(
     model: EmpiricalModel | HVModel,
     prop: PropertyName,
-    strict: bool = False,
     budget: EvalBudget | None = None,
 ) -> bool:
     """Evaluate a property formula on a model.
@@ -154,22 +153,12 @@ def check_property(
     Hidden-variable properties require a hidden-variable model; empirical
     properties evaluate on either (on hidden-variable models they speak
     about the induced empirical model, by locality of the semantics).
-    ``NonContextE`` on probabilistic models is evaluated on the support
-    unless ``strict``, in which case it is rejected as outside the
-    decidable probabilistic fragment.
+    ``NonContextE`` has no ``_||_``, so a probabilistic model satisfies
+    it exactly when its support does (:mod:`teamlogic.eval_prob`).
     """
     if prop not in EMPIRICAL_PROPERTIES and not isinstance(model, HVModel):
         raise InvalidArgumentError(f"{prop.value} needs a hidden-variable model")
-    data = model.data
-    if model.probabilistic and prop is PropertyName.NON_CONTEXT_E:
-        if strict:
-            raise UnsupportedFragmentError(
-                "NonContextE uses disjunction-free existentials over "
-                "distributions; evaluate on the support (strict=False) "
-                "or check a witness"
-            )
-        data = model.team
-    return _property_plan(prop, model.arity, data.domain).run(data, budget)(0)
+    return _property_plan(prop, model.arity, model.data.domain).run(model.data, budget)(0)
 
 
 @lru_cache(maxsize=128)

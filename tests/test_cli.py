@@ -353,20 +353,15 @@ class TestConstruct:
             "construct", "--model", "builtin:loc6", "--target", "localize", "--out", "-")
         assert code == 2 and "Locality" in err
 
-    @pytest.mark.parametrize("strict", [False, True])
-    def test_check_strict_refuses_noncontext_on_a_weighted_model(self, strict, tmp_path, capsys):
-        # NonContextE of a probabilistic model is decided on its support,
-        # unless --strict asks for the probabilistic fragment alone
+    def test_check_decides_noncontext_of_a_weighted_model_on_its_support(self, tmp_path, capsys):
+        # NonContextE has no _||_, so a probabilistic model satisfies it
+        # exactly when its support does
         model = tmp_path / "weighted.json"
         rows = [[a, b, 0, 0] for a in "ab" for b in "ab"]
         model.write_text(json.dumps({"kind": "empirical", "arity": 2, "domain": ["m1", "m2", "o1", "o2"],
                                      "rows": rows, "weights": ["1/2", "1/6", "1/6", "1/6"]}))
-        code = main(["check", "--model", str(model), "--property", "non-context"] + ["--strict"] * strict)
-        out, err = capsys.readouterr()
-        if strict:
-            assert code == 2 and out == "" and err.startswith("error[fragment-error]")
-        else:
-            assert (code, out, err) == (0, "NonContextE: true\n", "")
+        code = main(["check", "--model", str(model), "--property", "non-context"])
+        assert (code, *capsys.readouterr()) == (0, "NonContextE: true\n", "")
 
     def test_lcm_construction_rejects_probabilistic_hidden_model(self, tmp_path, capsys):
         model = tmp_path / "hv.json"
@@ -456,6 +451,7 @@ def test_cli_refusals_are_input_errors(argv, message, model_files, capsys):
     ["nogo", "hardy", "--budget", "5"],
     ["eval", "--team", "builtin:rt2", "--formula", "dep(x, y)", "--seed", "1"],
     ["nogo", "ks", "--seed", "1"],
+    ["check", "--model", "builtin:ex22", "--property", "non-context", "--strict"],
 ], ids=" ".join)
 def test_flags_are_offered_only_where_read(argv, capsys):
     # an option a command would ignore is an argument error

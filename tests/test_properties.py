@@ -3,7 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
-from teamlogic.errors import InvalidArgumentError, UnsupportedFragmentError
+from teamlogic.errors import InvalidArgumentError
 from teamlogic.eval_prob import eval_prob
 from teamlogic.eval_rel import eval_rel
 from teamlogic.formulas import Dep, Indep, print_formula
@@ -86,11 +86,9 @@ class TestPaperExamples:
         with pytest.raises(InvalidArgumentError):
             check_property(sig, P.LOC_H)
 
-    def test_noncontext_prob_strict_rejected(self, ex22):
+    def test_noncontext_prob_decided_on_support(self, ex22):
         pm = from_team(ProbTeam.uniform(ex22.team), "empirical")
         assert check_property(pm, P.NON_CONTEXT_E)  # support evaluation
-        with pytest.raises(UnsupportedFragmentError):
-            check_property(pm, P.NON_CONTEXT_E, strict=True)
 
 
 def hv_teams(max_rows, component_size=2):
