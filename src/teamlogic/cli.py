@@ -2,25 +2,29 @@
 
 Subcommands::
 
-    teamlogic eval --team FILE --formula TEXT [--prob]
-    teamlogic check --model FILE --property NAME
-    teamlogic construct --model FILE --target TARGET --out FILE
+    teamlogic eval --team FILE --formula TEXT [--prob] [--budget B]
+    teamlogic check --model FILE --property NAME [--budget B]
+    teamlogic construct --model FILE --target TARGET --out FILE [--budget B]
     teamlogic entail --lhs TEXT --rhs TEXT --vars X [X ...] [--universe K]
-                     [--max-rows R]
+                     [--max-rows R] [--budget B]
     teamlogic nogo hardy
-    teamlogic nogo ks [--config FILE]
+    teamlogic nogo ks [--config FILE] [--budget B]
     teamlogic nogo exists --model FILE --target {strong-det+lambda|local+lambda}
+                          [--out FILE] [--budget B]
     teamlogic verify --suite {fig1|appendix|separations|entailments|ks|hardy}
                      [--samples N] [--seed S]
 
-Every file argument accepts ``builtin:NAME`` for the bundled tables (ex22,
-sig, siglambda, loc6, pt1, rt2, hardy, cabello18), through the one reader
+``--budget B`` caps both the rows and the states of a search
+(:class:`~teamlogic.eval_rel.EvalBudget`), and ``nogo exists --out`` writes
+the witness model to a file, which the report names in its place.  Every
+file argument accepts ``builtin:NAME`` for the bundled tables (ex22, sig,
+siglambda, loc6, pt1, rt2, hardy, cabello18), through the one reader
 :func:`teamlogic.jsonio.load`; ``--config`` defaults to ``builtin:cabello18``.
 The suites and constructions are the library's, looked up in :data:`SUITES`
 and :data:`CONSTRUCT_TARGETS`.  Verdicts go into the report, never the exit
 code: 0 means a verdict was computed, 2 an input problem, 3 a budget was
-exceeded.  Output is byte-deterministic for fixed inputs and seed;
-``--json`` emits a versioned machine-readable report.
+exceeded.  Output is byte-deterministic for fixed inputs and seed; every
+subcommand's ``--json`` emits a versioned machine-readable report.
 """
 
 from __future__ import annotations

@@ -20,19 +20,21 @@ or of ``|`` is one node, and ``Q y . R y . φ`` is built as ``R y . φ``.
 No quantifier rebinds a column: lax semantics is local, so one over a
 bound column runs fresh on the team without that column.  A plan is
 complete when :func:`compile` returns, and no run changes it.
-:meth:`Plan.run` decides the formulas on one team, each node at most once
-for that team.  :func:`eval_rel` runs its formula's plan, which it takes
-from a cache of :data:`PLAN_CACHE_SIZE` plans keyed by the formula
-object's identity and the domain (:func:`_plan`).
+:meth:`Plan.run` decides the formulas on one team, each verdict by a
+search state of its own, as one :func:`eval_rel` call decides it.
+:func:`eval_rel` runs its formula's plan, which it takes from a cache of
+:data:`PLAN_CACHE_SIZE` plans keyed by the formula object's identity and
+the domain (:func:`_plan`).
 
 A node that is a ``dep`` or ``_||_`` atom, or a conjunction of them, is
 masked: over a fixed set of rows, one packed int per row holds the class
 bits of each such atom, and a test on the OR of a sub-team's row ints
 decides the node on it (:mod:`teamlogic.masks`).  A plan compiled over an
-assignment space (a sweep's plan) holds the ints of the space's rows: a
-run ORs its team's row ints once and decides a masked root by one test,
-with no search state.  A split search builds the ints of its own team's
-rows and decides a masked disjunct on each team it tries by one test.
+assignment space (a sweep's plan) holds the ints of the space's rows for
+the atoms of its masked roots: a run ORs its team's row ints once and
+decides a masked root by one test, with no search state.  A split search
+builds the ints of its own team's rows and decides a masked disjunct on
+each team it tries by one test.
 The atom kernels, which read the rows, decide everything else: any other
 node, and a masked node that is neither a disjunct nor the root of a plan
 with a space; a node on a :class:`~teamlogic.teams.ProbTeam`, not its
@@ -148,11 +150,11 @@ def compile(formulas: Iterable[Formula], domain: Sequence[str], space: Team | No
     constant that no team can hold.
 
     ``space`` is the assignment space whose sub-teams the plan will run
-    on, if one is known: the plan then packs the class bits of its
-    ``dep`` and ``_||_`` atoms over ``domain`` into one mask per space
-    row (see :mod:`teamlogic.masks`), unless they would take more than
-    :data:`~teamlogic.masks.MASK_BITS` bits, with a test on an OR of
-    masks of each root that is such an atom or a conjunction of them.
+    on, if one is known: the plan then packs the class bits of the atoms
+    of each root that is a ``dep`` or ``_||_`` atom or a conjunction of
+    them into one mask per space row (see :mod:`teamlogic.masks`), unless
+    they would take more than :data:`~teamlogic.masks.MASK_BITS` bits,
+    with a test on an OR of masks of each such root.
     """
     domain = tuple(domain)
     nodes: dict = {}
@@ -167,7 +169,7 @@ def compile(formulas: Iterable[Formula], domain: Sequence[str], space: Team | No
     if space is not None:
         if space.domain != domain:
             raise DomainError(f"space domain {space.domain} differs from plan domain {domain}")
-        masks = RowMasks.build(domain, space.rows, (f for f, d in nodes if d == domain))
+        masks = RowMasks.build(domain, space.rows, dict.fromkeys(chain.from_iterable(r.atoms or () for r in roots)))
         for node in roots if masks else ():
             if node.atoms:
                 tests[node] = masks.test(node.atoms)
@@ -237,16 +239,17 @@ def _plan_cache(same: _Same, domain: tuple[str, ...]) -> Plan:
 def search_tick(budget: EvalBudget | None) -> Callable[[], None]:
     """A node count for a search run outside a plan: each call ticks one
     node against ``budget.memo_limit`` and raises as the evaluator does."""
-    return _Evaluator(budget or DEFAULT_BUDGET, None).tick
+    return _Evaluator(budget or DEFAULT_BUDGET).tick
 
 
 @dataclass(frozen=True)
 class Plan:
     """Formulas compiled by :func:`compile` for teams over one variable
     domain: ``roots`` holds the node of each formula, in order, ``masks``
-    the row masks of the assignment space it was compiled over, if any,
-    and ``tests`` the test, on an OR of masks, of each root that is a masked
-    atom or a conjunction of them.  Runs on different teams may share a plan."""
+    the row masks of the masked roots' atoms over the assignment space it
+    was compiled over, if any, and ``tests`` the test, on an OR of masks,
+    of each root that is a masked atom or a conjunction of them.  Runs on
+    different teams may share a plan."""
 
     domain: tuple[str, ...]
     roots: tuple[_Node, ...]
@@ -259,26 +262,20 @@ class Plan:
         A :class:`~teamlogic.teams.ProbTeam` is decided probabilistically.
         A verdict is decided when it is asked for: by its root's test, when
         it has one and the team is relational and within the plan's space;
-        else by one search state per run, which decides each node at most
-        once for the team.  ``budget`` bounds the work of each verdict
-        afresh, as it bounds one :func:`eval_rel` call; a verdict does
-        only the work that no earlier verdict on the team has done.
+        else by a search state of its own, under the whole ``budget``.  So
+        each verdict is decided, and raises, as one :func:`eval_rel` call
+        does, whatever was asked before it.
         """
         if team.domain != self.domain:
             raise DomainError(f"team domain {team.domain} differs from plan domain {self.domain}")
         budget = budget or DEFAULT_BUDGET
         bits = self.masks.of(team) if self.masks and isinstance(team, Team) else None
         roots, tests = self.roots, {} if bits is None else self.tests
-        evaluator = None
 
         def verdict(i: int) -> bool:
-            nonlocal evaluator
-            test = tests.get(roots[i])
-            if test:
-                return test(bits)
-            if evaluator is None:
-                evaluator = _Evaluator(budget, team)
-            return evaluator.root(roots[i])
+            node = roots[i]
+            test = tests.get(node)
+            return test(bits) if test else node.decide(_Evaluator(budget), team, node)
 
         return verdict
 
@@ -335,7 +332,8 @@ def _build(formula: Formula, domain: tuple[str, ...], nodes: dict) -> _Node:
             atoms = (formula,) if type(formula) in (Dep, Indep) else None
             node = _Node(formula, _decide_atom, closed, isinstance(formula, Indep), atoms, kernel=_kernel(formula, domain))
         case And(parts):
-            subs = tuple(_build(part, domain, nodes) for part in parts)
+            # a repeated conjunct is one part, decided once
+            subs = tuple(dict.fromkeys(_build(part, domain, nodes) for part in parts))
             atoms = tuple(chain.from_iterable(s.atoms for s in subs)) if all(s.atoms for s in subs) else None
             node = _Node(formula, _Evaluator.conj, all(s.closed for s in subs), any(s.weighted for s in subs), atoms, parts=subs)
         case Or(parts):
@@ -598,15 +596,12 @@ def depth_first(depth: int, level: Callable[[int], Iterator[bool]]) -> Iterator[
 
 
 class _Evaluator:
-    """The search state of one run on one team: the verdicts of the nodes
-    decided on that team itself and, for the verdict being decided, the
-    memo of verdicts on the subteams and extensions that searches build
-    and the node count that the budget bounds with it."""
+    """The search state of one verdict: the memo of verdicts on the
+    subteams and extensions that its searches build, and the node count
+    that the budget bounds with it."""
 
-    def __init__(self, budget: EvalBudget, team: Team | ProbTeam):
+    def __init__(self, budget: EvalBudget):
         self.budget = budget
-        self.team = team
-        self.verdicts: dict = {}
         self.nodes = 0
         self.memo: dict = {}
 
@@ -622,26 +617,11 @@ class _Evaluator:
 
     # -- dispatch ----------------------------------------------------------
 
-    def root(self, node: _Node) -> bool:
-        # each root verdict gets the whole budget, as one eval_rel call
-        # does; verdicts already decided on the team are kept
-        self.nodes = 0
-        self.memo = {}
-        return self.eval(self.team, node)
-
-    def eval(self, team: Team, node: _Node) -> bool:
-        if team is self.team:
-            verdict = self.verdicts.get(node)
-            if verdict is None:
-                verdict = self.verdicts[node] = node.decide(self, team, node)
-            return verdict
-        return node.decide(self, team, node)
-
     def memo_eval(self, team: Team, node: _Node) -> bool:
         key = (node, team)
         hit = self.memo.get(key)
         if hit is None:
-            hit = self.memo[key] = self.eval(team, node)
+            hit = self.memo[key] = node.decide(self, team, node)
             self.tick(0)
         return hit
 
@@ -653,7 +633,7 @@ class _Evaluator:
 
     def conj(self, team: Team, node: _Node) -> bool:
         for part in node.parts:
-            if not self.eval(team, part):
+            if not part.decide(self, team, part):
                 return False
         return True
 
@@ -661,7 +641,6 @@ class _Evaluator:
         if not team.rows:
             return True
         self.budget.check_rows(len(team.rows) * len(team.universe))
-        # a new team, never the run's own, so not through ``eval``
         return node.body.decide(self, team.generalize(node.var, team.universe), node.body)
 
     def fresh(self, team: Team | ProbTeam, node: _Node) -> bool:

@@ -308,8 +308,8 @@ def test_differential_same_variable_exists():
 
 def test_differential_shared_plans():
     # the formulas of one plan are built from a small pool, so they share
-    # subformulas; verdicts are asked for in a random order, so a node
-    # decided for one formula is reused by the next
+    # subformulas; verdicts are asked for in a random order, and each is
+    # decided as its lone eval_rel is, whatever was asked before it
     rng = random.Random(8086)
     space = list(product((0, 1), repeat=3))
     for round_ in range(60):
@@ -842,13 +842,15 @@ def test_combined_tests_agree_on_conjunctions():
 #: Splits and existentials, which no test of the plan's masks decides: a
 #: split decides its masked parts by masks over its own team's rows, and
 #: the other atoms run the batch kernels, on the whole team and on
-#: sub-teams and extensions.
+#: sub-teams and extensions.  The last formula is a masked root, whose
+#: atoms are the only ones the plan's masks hold.
 SEARCH_FORMULAS = SPLIT_SHAPES + tuple(parse(text) for text in (
     "dep(x, y) & (x _||_{z} y | dep(z, x))",
     "E q . dep(x, q) & x _||_ y",
     "E q . (x _||_{z} q | dep(q, y)) & dep(x, y)",
     "A q . dep(x q, y) | x _||_ y",
     "E x . dep(x, y) & x _||_ z",
+    "dep(x, y) & x _||_{z} y",
 ))
 
 
@@ -856,6 +858,7 @@ def test_masks_agree_under_splits_and_quantifiers():
     rng = random.Random(4040)
     space = assignment_space([(v, [0, 1, 2]) for v in VARS])
     masked, batch = _masked_and_batch(SEARCH_FORMULAS, space)
+    assert list(masked.tests) == [masked.roots[-1]]
     verdicts = set()
     for count in [0, 1] + [2, 3, 4] * 25:
         team = space._sub(sorted(rng.sample(space.rows, count)))

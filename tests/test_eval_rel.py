@@ -7,7 +7,6 @@ from itertools import combinations, islice, product
 
 import pytest
 
-from teamlogic.datasets import load_bundled
 from teamlogic.entailment import assignment_space, enumerate_teams, verify_separations
 from teamlogic.errors import BudgetExceededError, DomainError, InvalidArgumentError
 from teamlogic.eval_rel import (
@@ -186,21 +185,22 @@ class TestPlan:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """The team of each search state built, in order."""
-        teams = []
+        """The budget of each search state built, in order."""
+        budgets = []
         init = _Evaluator.__init__
 
-        def counting(evaluator, budget, team, *args):
-            teams.append(team)
-            init(evaluator, budget, team, *args)
+        def counting(evaluator, budget):
+            budgets.append(budget)
+            init(evaluator, budget)
 
         monkeypatch.setattr(_Evaluator, "__init__", counting)
-        return teams
+        return budgets
 
     def test_covered_sweep_builds_no_search_state(self, built):
         assert verify_separations().ok
-        # only the bundled teams' checks, whose plans have no space, build one
-        assert built == [load_bundled("pt1")] * 2 + [load_bundled("rt2")] * 2
+        # only the bundled teams' checks, whose plans have no space, build
+        # one, one per verdict: two on pt1 and two on rt2
+        assert len(built) == 4
 
     def test_the_input_selects_the_search_state(self, built):
         # the first two roots have tests, the last two do not
@@ -213,16 +213,38 @@ class TestPlan:
         outside = T(("x", "y"), [(0, 1), (2, 1)])
         runs = [
             (inside, 2, 0),  # covered: tests alone
-            (inside, 4, 1),  # a root with | or E
-            (outside, 2, 1),  # a row outside the space
-            (ProbTeam.uniform(inside), 2, 1),  # a probabilistic team
+            (inside, 4, 2),  # the roots with | or E
+            (outside, 2, 2),  # a row outside the space
+            (ProbTeam.uniform(inside), 2, 2),  # a probabilistic team
         ]
-        for team, roots, searches in runs:
+        for team, roots, searched in runs:
             built.clear()
             verdict = plan.run(team)
-            # each root asked twice, as a covered root is decided each time
+            # each root asked twice: every verdict that no test decides
+            # builds a search state of its own
             assert [verdict(i) for i in range(roots)] == [verdict(i) for i in range(roots)]
-            assert built == [team] * searches
+            assert built == [DEFAULT_BUDGET] * 2 * searched
+
+    def test_each_verdict_has_the_whole_budget(self):
+        # the smallest memo_limit that fits is 5 for the first formula and
+        # 12 for the second, which shares its conjunct: a verdict raises
+        # as its lone eval_rel does, whatever was asked before it
+        team = T(("x", "y", "z"), [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (1, 0, 2)])
+        formulas = [parse("ncc(x y z)"), parse("ncc(x y z) & ncc(x y)")]
+        budget = EvalBudget(memo_limit=11)
+        for formula, fits in zip(formulas, (5, 12)):
+            eval_rel(team, formula, EvalBudget(memo_limit=fits))
+            with pytest.raises(BudgetExceededError):
+                eval_rel(team, formula, EvalBudget(memo_limit=fits - 1))
+        # a repeated conjunct is one part, decided once
+        eval_rel(team, parse("ncc(x y z) & ncc(x y z)"), EvalBudget(memo_limit=5))
+        plan = compile(formulas, team.domain)
+        for first in (False, True):
+            verdict = plan.run(team, budget)
+            if first:
+                assert verdict(0) == eval_rel(team, formulas[0], budget)
+            with pytest.raises(BudgetExceededError):
+                verdict(1)
 
     def test_code_is_generated_by_compile_alone(self, monkeypatch):
         # a plan is complete when compile returns: the gendep defining
@@ -435,8 +457,9 @@ class TestConnectives:
         # z <= x holds on the whole team, which the parts after the flat
         # one try before any smaller team
         team = T(("x", "y", "z"), [(0, 2, 1), (1, 1, 1), (2, 0, 0), (2, 0, 2), (2, 1, 2), (2, 2, 2)])
-        evaluator = _Evaluator(DEFAULT_BUDGET, team)
-        assert evaluator.root(compile([parse(text)], team.domain).roots[0])
+        evaluator = _Evaluator(DEFAULT_BUDGET)
+        node = compile([parse(text)], team.domain).roots[0]
+        assert node.decide(evaluator, team, node)
         assert (evaluator.nodes, len(evaluator.memo)) == (nodes, memo)
 
     def test_masked_split_keeps_no_memo(self):
@@ -450,9 +473,9 @@ class TestConnectives:
             (0, 1, 2, 2), (1, 1, 0, 0), (2, 1, 1, 2), (0, 1, 1, 0),
         ]
         team = T(("m1", "m2", "o1", "o2"), rows, universe=range(3))
-        evaluator = _Evaluator(DEFAULT_BUDGET, team)
-        formula = parse("(dep(m1,o1) & dep(m2,o2)) | (o1 _||_{m1} m2)")
-        assert not evaluator.root(compile([formula], team.domain).roots[0])
+        evaluator = _Evaluator(DEFAULT_BUDGET)
+        node = compile([parse("(dep(m1,o1) & dep(m2,o2)) | (o1 _||_{m1} m2)")], team.domain).roots[0]
+        assert not node.decide(evaluator, team, node)
         assert (evaluator.nodes, len(evaluator.memo)) == (65_535, 0)
 
     def test_masked_split_sets_up_in_linear_time(self):
@@ -650,9 +673,9 @@ class TestValuePrecedenceBudget:
 
     @staticmethod
     def nodes(team):
-        evaluator = _Evaluator(DEFAULT_BUDGET, team)
-        verdict = evaluator.root(compile([parse(HIDDEN_QUERY)], team.domain).roots[0])
-        return verdict, evaluator.nodes
+        evaluator = _Evaluator(DEFAULT_BUDGET)
+        node = compile([parse(HIDDEN_QUERY)], team.domain).roots[0]
+        return node.decide(evaluator, team, node), evaluator.nodes
 
     def test_fixed_failing_team_decides_within_a_smaller_budget(self):
         team = T(("m1", "m2", "o1", "o2"), self.ROWS, universe=range(3))

@@ -508,7 +508,7 @@ def test_sub_team_agrees_with_validated_team(seed):
         # a memo entry stored under either team is found under the other
         node = compile([dep], domain).roots[0]
         for first, second in ((sub, twin), (twin, sub)):
-            evaluator = _Evaluator(DEFAULT_BUDGET, t)
+            evaluator = _Evaluator(DEFAULT_BUDGET)
             verdict = evaluator.memo_eval(first, node)
             assert evaluator.memo_eval(second, node) == verdict
             assert list(evaluator.memo) == [(node, first)]
