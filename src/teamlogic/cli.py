@@ -16,7 +16,8 @@ Subcommands::
 
 ``--budget B`` caps both the rows and the states of a search
 (:class:`~teamlogic.eval_rel.EvalBudget`), and ``nogo exists --out`` writes
-the witness model to a file, which the report names in its place.  Every
+the witness model to a file, which the report names in its place;
+``--out -`` writes the model to stdout, and so refuses ``--json``.  Every
 file argument accepts ``builtin:NAME`` for the bundled tables (ex22, sig,
 siglambda, loc6, pt1, rt2, hardy, cabello18), through the one reader
 :func:`teamlogic.jsonio.load`; ``--config`` defaults to ``builtin:cabello18``.
@@ -309,6 +310,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.json and getattr(args, "out", None) == "-":
+            raise InvalidArgumentError("--out - and --json both write to stdout")
         return args.func(args)
     except TeamLogicError as exc:
         kind = _ERROR_KINDS.get(type(exc).__name__, "error")

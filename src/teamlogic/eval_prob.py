@@ -129,7 +129,7 @@ def eval_prob(prob_team: ProbTeam, formula: Formula, budget: EvalBudget | None =
     space here.  The plan comes from the cache that
     :func:`~teamlogic.eval_rel.eval_rel` takes its plans from, of
     :data:`~teamlogic.eval_rel.PLAN_CACHE_SIZE` plans keyed by the formula
-    object's identity and the team's domain.
+    and the team's domain.
     """
     return _plan(formula, prob_team.domain).run(prob_team, budget)(0)
 

@@ -23,8 +23,8 @@ complete when :func:`compile` returns, and no run changes it.
 :meth:`Plan.run` decides the formulas on one team, each verdict by a
 search state of its own, as one :func:`eval_rel` call decides it.
 :func:`eval_rel` runs its formula's plan, which it takes from a cache of
-:data:`PLAN_CACHE_SIZE` plans keyed by the formula object's identity and
-the domain (:func:`_plan`).
+:data:`PLAN_CACHE_SIZE` plans keyed by the formula and the domain
+(:func:`_plan`).
 
 A node that is a ``dep`` or ``_||_`` atom, or a conjunction of them, is
 masked: over a fixed set of rows, one packed int per row holds the class
@@ -87,7 +87,6 @@ from .formulas import (
     NC,
     NCC,
     And,
-    Const,
     Dep,
     Eq,
     Exists,
@@ -145,9 +144,7 @@ def compile(formulas: Iterable[Formula], domain: Sequence[str], space: Team | No
     ``domain``, is built into one node, so formulas that share
     subformulas share their nodes.  Raises
     :class:`~teamlogic.errors.DomainError` when a formula has a free
-    variable outside ``domain``, and
-    :class:`~teamlogic.errors.InvalidArgumentError` when it has a
-    constant that no team can hold.
+    variable outside ``domain``.
 
     ``space`` is the assignment space whose sub-teams the plan will run
     on, if one is known: the plan then packs the class bits of the atoms
@@ -163,26 +160,29 @@ def compile(formulas: Iterable[Formula], domain: Sequence[str], space: Team | No
         missing = free_vars(formula) - set(domain)
         if missing:
             raise DomainError(f"free variables {sorted(missing)} not bound by team domain {domain}")
-        _refuse_constants(formula)
         roots.append(_build(formula, domain, nodes))
     masks, tests = None, {}
     if space is not None:
         if space.domain != domain:
             raise DomainError(f"space domain {space.domain} differs from plan domain {domain}")
-        masks = RowMasks.build(domain, space.rows, dict.fromkeys(chain.from_iterable(r.atoms or () for r in roots)))
-        for node in roots if masks else ():
-            if node.atoms:
-                tests[node] = masks.test(node.atoms)
+        masks, tests = _masked(domain, space.rows, roots)
     return Plan(domain, tuple(roots), masks, tests)
+
+
+def _masked(domain: tuple[str, ...], rows: Sequence[Row], nodes: Sequence[_Node]) -> tuple[RowMasks | None, dict]:
+    """The row masks of ``rows`` for the atoms of the masked ``nodes``, and
+    the test on an OR of masks of each masked node: none when the masks
+    would exceed :data:`~teamlogic.masks.MASK_BITS`."""
+    masks = RowMasks.build(domain, rows, dict.fromkeys(chain.from_iterable(n.atoms or () for n in nodes)))
+    return masks, {n: masks.test(n.atoms) for n in nodes if n.atoms} if masks else {}
 
 
 def eval_rel(team: Team, formula: Formula, budget: EvalBudget | None = None) -> bool:
     """Decide whether ``team`` satisfies ``formula`` relationally.
 
     The plan comes from a cache of the last :data:`PLAN_CACHE_SIZE` plans
-    (64), keyed by the formula object's identity and the team's domain
-    (:func:`_plan`), so asking one formula object on many teams compiles
-    it once.  An equal formula built apart is compiled on its own."""
+    (64), keyed by the formula and the team's domain (:func:`_plan`), so
+    asking one formula, or an equal one, on many teams compiles it once."""
     return _plan(formula, team.domain).run(team, budget)(0)
 
 
@@ -193,7 +193,7 @@ def eval_atom_rel(team: Team, atom: Formula, budget: EvalBudget | None = None) -
     bounded by ``budget``; everything else is a scan of the rows, and
     decides on any value universe.  The plan comes from
     :func:`eval_rel`'s cache of :data:`PLAN_CACHE_SIZE` plans, keyed by
-    the atom object's identity and the team's domain.
+    the atom and the team's domain.
     """
     if not isinstance(atom, ATOM_TYPES):
         raise InvalidArgumentError(f"{atom!r} is not an atom")
@@ -204,36 +204,12 @@ def eval_atom_rel(team: Team, atom: Formula, budget: EvalBudget | None = None) -
 PLAN_CACHE_SIZE = 64
 
 
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(formula: Formula, domain: tuple[str, ...]) -> Plan:
     """The plan of one formula over ``domain``, for :func:`eval_rel`,
-    :func:`eval_atom_rel` and :func:`~teamlogic.eval_prob.eval_prob`,
-    from one cache keyed by the formula's identity and the domain."""
-    return _plan_cache(_Same(formula), domain)
-
-
-class _Same:
-    """A formula that compares by identity.  Equal formulas may differ:
-    ``1 == 1.0 == True``, so ``x = true``, which is refused, equals
-    ``x = 1``."""
-
-    __slots__ = ("formula",)
-
-    def __init__(self, formula: Formula):
-        self.formula = formula
-
-    def __hash__(self) -> int:
-        return id(self.formula)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is _Same and other.formula is self.formula
-
-
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _plan_cache(same: _Same, domain: tuple[str, ...]) -> Plan:
-    """An entry holds its formula, so the formula's id is not reused while
-    the entry lives; no entry holds a team.  A refusal is not cached, so
-    it is raised again."""
-    return compile([same.formula], domain)
+    :func:`eval_atom_rel` and :func:`~teamlogic.eval_prob.eval_prob`.  An
+    entry holds no team, and a refusal is not cached, so it is raised again."""
+    return compile([formula], domain)
 
 
 def search_tick(budget: EvalBudget | None) -> Callable[[], None]:
@@ -367,23 +343,6 @@ def _build(formula: Formula, domain: tuple[str, ...], nodes: dict) -> _Node:
     return node
 
 
-def _refuse_constants(formula: Formula):
-    """Refuse every constant of ``formula`` that no team can hold, before
-    :func:`_build` shares nodes by formula equality: ``1 == 1.0 == True``,
-    so ``x = true`` equals ``x = 1``, and would take its node."""
-    stack = [formula]
-    while stack:
-        match stack.pop():
-            case Eq(lhs, rhs) | Neq(lhs, rhs):
-                for term in (lhs, rhs):
-                    if isinstance(term, Const):
-                        value_key(term.value)
-            case And(parts) | Or(parts):
-                stack.extend(parts)
-            case Exists(_, body) | Forall(_, body):
-                stack.append(body)
-
-
 def _innermost(formula: Formula) -> Formula:
     """The last quantifier of a nest ``Q y . R y . ...`` over one variable,
     which is the nest under lax semantics: it binds ``y`` afresh whatever
@@ -511,7 +470,6 @@ def _kernel(atom: Formula, domain: tuple[str, ...]) -> Callable[[_Evaluator, Tea
                 return exact_transversal(blocks, evaluator.tick) is not None
 
             return ncc
-    raise InvalidArgumentError(f"{atom!r} is not a team atom")
 
 
 def _stochastic_indep(prob_team: ProbTeam, xs, cond, ys) -> bool:
@@ -673,9 +631,7 @@ class _Evaluator:
         if not team.rows:
             return True
         parts = node.parts
-        atoms = dict.fromkeys(chain.from_iterable(p.atoms or () for p in parts))
-        masks = RowMasks.build(team.domain, team.rows, atoms)
-        tests = {p: masks.test(p.atoms) for p in parts if p.atoms} if masks else {}
+        masks, tests = _masked(team.domain, team.rows, parts)
         teams = [team] * len(parts)
 
         def level(k: int) -> Iterator[bool]:

@@ -42,7 +42,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .errors import InvalidArgumentError, ParseError
-from .teams import Value
+from .teams import Value, value_key
 
 _RESERVED = {"E", "A"}
 
@@ -59,7 +59,14 @@ class Var(Term):
 
 @dataclass(frozen=True)
 class Const(Term):
+    """A value constant.  Building one refuses a value that no team can
+    hold (:func:`~teamlogic.teams.value_key`), so ``x = 1`` equals only
+    itself: ``Const(True)`` and ``Const(1.0)``, equal to ``Const(1)``, raise."""
+
     value: Value
+
+    def __post_init__(self):
+        value_key(self.value)
 
 
 class Formula:
@@ -598,9 +605,8 @@ def parse(text: str) -> Formula:
     caller's stack.
 
     The last :data:`PARSE_CACHE_SIZE` texts parsed keep their formula, so
-    parsing one text again returns the same object, whose plan
-    :func:`~teamlogic.eval_rel.eval_rel` has cached.  An error is not
-    cached, so it is raised again."""
+    parsing one text again returns the same object without parsing it.
+    An error is not cached, so it is raised again."""
     parser = _Parser(text)
     try:
         return parser.formula()
@@ -615,9 +621,9 @@ def parse(text: str) -> Formula:
 def _print_term(t: Term) -> str:
     if isinstance(t, Var):
         return t.name
-    if isinstance(t.value, int) and not isinstance(t.value, bool):
+    if isinstance(t.value, int):
         return str(t.value)
-    if isinstance(t.value, str):
+    if isinstance(t.value, str) and '"' not in t.value:
         return f'"{t.value}"'
     raise InvalidArgumentError(f"constant {t.value!r} has no concrete syntax")
 
@@ -660,5 +666,7 @@ def _print(formula: Formula, level: int) -> str:
 
 
 def print_formula(formula: Formula) -> str:
-    """Deterministic concrete syntax; ``parse(print_formula(f)) == f``."""
+    """Deterministic concrete syntax; ``parse(print_formula(f)) == f``.
+    Raises :class:`InvalidArgumentError` on a constant with none: a
+    ``Fraction``, a tuple, or a string holding ``"``."""
     return _print(formula, 0)

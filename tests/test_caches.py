@@ -3,7 +3,7 @@ changes no verdict and no refusal.
 
 ``formulas.parse`` keeps the formula of each recent text, and one plan
 cache in ``eval_rel`` serves ``eval_rel``, ``eval_atom_rel`` and
-``eval_prob``, keyed by the formula's identity and the team's domain.
+``eval_prob``, keyed by the formula and the team's domain.
 """
 
 import ast
@@ -21,8 +21,8 @@ import pytest
 import teamlogic
 from teamlogic.errors import BudgetExceededError, InvalidArgumentError, ParseError
 from teamlogic.eval_prob import eval_prob
-from teamlogic.eval_rel import PLAN_CACHE_SIZE, EvalBudget, _plan_cache, eval_atom_rel, eval_rel
-from teamlogic.formulas import PARSE_CACHE_SIZE, Const, Dep, Eq, Indep, Neq, Var, parse
+from teamlogic.eval_rel import PLAN_CACHE_SIZE, EvalBudget, _plan, eval_atom_rel, eval_rel
+from teamlogic.formulas import PARSE_CACHE_SIZE, Const, Dep, Eq, Indep, Var, parse
 from teamlogic.teams import ProbTeam, Team
 from teamlogic.verify_appendix import verify_appendix
 
@@ -41,7 +41,7 @@ class WeakProbTeam(ProbTeam):
 def empty_caches():
     # each test sees only the entries it made
     parse.cache_clear()
-    _plan_cache.cache_clear()
+    _plan.cache_clear()
 
 
 def team():
@@ -55,8 +55,8 @@ def test_a_formula_is_freed_once_evicted():
     del formula
     gc.collect()
     assert ref() is not None
-    for _ in range(PLAN_CACHE_SIZE):
-        eval_rel(team(), Dep(("x",), ("y",)))
+    for i in range(PLAN_CACHE_SIZE):
+        eval_rel(team(), Eq(Var("x"), Const(i)))
     gc.collect()
     assert ref() is None
 
@@ -79,7 +79,7 @@ def test_a_formula_is_freed_once_the_caches_are_cleared():
     gc.collect()
     assert ref() is not None
     parse.cache_clear()
-    _plan_cache.cache_clear()
+    _plan.cache_clear()
     gc.collect()
     assert ref() is None
 
@@ -94,7 +94,7 @@ def test_no_team_is_kept_alive():
     del rel, prob
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
-    assert _plan_cache.cache_info().currsize == 3
+    assert _plan.cache_info().currsize == 3
 
 
 def test_each_cache_stays_within_its_size():
@@ -104,43 +104,41 @@ def test_each_cache_stays_within_its_size():
         assert eval_rel(team(), formula) == eval_rel(team(), formula)
         assert not eval_atom_rel(team(), Dep(("y",), ("x",)))
         assert not eval_prob(prob, Indep(("x",), (), ("y",)))
-    for cache, size in ((_plan_cache, PLAN_CACHE_SIZE), (parse, PARSE_CACHE_SIZE)):
+    for cache, size in ((_plan, PLAN_CACHE_SIZE), (parse, PARSE_CACHE_SIZE)):
         assert cache.cache_parameters()["maxsize"] == size
         assert cache.cache_info().currsize == size
 
 
-def test_the_plan_cache_keys_by_identity():
-    # one text parses to one object, whose plan is then a hit; an equal
-    # formula built apart is compiled on its own
+def test_the_plan_cache_keys_by_equality():
+    # an equal formula built apart shares the plan of a parsed one
     first, second = parse("x = 1"), Eq(Var("x"), Const(1))
-    assert first is parse("x = 1") and first == second and first is not second
+    assert first == second and first is not second
     for formula in (first, first, second):
         assert not eval_rel(team(), formula)
-    assert _plan_cache.cache_info()[:2] == (1, 2)
+    assert _plan.cache_info()[:2] == (2, 1)
 
 
 def test_the_appendix_compiles_its_plans_once():
     # its atoms and defining formulas are built once, so a second sweep
     # takes every plan from the cache
     first = verify_appendix()
-    misses = _plan_cache.cache_info().misses
+    misses = _plan.cache_info().misses
     assert misses == 8
     assert verify_appendix() == first and first.ok
-    assert _plan_cache.cache_info().misses == misses
+    assert _plan.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("value", [True, 1.0])
 def test_a_cached_plan_keeps_refusing_a_constant(value):
+    # such a constant equals 1, so x = true would take the plan of x = 1;
+    # it is refused when built, each time, whatever the cache holds
     rel = Team(("x",), [(1,)])
-    prob = ProbTeam.uniform(rel)
     cached = parse("x = 1")
-    assert eval_rel(rel, cached) and eval_atom_rel(rel, cached) and eval_prob(prob, cached)
-    for formula in (Eq(Var("x"), Const(value)), Neq(Const(value), Var("x"))):
-        for evaluate, data in ((eval_rel, rel), (eval_atom_rel, rel), (eval_prob, prob)):
-            with pytest.raises(InvalidArgumentError):
-                evaluate(data, formula)
-    assert Eq(Var("x"), Const(value)) == cached
-    assert _plan_cache.cache_info().currsize == 1
+    assert eval_rel(rel, cached) and eval_atom_rel(rel, cached) and eval_prob(ProbTeam.uniform(rel), cached)
+    for _ in range(2):
+        with pytest.raises(InvalidArgumentError):
+            Eq(Var("x"), Const(value))
+    assert _plan.cache_info().currsize == 1
 
 
 def test_a_parse_error_is_raised_again_at_the_same_position():
@@ -160,7 +158,7 @@ def test_a_cached_plan_raises_its_budget_error_again():
         with pytest.raises(BudgetExceededError):
             eval_rel(rel, formula, EvalBudget(memo_limit=50))
     assert eval_rel(rel, formula)
-    assert _plan_cache.cache_info()[:2] == (2, 1)
+    assert _plan.cache_info()[:2] == (2, 1)
 
 
 def test_threads_racing_on_the_caches_never_raise():
@@ -176,7 +174,7 @@ def test_threads_racing_on_the_caches_never_raise():
                 text = texts[i * k % len(texts)]
                 assert eval_rel(team(), parse(text)) == expected[text]
                 if i % 25 == k:
-                    _plan_cache.cache_clear()
+                    _plan.cache_clear()
                     parse.cache_clear()
         except Exception as error:  # reported below, from the main thread
             errors.append(error)
@@ -197,7 +195,7 @@ def test_threads_racing_on_the_caches_never_raise():
 
 def test_every_cache_has_a_stated_size():
     caches = [f for module in MODULES for f in vars(module).values() if hasattr(f, "cache_parameters")]
-    assert {f.__qualname__ for f in caches} >= {"parse", "_plan_cache", "_property_plan", "empirical_domain"}
+    assert {f.__qualname__ for f in caches} >= {"parse", "_plan", "_property_plan", "empirical_domain"}
     assert [f.__qualname__ for f in caches if f.cache_parameters()["maxsize"] is None] == []
     # and no cache is made elsewhere, in a class or a function, without a size
     for path in Path(teamlogic.__file__).parent.glob("*.py"):

@@ -419,6 +419,10 @@ CLI_REFUSALS = [
      "decision runs relationally"),
     (["eval", "--team", "builtin:cabello18", "--formula", "dep(m1,o1)"],
      "team JSON is missing field 'domain'"),
+    (["construct", "--model", "builtin:ex22", "--target", "strong-det", "--out", "-", "--json"],
+     "--out - and --json both write to stdout"),
+    (["nogo", "exists", "--model", "builtin:ex22", "--target", "strong-det+lambda", "--out", "-", "--json"],
+     "--out - and --json both write to stdout"),
     (["verify", "--suite", "fig1", "--samples", "0"], "--samples must be at least 1, not 0"),
     (["verify", "--suite", "fig1", "--samples", "-5"], "--samples must be at least 1, not -5"),
 ] + [

@@ -1,11 +1,12 @@
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teamlogic.errors import ParseError
+from teamlogic.errors import InvalidArgumentError, ParseError
 from teamlogic.formulas import (
     MAX_NESTING,
     NC,
@@ -29,6 +30,7 @@ from teamlogic.formulas import (
     parse,
     print_formula,
 )
+from teamlogic.teams import Team
 
 
 class TestParse:
@@ -298,6 +300,28 @@ def formulas(depth: int):
         st.tuples(variables, sub).map(lambda p: Exists(*p)),
         st.tuples(variables, sub).map(lambda p: Forall(*p)),
     )
+
+
+@pytest.mark.parametrize("value", [True, 1.0, [1], (0, True)], ids=repr)
+def test_const_refuses_a_value_no_team_can_hold(value):
+    # True and 1.0 equal 1, so such a constant would make its formula equal
+    # to one over 1; a team refuses the value as well
+    with pytest.raises(InvalidArgumentError):
+        Const(value)
+    with pytest.raises(InvalidArgumentError):
+        Team(("x",), [(value,)])
+
+
+def test_equal_constants_are_one_constant():
+    assert Const(Fraction(1)) == Const(1) and hash(Const(Fraction(1))) == hash(Const(1))
+    assert Eq(Var("x"), Const(Fraction(2, 1))) == parse("x = 2")
+
+
+@pytest.mark.parametrize("value", ['a"b', Fraction(1, 2), (0, "a")], ids=repr)
+def test_a_constant_without_concrete_syntax_is_not_printed(value):
+    # a quote would end the quoted symbol early, and parse would refuse the text
+    with pytest.raises(InvalidArgumentError, match="has no concrete syntax"):
+        print_formula(Eq(Var("x"), Const(value)))
 
 
 @given(formulas(3))
