@@ -26,9 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 
 from .errors import DomainError, InvalidArgumentError
-from .teams import ProbTeam, Team, _sorted_values, value_key
+from .teams import ProbTeam, Team, _canonical_sort, _plain, _sorted_values, value_key
 
 LAMBDA_VAR = "l"
 
@@ -110,21 +112,26 @@ def tag_rows(team: Team, graphs: dict) -> Team:
     """``team`` extended by the hidden column: each row, in row order, by
     the tags whose graph (a tuple of rows of ``team``) holds it, in tag
     order, so the rows come out canonical.  Every row must lie on some
-    graph."""
-    keys = {tag: value_key(tag) for tag in graphs}
+    graph.
+
+    A tag is a pair of a head and a section's tables, tuples of values of
+    ``team``'s rows.  So when the heads, the rows' values and the universe
+    are exact scalars, so is every leaf of every tag, and the tags are
+    sorted natively (:mod:`teamlogic.teams`)."""
+    # the team's universe is its sorted active values; numbers and strings
+    # sort before every tuple, so only its tuples are merged with the tags
+    universe = team.universe
+    cut = next((i for i, v in enumerate(universe) if isinstance(v, tuple)), len(universe))
+    plain = _plain(chain(map(itemgetter(0), graphs), universe, chain.from_iterable(team.rows)))
+    merged = _canonical_sort([*graphs, *universe[cut:]], plain)
     tags_of: dict[tuple, list] = {}
-    for tag in sorted(graphs, key=keys.__getitem__):
-        for row in graphs[tag]:
+    for tag in merged:
+        for row in graphs.get(tag, ()):
             tags_of.setdefault(row, []).append(tag)
     assert len(tags_of) == len(team.rows), "every row must carry a tag"
     # a list first: tuple() of a generator over-allocates, which raises peak RSS
     rows = tuple([row + (tag,) for row in team.rows for tag in tags_of[row]])
-    # the team's universe is its sorted active values; numbers and strings
-    # sort before every tuple, so only its tuples are merged with the tags
-    cut = next((i for i, v in enumerate(team.universe) if isinstance(v, tuple)), len(team.universe))
-    keys.update((v, value_key(v)) for v in team.universe[cut:])
-    universe = team.universe[:cut] + tuple(sorted(keys, key=keys.__getitem__))
-    return Team._canonical(team.domain + (LAMBDA_VAR,), rows, universe)
+    return Team._canonical(team.domain + (LAMBDA_VAR,), rows, universe[:cut] + tuple(merged))
 
 
 def from_team(data: Team | ProbTeam, kind: str) -> EmpiricalModel | HVModel:
@@ -146,10 +153,10 @@ def from_team(data: Team | ProbTeam, kind: str) -> EmpiricalModel | HVModel:
         )
     warnings: tuple[str, ...] = ()
     if not isinstance(data, ProbTeam):
-        active = {v for row in team.rows for v in row}
-        declared = set(team.universe)
-        if declared != active:
-            extra = sorted(declared - active, key=value_key)
+        # a universe is a distinct superset of the active values
+        active = set(chain.from_iterable(team.rows))
+        if len(active) != len(team.universe):
+            extra = sorted(set(team.universe) - active, key=value_key)
             warnings = (
                 f"universe narrowed to active values; dropped {extra}",
             )

@@ -17,8 +17,24 @@ Values are opaque tokens: strings, integers, exact rationals, or nested
 tuples of these (tuples are used for vectors in 4-space and for structured
 hidden-variable tags).  They carry a content-based total order via
 :func:`value_key`, so every iteration and every serialized output is
-bit-deterministic regardless of construction order or hash seeds.  A
-team keys, sorts and checks the rows it is given once.  Rows whose order
+bit-deterministic regardless of construction order or hash seeds.
+
+The order is computed natively where it can be.  Lemma: on values whose
+leaves are all of the exact types ``str``, ``int`` and ``Fraction``,
+Python's own ``<`` either agrees with the :func:`value_key` order or
+raises ``TypeError``.  Numbers compare as numbers and strings as
+strings in both; tuples compare lexicographically in both, up to their
+first unequal members, and members of two kinds are unequal, so a pair
+of kinds at a deciding position raises.  A sort that does not raise has
+therefore made the comparisons of the keyed sort, with the same
+results, and returns the same list.  :func:`_canonical_sort` sorts a
+team's rows and values, and the no-go witness tags, natively when a
+caller knows every leaf is of an exact type, and by key on a
+``TypeError``.  Exact types need no validation; a subclass may override
+comparison, so any other type, a tuple found by a scan of top-level
+types among them, is keyed, and keying validates it.
+
+A team scans, sorts and checks the rows it is given once.  Rows whose order
 is already known are stored without doing so again: a sub-team's rows
 taken in row order, an extension's rows with a new column appended in
 the order of its values, a restriction onto a prefix of the domain, and
@@ -32,7 +48,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -81,8 +97,40 @@ def row_key(row: Row):
     return tuple(map(value_key, row))
 
 
+#: The types whose values are their own canonical sort keys (module docstring).
+_EXACT = frozenset({str, int, Fraction})
+
+
+def _plain(values: Iterable[Value]) -> bool:
+    """Whether every value is an exact ``str``, ``int`` or ``Fraction``:
+    a tuple is not, whatever it holds."""
+    return _EXACT.issuperset(map(type, values))
+
+
+def _canonical_sort(values: Iterable, plain: bool, key: Callable = value_key) -> list:
+    """The distinct ``values`` in canonical order: the one native sort, of
+    a team's rows and values and of witness tags.  ``plain`` says that
+    every leaf of every value is of an exact type: then they are sorted
+    natively, and by ``key`` (:func:`value_key` or :func:`row_key`) only
+    if that raises.  Otherwise every occurrence, duplicates included, is
+    keyed, which validates it: ``True == 1`` and ``1.0 == 1``, so keying
+    only the distinct values would let those through."""
+    if plain:
+        distinct = set(values)
+        try:
+            return sorted(distinct)
+        except TypeError:
+            return sorted(distinct, key=key)
+    keyed = {v: key(v) for v in values}
+    return sorted(keyed, key=keyed.__getitem__)
+
+
 def _sorted_values(values: Iterable[Value]) -> list[Value]:
-    """The distinct ``values`` in canonical order, each keyed once."""
+    """The distinct ``values`` in canonical order, each keyed once.
+
+    Not sorted natively: most of the few values an extension's universe
+    holds mix ints with strings, which a native sort cannot order, and
+    on those a type scan costs more than the keys it would save."""
     keyed = {v: value_key(v) for v in values}
     return sorted(keyed, key=keyed.__getitem__)
 
@@ -199,19 +247,15 @@ class Team:
         if len(set(dom)) != len(dom):
             raise InvalidArgumentError(f"duplicate variables in domain {dom}")
         width = len(dom)
-        # every row is keyed, duplicates included: True == 1 and 1.0 == 1,
-        # so keying only the distinct rows would let those values through
-        keyed: dict[Row, tuple] = {}
-        for r in rows:
-            row = tuple(r)
-            if len(row) != width:
-                raise InvalidArgumentError(
-                    f"row {row!r} does not match domain width {width}"
-                )
-            keyed[row] = row_key(row)
-        sorted_rows = tuple(sorted(keyed, key=keyed.__getitem__))
-        active = {v for row in sorted_rows for v in row}
-        uni = _sorted_values(active if universe is None else universe)
+        given = list(map(tuple, rows))
+        if set(map(len, given)) - {width}:
+            row = next(row for row in given if len(row) != width)
+            raise InvalidArgumentError(f"row {row!r} does not match domain width {width}")
+        # one scan of every value occurrence: exact scalars need no key
+        plain = _plain(chain.from_iterable(given))
+        sorted_rows = tuple(_canonical_sort(given, plain, row_key))
+        active = set(chain.from_iterable(sorted_rows))
+        uni = _canonical_sort(active, plain) if universe is None else _sorted_values(universe)
         if universe is not None and not active.issubset(uni):
             raise InvalidArgumentError(
                 "universe must contain every value occurring in rows"

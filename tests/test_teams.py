@@ -12,7 +12,16 @@ from teamlogic.eval_rel import DEFAULT_BUDGET, _Evaluator, compile
 from teamlogic.formulas import parse
 from teamlogic.models import from_team
 from teamlogic.sampling import random_prob_team, random_team
-from teamlogic.teams import Assignment, ProbTeam, Team, value_key
+from teamlogic.teams import (
+    Assignment,
+    ProbTeam,
+    Team,
+    _canonical_sort,
+    _plain,
+    _sorted_values,
+    row_key,
+    value_key,
+)
 
 
 def team(rows, domain=("m1", "m2", "o1", "o2"), universe=None):
@@ -512,6 +521,94 @@ def test_sub_team_agrees_with_validated_team(seed):
             verdict = evaluator.memo_eval(first, node)
             assert evaluator.memo_eval(second, node) == verdict
             assert list(evaluator.memo) == [(node, first)]
+
+
+# -- the native canonical sort against the keyed order -------------------------
+
+
+class Tag(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+def reference_sort(values):
+    """The distinct ``values`` sorted by the reference key."""
+    return sorted(dict.fromkeys(values), key=reference_value_key)
+
+
+def reference_rows(rows):
+    return tuple(sorted(dict.fromkeys(rows), key=lambda row: tuple(map(reference_value_key, row))))
+
+
+#: Values with ``Tag`` and ``Count`` leaves, at the top level or nested.
+subclass_values = st.recursive(
+    st.integers(-3, 3).map(Count) | st.sampled_from(["", "a", "b"]).map(Tag) | team_values,
+    lambda inner: st.tuples(inner) | st.tuples(inner, inner),
+    max_leaves=6,
+)
+
+#: Scalars of two kinds, so that a column mixes them at a deciding position.
+mixed_scalars = st.integers(-2, 2) | st.sampled_from(["a", "b"]) | st.sampled_from(MIXED_VALUES[:4])
+
+
+@given(st.lists(team_values | st.sampled_from(MIXED_VALUES), max_size=8))
+@settings(max_examples=300)
+def test_native_sort_agrees_with_reference(values):
+    # every leaf is an exact str, int or Fraction: the native path applies
+    expected = reference_sort(values)
+    for got in (_canonical_sort(values, True), _sorted_values(values)):
+        assert got == expected
+        assert [typed(v) for v in got] == [typed(v) for v in expected]
+
+
+@given(st.lists(st.tuples(team_values, team_values | st.sampled_from(MIXED_VALUES)), max_size=8))
+@settings(max_examples=200)
+def test_team_rows_agree_with_reference(rows):
+    t = Team(("x", "y"), rows)
+    assert t.rows == tuple(sorted(dict.fromkeys(rows), key=row_key)) == reference_rows(rows)
+    assert t.universe == tuple(reference_sort(v for row in rows for v in row))
+
+
+@given(st.lists(st.tuples(mixed_scalars, mixed_scalars), min_size=2, max_size=8))
+@settings(max_examples=200)
+def test_mixed_kind_columns_fall_back_to_the_key(rows):
+    t = Team(("x", "y"), rows, universe=[v for row in rows for v in row] + ["c", 3])
+    assert t.rows == reference_rows(rows)
+    assert t.universe == tuple(reference_sort([v for row in rows for v in row] + ["c", 3]))
+
+
+def test_a_mixed_kind_column_is_sorted_by_key():
+    rows = [(1, 0), ("a", 0), (0, "b"), ("b", 1), (Fraction(1, 2), "a")]
+    with pytest.raises(TypeError):
+        sorted(rows)
+    t = Team(("x", "y"), rows)
+    assert t.rows == ((0, "b"), (Fraction(1, 2), "a"), (1, 0), ("a", 0), ("b", 1))
+    assert t.universe == (0, Fraction(1, 2), 1, "a", "b")
+
+
+@given(st.lists(st.tuples(subclass_values, subclass_values), max_size=6))
+@settings(max_examples=200)
+def test_subclass_values_take_the_keyed_order(rows):
+    t = Team(("x", "y"), rows)
+    assert t.rows == reference_rows(rows)
+    values = [v for row in rows for v in row]
+    assert _sorted_values(values) == reference_sort(values)
+
+
+def test_only_exact_scalars_are_plain():
+    assert _plain(["a", 0, Fraction(1, 2)])
+    for value in (Tag("a"), Count(1), (1,), True, 1.0, None):
+        assert not _plain(["a", value])
+
+
+def test_tuples_are_keyed_so_nested_twins_are_refused():
+    with pytest.raises(InvalidArgumentError):
+        Team(("x",), [((1,),), ((True,),)])
+    with pytest.raises(InvalidArgumentError):
+        Team(("x",), [((1,),)], universe=[(1,), (True,)])
 
 
 # -- the stored fast paths against the validated constructor -------------------

@@ -7,6 +7,10 @@ checked, and every other module builds such teams through it (or through
 module: no package module but ``teams.py`` calls ``object.__new__(Team)``
 or any ``._store(``, and none reads ``._rowset`` or ``._hash``, which a
 team makes on first use and may not have yet.
+
+The teams that ``models.tag_rows`` assembles this way, the no-go witness
+and relational localization, are checked against ``Team`` itself on
+hidden values whose kinds mix, which Python cannot compare natively.
 """
 
 import ast
@@ -15,6 +19,10 @@ from pathlib import Path
 import pytest
 
 import teamlogic
+from teamlogic.constructions import localize_rel
+from teamlogic.models import empirical_domain, from_team, hidden_domain
+from teamlogic.nogo import exists_strongdet_lambdaindep
+from teamlogic.teams import Team
 
 MODULES = sorted(
     path for path in Path(teamlogic.__file__).parent.glob("*.py") if path.name != "teams.py"
@@ -78,3 +86,54 @@ def test_check_sees_lazy_field_reads():
         "rows = team.rows\n"
     )
     assert lazy_reads(tree) == [1, 3]
+
+
+def assert_canonical(model):
+    """The model's team equals the validated team of its rows and universe."""
+    team = model.team
+    validated = Team(team.domain, team.rows, team.universe)
+    assert team.rows == validated.rows and team.universe == validated.universe
+
+
+class Desc(int):
+    """An int that compares in reverse: the canonical order keys it as its
+    number, so native comparison would get it wrong."""
+
+    def __lt__(self, other):
+        return int(other) < int(self)
+
+
+def test_witness_with_mixed_kind_tags_is_canonical():
+    rows = [("a", 0), ("a", "x"), ("b", 1), ("b", "x")]
+    witness = exists_strongdet_lambdaindep(from_team(Team(empirical_domain(1), rows), "empirical"))
+    assert len(witness.lambda_values()) == 4
+    with pytest.raises(TypeError):
+        sorted(witness.lambda_values())
+    assert_canonical(witness)
+
+
+def test_witness_keys_subclassed_outcomes_under_a_plain_universe():
+    # the universe's plain ints equal the rows' Desc values, so from_team
+    # keeps it: a plain universe over rows that are not plain
+    rows = [("a", Desc(0)), ("a", Desc(1)), ("b", Desc(0))]
+    model = from_team(Team(empirical_domain(1), rows, ["a", "b", 0, 1]), "empirical")
+    assert model.team.universe[:2] == (0, 1) and not model.warnings
+    witness = exists_strongdet_lambdaindep(model)
+    assert len(witness.lambda_values()) == 2
+    assert_canonical(witness)
+
+
+def test_localization_of_mixed_kind_hidden_values_is_canonical():
+    rows = [("a", 0, 0), ("a", 1, 0), ("b", 1, 0), ("a", "x", "h"), ("b", "x", "h"), ("b", 2, "h")]
+    localized = localize_rel(from_team(Team(hidden_domain(1), rows), "hidden"))
+    assert {tag[0] for tag in localized.lambda_values()} == {0, "h"}
+    with pytest.raises(TypeError):
+        sorted(localized.lambda_values())
+    assert_canonical(localized)
+
+
+def test_localization_keys_subclassed_hidden_values():
+    rows = [("a", 0, Desc(0)), ("b", 1, Desc(0)), ("a", 1, Desc(1)), ("b", 0, Desc(1))]
+    localized = localize_rel(from_team(Team(hidden_domain(1), rows), "hidden"))
+    assert [tag[0] for tag in localized.lambda_values()] == [0, 1]
+    assert_canonical(localized)
