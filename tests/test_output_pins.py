@@ -15,10 +15,14 @@ are pinned from before every entailment question ran through one
 counterexample loop.  The other suites' reports, the ``nogo`` reports and
 three ``construct`` outputs are pinned from before the command line ran
 each suite and construction from one table and read every ``builtin:``
-table through one reader.
+table through one reader.  The LCM construction and probabilistic
+localization are pinned from the command line, on a weighted model and a
+witness whose values mix ints and strings, from before both handed int
+shares to ``ProbTeam._split`` directly.
 """
 
 import hashlib
+import json
 import random
 from itertools import combinations
 
@@ -269,3 +273,32 @@ PINNED_REPORTS = [
 def test_entailment_reports_pinned(argv, expected, capsys):
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
+
+
+#: (target, model file, sha256 of the written model) of each pinned
+#: construction: values of two kinds, which Python cannot compare natively
+PINNED_CONSTRUCTIONS = [
+    ("weakdet-lambda-indep",
+     {"kind": "empirical", "arity": 1, "domain": ["m1", "o1"],
+      "rows": [["a", 0], ["a", "x"], ["b", 1], ["b", "x"]],
+      "weights": ["1/6", "1/3", "1/4", "1/4"]},
+     "dd49d841925363d260356270468ef12eeb3ad5950ea60b3725f81f2ced340ab1"),
+    ("localize",
+     {"kind": "hidden", "arity": 1, "domain": ["m1", "o1", "l"],
+      "rows": [["a", 0, 0], ["a", 1, "h"], ["b", 0, 0], ["b", "x", "h"]],
+      "weights": ["1/4", "1/4", "1/4", "1/4"]},
+     "cc7abf11bb6d39a6f22ed937b6c8b00266cb70d7851a721c549c525249a3ce31"),
+]
+
+
+@pytest.mark.parametrize(
+    ("target", "payload", "expected"),
+    [pytest.param(*case, id=case[0]) for case in PINNED_CONSTRUCTIONS],
+)
+def test_mixed_kind_constructions_pinned(target, payload, expected, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    out = tmp_path / "hv.json"
+    assert main(["construct", "--model", str(model), "--target", target, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
