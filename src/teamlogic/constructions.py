@@ -19,6 +19,8 @@ outputs are reproducible byte for byte.  Every output is exactly
 empirically equivalent to its input.  The LCM construction and
 probabilistic localization lay out their blocks by one kernel,
 ``_partition``, which asserts the partition bookkeeping at build time.
+Both hand each row's hidden values, built in canonical order with int
+shares, to the trusted extension ``ProbTeam._split``, which keys nothing.
 Relational localization runs on global sections: each old hidden value's
 rows are a model for :func:`~teamlogic.nogo.consistent_sections`, and the
 new hidden column is assembled by :func:`~teamlogic.models.tag_rows`, as
@@ -27,7 +29,6 @@ the no-go witness is.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
 
@@ -81,23 +82,25 @@ def construct_weakdet_lambdaindep(model: EmpiricalModel) -> HVModel:
     hence the outcome, yielding Weak Determinism.
 
     A relational model's masses are those of the uniform distribution on
-    its rows, and each row is extended by its block.
+    its rows, and each row is extended by its block: one extension serves
+    both semantics, and a relational model keeps its support.
     """
     if isinstance(model, HVModel):
         raise InvalidArgumentError("the LCM construction needs an empirical model as input")
     n = model.arity
-    data = model.data
-    masses = (data if model.probabilistic else ProbTeam.uniform(data)).masses(empirical_domain(n))
+    pt = model.data if model.probabilistic else ProbTeam.uniform(model.data)
     # masses are keyed in canonical row order, and a row's context is its
     # prefix: each context's outcomes come in canonical order
     contexts: dict = {}
-    for z, mass in masses.items():
+    for z, mass in pt.masses(empirical_domain(n)).items():
         contexts.setdefault(z[:n], {})[z[n:]] = mass
     blocks = _partition(contexts)
-    # a uniform distribution over a block: a ProbTeam splits the row's mass
-    # over it, and a Team takes its keys as the row's image
-    dists = {key: dict.fromkeys(block, Fraction(1, len(block))) for key, block in blocks.items()}
-    return from_team(data.skolem_extend(LAMBDA_VAR, lambda s: dists[(s.row[:n], s.row[n:])]), "hidden")
+    # a row's mass is split evenly over its block, a range of ints and so
+    # canonical: over the lcm of the block sizes each share is an int
+    scale = lcm(*map(len, blocks.values()))
+    shares = {key: [(v, scale // len(block)) for v in block] for key, block in blocks.items()}
+    extended = pt._split(LAMBDA_VAR, [shares[(row[:n], row[n:])] for row in pt.rows], scale)
+    return from_team(extended if model.probabilistic else extended.support(), "hidden")
 
 
 def _partition(groups: dict) -> dict:
@@ -186,7 +189,8 @@ def localize_prob(model: HVModel) -> HVModel:
     tuples (c, (c_1..c_n)) with c_i in the block of (m_i, o_i, c); a row's
     mass is distributed as P(c | row) split evenly over the block product.
     The hidden marginal then factors as P(c)/prod(N_i), independent of the
-    measurements, while (m_i, c, c_i) pins o_i through its block.
+    measurements, while (m_i, c, c_i) pins o_i through its block.  The
+    shares are ints over one scale, the lcm of their denominators.
     """
     if not model.probabilistic:
         raise InvalidArgumentError("localize_prob needs a probabilistic model")
@@ -194,35 +198,36 @@ def localize_prob(model: HVModel) -> HVModel:
     pt = model.prob_team
     n = model.arity
     empirical = induced_empirical(model).prob_team
-    mvars = empirical_domain(n)[:n]
-    ovars = empirical_domain(n)[n:]
 
     # component i cuts its hidden set once per (m_i, l) pair, by the masses
     # of o_i; sorted (m_i, o_i, l) keys meet each pair's outcomes in order
     blocks = []
     for i in range(n):
-        joint = pt.masses((mvars[i], ovars[i], LAMBDA_VAR))
+        joint = pt.masses((pt.domain[i], pt.domain[n + i], LAMBDA_VAR))
         groups: dict = {}
         for a, b, c in sorted(joint, key=row_key):
             groups.setdefault((a, c), {})[b] = joint[(a, b, c)]
         blocks.append(_partition(groups))
+    # the model's rows grouped by their prefix (a, b) meet the empirical
+    # rows in order, and each one's hidden values c in canonical order
     row_mass: dict = {}
     for row, mass in pt.numerators().items():
         row_mass.setdefault((row[:n], row[n : 2 * n]), {})[row[2 * n]] = mass
 
-    def family(s):
-        a = s.row[:n]
-        b = s.row[n:]
-        by_lambda = row_mass[(a, b)]
+    # each empirical row's new hidden values (c, combo), each of mass / d
+    families = []
+    for (a, b), by_lambda in row_mass.items():
         total = sum(by_lambda.values())  # the row's mass in the empirical model
-        dist: dict = {}
+        family = []
         for c, mass in by_lambda.items():
             ranges = [blocks[i][((a[i], c), b[i])] for i in range(n)]
-            share = Fraction(mass, total * prod(len(r) for r in ranges))
-            for combo in product(*ranges):
-                dist[(c, combo)] = share
-        return dist
-
-    extended = empirical.skolem_extend(LAMBDA_VAR, family)
-    return from_team(extended, "hidden")
+            d = total * prod(map(len, ranges))
+            family.extend(((c, combo), mass, d) for combo in product(*ranges))
+        families.append(family)
+    scale = lcm(*{d for family in families for *_, d in family})
+    # each row's values are canonical, as _split takes them: the c values
+    # of an (a, b) prefix come in row order, which is value_key order, and
+    # within each c the combos come in product order over increasing ranges
+    shares = ([(v, mass * (scale // d)) for v, mass, d in family] for family in families)
+    return from_team(empirical._split(LAMBDA_VAR, shares, scale), "hidden")
 

@@ -563,6 +563,9 @@ class ProbTeam:
         same weight both times, and counts once.  The probability mass of a
         row is split over its extensions in those proportions; zero-weight
         extensions are dropped so full support is preserved.
+
+        The checked boundary for callers outside the package; callers
+        inside it with canonical values and int shares call :meth:`_split`.
         """
         dist_of = _per_row(self.domain, function, "family")
 
@@ -618,8 +621,10 @@ class ProbTeam:
 
     def _split(self, var: str, shares: Iterable[list], scale: int) -> "ProbTeam":
         """Extend (or rebind) ``var``: row i's numerator times each share of
-        the i-th list of (value, share) pairs, in canonical value order,
-        over ``denominator * scale``."""
+        the i-th list of (value, share) pairs, over ``denominator * scale``.
+        Trusted, so unchecked: each list holds distinct valid values in
+        canonical order, with positive ``int`` shares summing to ``scale``.
+        """
         domain, put = bind(self.domain, var)
         out: dict[Row, int] = {}
         for (row, w), split in zip(self._numerators.items(), shares):

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 
 from teamlogic.constructions import (
+    _partition,
     construct_single_valued,
     construct_strong_det,
     construct_weakdet_lambdaindep,
@@ -15,7 +17,13 @@ from teamlogic.errors import PreconditionError
 from teamlogic.eval_rel import EvalBudget
 from teamlogic.eval_prob import CondProbQuery, cond_prob
 from teamlogic.jsonio import model_to_dict
-from teamlogic.models import LAMBDA_VAR, empirically_equivalent, from_team, induced_empirical
+from teamlogic.models import (
+    LAMBDA_VAR,
+    empirical_domain,
+    empirically_equivalent,
+    from_team,
+    induced_empirical,
+)
 from teamlogic.properties import (
     PropertyName as P,
     check_property,
@@ -23,7 +31,7 @@ from teamlogic.properties import (
     locality_oracle_rel,
 )
 from teamlogic.sampling import random_empirical_model, random_local_witness
-from teamlogic.teams import ProbTeam, Team, value_key
+from teamlogic.teams import ProbTeam, Team, row_key, value_key
 
 
 class TestSingleValued:
@@ -295,3 +303,108 @@ class TestRandomSweep:
                 for prop in props:
                     assert check_property(hv, prop), (builder.__name__, prop)
                 assert empirically_equivalent(pm, hv)
+
+
+def reference_weakdet_lambdaindep(model):
+    """The LCM construction through the checked ``skolem_extend``: each
+    block is a ``Fraction`` distribution to a ``ProbTeam`` and an image to
+    a ``Team``, keyed and sorted again by the extension."""
+    n = model.arity
+    data = model.data
+    masses = (data if model.probabilistic else ProbTeam.uniform(data)).masses(empirical_domain(n))
+    contexts: dict = {}
+    for z, mass in masses.items():
+        contexts.setdefault(z[:n], {})[z[n:]] = mass
+    blocks = _partition(contexts)
+    dists = {key: dict.fromkeys(block, Fraction(1, len(block))) for key, block in blocks.items()}
+    return from_team(data.skolem_extend(LAMBDA_VAR, lambda s: dists[(s.row[:n], s.row[n:])]), "hidden")
+
+
+def reference_localize_prob(model):
+    """Probabilistic localization through the checked ``skolem_extend``,
+    with each new hidden value's ``Fraction`` probability given its row."""
+    pt = model.prob_team
+    n = model.arity
+    empirical = induced_empirical(model).prob_team
+    blocks = []
+    for i in range(n):
+        joint = pt.masses((pt.domain[i], pt.domain[n + i], LAMBDA_VAR))
+        groups: dict = {}
+        for a, b, c in sorted(joint, key=row_key):
+            groups.setdefault((a, c), {})[b] = joint[(a, b, c)]
+        blocks.append(_partition(groups))
+    row_mass: dict = {}
+    for row, mass in pt.numerators().items():
+        row_mass.setdefault((row[:n], row[n : 2 * n]), {})[row[2 * n]] = mass
+
+    def family(s):
+        a, b = s.row[:n], s.row[n:]
+        by_lambda = row_mass[(a, b)]
+        total = sum(by_lambda.values())
+        dist: dict = {}
+        for c, mass in by_lambda.items():
+            ranges = [blocks[i][((a[i], c), b[i])] for i in range(n)]
+            share = Fraction(mass, total * prod(len(r) for r in ranges))
+            for combo in product(*ranges):
+                dist[(c, combo)] = share
+        return dist
+
+    return from_team(empirical.skolem_extend(LAMBDA_VAR, family), "hidden")
+
+
+#: Sampled string values renamed to ints, so that a column mixes kinds.
+TO_INTS = {"x1": 1, "x2": 2, "lam0": 0, "lam2": 2}
+
+
+def mixed_kinds(model):
+    """The model with the values of :data:`TO_INTS` renamed: a renaming
+    keeps every property, and the ints and strings left in one column
+    cannot be compared natively."""
+    def rename(row):
+        return tuple(TO_INTS.get(v, v) for v in row)
+
+    data = model.data
+    if model.probabilistic:
+        weights = {rename(row): w for row, w in data.weights().items()}
+        data = ProbTeam(Team(data.domain, weights), weights)
+    else:
+        data = Team(data.domain, map(rename, data.rows))
+    return from_team(data, model.kind)
+
+
+def assert_same_model(found, expected):
+    assert found == expected
+    assert found.team.universe == expected.team.universe
+    if expected.probabilistic:
+        assert found.prob_team.same_weights(expected.prob_team)
+    team = found.team
+    assert team == Team(team.domain, team.rows, team.universe)
+
+
+class TestTrustedExtensionsMatchSkolemExtend:
+    """The LCM construction and probabilistic localization hand int
+    shares to ``ProbTeam._split``; their outputs equal the checked
+    ``skolem_extend`` route's, rows, weights and universe."""
+
+    @pytest.mark.parametrize("probabilistic", [True, False], ids=["prob", "rel"])
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_lcm_construction(self, arity, probabilistic):
+        rng = random.Random(1000 * arity + probabilistic)
+        for _ in range(12):
+            model = random_empirical_model(
+                rng, arity=arity, component_size=rng.randint(2, 3), probabilistic=probabilistic
+            )
+            for variant in (model, mixed_kinds(model)):
+                assert_same_model(
+                    construct_weakdet_lambdaindep(variant), reference_weakdet_lambdaindep(variant)
+                )
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_probabilistic_localization(self, arity):
+        rng = random.Random(2000 + arity)
+        for _ in range(6):
+            witness = random_local_witness(
+                rng, arity, rng.randint(2, 3), rng.randint(1, 3), probabilistic=True
+            )
+            for variant in (witness, mixed_kinds(witness)):
+                assert_same_model(localize_prob(variant), reference_localize_prob(variant))

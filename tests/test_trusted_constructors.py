@@ -11,6 +11,9 @@ team makes on first use and may not have yet.
 The teams that ``models.tag_rows`` assembles this way, the no-go witness
 and relational localization, are checked against ``Team`` itself on
 hidden values whose kinds mix, which Python cannot compare natively.
+So is probabilistic localization, whose rows :mod:`teamlogic.constructions`
+hands in canonical order to ``ProbTeam._split``, the trusted entry of
+probabilistic extension, as the LCM construction also does.
 """
 
 import ast
@@ -19,10 +22,10 @@ from pathlib import Path
 import pytest
 
 import teamlogic
-from teamlogic.constructions import localize_rel
+from teamlogic.constructions import localize_prob, localize_rel
 from teamlogic.models import empirical_domain, from_team, hidden_domain
 from teamlogic.nogo import exists_strongdet_lambdaindep
-from teamlogic.teams import Team
+from teamlogic.teams import ProbTeam, Team
 
 MODULES = sorted(
     path for path in Path(teamlogic.__file__).parent.glob("*.py") if path.name != "teams.py"
@@ -135,5 +138,26 @@ def test_localization_of_mixed_kind_hidden_values_is_canonical():
 def test_localization_keys_subclassed_hidden_values():
     rows = [("a", 0, Desc(0)), ("b", 1, Desc(0)), ("a", 1, Desc(1)), ("b", 0, Desc(1))]
     localized = localize_rel(from_team(Team(hidden_domain(1), rows), "hidden"))
+    assert [tag[0] for tag in localized.lambda_values()] == [0, 1]
+    assert_canonical(localized)
+
+
+def weighted_witness(rows):
+    """The hidden-variable model of ``rows``, uniformly weighted."""
+    return from_team(ProbTeam.uniform(Team(hidden_domain(1), rows)), "hidden")
+
+
+def test_probabilistic_localization_of_mixed_kind_hidden_values_is_canonical():
+    rows = [("a", 0, 0), ("a", 1, 0), ("a", 2, "h"), ("b", 0, 0), ("b", 1, 0), ("b", "x", "h")]
+    localized = localize_prob(weighted_witness(rows))
+    assert {tag[0] for tag in localized.lambda_values()} == {0, "h"}
+    with pytest.raises(TypeError):
+        sorted(localized.lambda_values())
+    assert_canonical(localized)
+
+
+def test_probabilistic_localization_keys_subclassed_hidden_values():
+    rows = [("a", 0, Desc(0)), ("b", 1, Desc(0)), ("a", 1, Desc(1)), ("b", 0, Desc(1))]
+    localized = localize_prob(weighted_witness(rows))
     assert [tag[0] for tag in localized.lambda_values()] == [0, 1]
     assert_canonical(localized)
